@@ -29,6 +29,7 @@ from .errors import (
     NoSolutionError,
     PostselectionError,
     QReliefFError,
+    SearchFailedError,
 )
 from .pipeline import (
     PipelineConfig,

@@ -20,13 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NoSolutionError, QReliefFError
+from .errors import ConfigError, NoSolutionError, QReliefFError, SearchFailedError
 from .rng import RngStream
 from .statevector import (
     GateOp,
     StateVector,
+    check_width,
     h,
-    phase,
     ry,
     swap,
     x,
@@ -205,6 +205,7 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
     if a.n_qubits != b.n_qubits:
         raise QReliefFError("swap test requires equal register widths")
     m = a.n_qubits
+    check_width(2 * m + 1)
     if swap_qubits is None:
         swap_qubits = range(m)
     anc = 2 * m
@@ -309,11 +310,15 @@ def grover_search_state(plan: GroverPlan, oracle, w_gates=None) -> StateVector:
 # quantum Fourier transform
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _dft_matrix(t: int, inverse: bool) -> np.ndarray:
+    """The 2^t-point (inverse) DFT matrix, built on first use and read-only."""
     dim = 1 << t
     sign = -1.0 if inverse else 1.0
     jk = np.outer(np.arange(dim), np.arange(dim))
-    return np.exp(sign * 2j * math.pi * jk / dim) / math.sqrt(dim)
+    dft = np.exp(sign * 2j * math.pi * jk / dim) / math.sqrt(dim)
+    dft.setflags(write=False)
+    return dft
 
 
 def qft(state: StateVector, register) -> StateVector:
@@ -369,28 +374,26 @@ class AEOutcome:
         return math.sin(math.pi * self.y / (1 << self.t)) ** 2
 
 
-def _controlled_grover_op(state: StateVector, prep: Preparation, control: int) -> StateVector:
-    """Apply G = -A S0 A^-1 S_chi controlled on ``control``."""
-    gates = list(prep.gates)
-    ctrl = [(control, 1)]
-    idx = np.arange(state.dim)
-    on = ((idx >> control) & 1) == 1
-    # S_chi: phase flip on flag = 1 branches
-    state = state.apply(phase(math.pi, prep.flag, controls=ctrl))
-    for g in reversed(gates):
-        inv = g.inverse()
-        state = state.apply(
-            GateOp(inv.kind, inv.targets, inv.controls + ((control, 1),), inv.angle)
-        )
-    # S0: phase flip on the all-zero branch of the preparation register
-    prep_bits = (1 << prep.n_qubits) - 1
-    state = state.phase_on_indices(on & ((idx & prep_bits) == 0), math.pi)
-    for g in gates:
-        state = state.apply(
-            GateOp(g.kind, g.targets, g.controls + ((control, 1),), g.angle)
-        )
-    # the leading minus sign of G, controlled
-    return state.phase_on_indices(on, math.pi)
+def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
+    """Row y is G^y A|0> for y in [0, 2^t), with G = -A S0 A^-1 S_chi.
+
+    G runs uncontrolled on the preparation register alone.
+    """
+    p = prep.n_qubits
+    check_width(p + t)
+    inverse = [g.inverse() for g in reversed(prep.gates)]
+    idx = np.arange(1 << p)
+    flag = ((idx >> prep.flag) & 1) == 1  # S_chi: phase flip on flag = 1
+    zero = idx == 0  # S0: phase flip on the all-zero branch
+    orbit = np.empty((1 << t, 1 << p), dtype=complex)
+    state = zero_state(p).apply_all(prep.gates)
+    orbit[0] = state.amplitudes
+    for y in range(1, 1 << t):
+        state = state.phase_on_indices(flag, math.pi).apply_all(inverse)
+        state = state.phase_on_indices(zero, math.pi).apply_all(prep.gates)
+        orbit[y] = -state.amplitudes
+        state = StateVector(p, orbit[y], _checked=True)
+    return orbit
 
 
 def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.ndarray:
@@ -398,8 +401,13 @@ def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.n
 
     ``reduced`` mode replaces the preparation by the algebraically equivalent
     single-qubit rotation with the same flag amplitude; ``full`` mode runs the
-    given circuit under the controlled Grover powers.  Returns the probability
-    of each y in [0, 2^t); the estimate for outcome y is sin^2(pi y / 2^t).
+    given circuit.  Returns the probability of each y in [0, 2^t); the
+    estimate for outcome y is sin^2(pi y / 2^t).
+
+    After the readout Hadamards and the controlled powers of G, the circuit's
+    state is 2^(-t/2) sum_y |y> G^y A|0>, readout register above the
+    preparation register; it is built from the orbit of A|0> under G rather
+    than by applying 2^t - 1 controlled G's.
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")
@@ -411,13 +419,10 @@ def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.n
         a = zero_state(prep.n_qubits).apply_all(prep.gates).probability_one(prep.flag)
         prep = reduced_preparation(a)
     p = prep.n_qubits
-    state = zero_state(p + t).apply_all(prep.gates)
-    readout = list(range(p, p + t))
-    state = state.apply_all(h(q) for q in readout)
-    for j, q in enumerate(readout):
-        for _ in range(1 << j):
-            state = _controlled_grover_op(state, prep, q)
-    state = inverse_qft(state, readout)
+    orbit = _grover_orbit(prep, t)
+    orbit /= math.sqrt(1 << t)
+    readout = range(p, p + t)
+    state = inverse_qft(StateVector(p + t, orbit.reshape(-1), _checked=True), readout)
     return state.marginal_probabilities(readout)
 
 
@@ -432,11 +437,10 @@ def ae_distribution_for_amplitude(a: float, t: int) -> np.ndarray:
 def fold_distribution(dist: np.ndarray) -> np.ndarray:
     """Collapse y and 2^t - y (the same estimate) onto y <= 2^(t-1)."""
     half = len(dist) // 2
-    folded = np.zeros(half + 1)
+    folded = np.empty(half + 1)
     folded[0] = dist[0]
     folded[half] = dist[half]
-    for m in range(1, half):
-        folded[m] = dist[m] + dist[len(dist) - m]
+    folded[1:half] = dist[1:half] + dist[:half:-1]
     return folded
 
 
@@ -449,6 +453,11 @@ def modal_outcome(dist: np.ndarray, t: int) -> AEOutcome:
 # ---------------------------------------------------------------------------
 # quantum extreme search (threshold-walking Grover)
 # ---------------------------------------------------------------------------
+
+# Consecutive unmarked readings before a search gives up.  Phase matching makes
+# one unmarked reading a rounding-level event, so hitting the cap means a bug.
+MAX_FAILED_READINGS = 16
+
 
 def quantum_extreme_search(values, k: int, direction: str, rng: RngStream) -> list[int]:
     """Positions of the k extreme values, ordered by (value, position).
@@ -476,6 +485,7 @@ def quantum_extreme_search(values, k: int, direction: str, rng: RngStream) -> li
     found = []
     for _ in range(k):
         pivot = remaining[0]
+        failed = 0
         while True:
             marked = [i for i in remaining if key(i) < key(pivot)]
             if not marked:
@@ -487,8 +497,15 @@ def quantum_extreme_search(values, k: int, direction: str, rng: RngStream) -> li
             reading = state.sample(range(n), 1, rng)
             measured = int(next(iter(reading))[::-1], 2)
             if mask[measured]:
-                pivot = measured
-            # a failed reading (vanishing probability) just repeats the search
+                pivot, failed = measured, 0
+                continue
+            # a failed reading (vanishing probability) repeats the search
+            failed += 1
+            if failed >= MAX_FAILED_READINGS:
+                raise SearchFailedError(
+                    f"{failed} searches in a row read an unmarked element "
+                    f"({len(marked)} of {len(values)} marked)"
+                )
         found.append(pivot)
         remaining.remove(pivot)
     return found

@@ -17,6 +17,10 @@ class NoSolutionError(QReliefFError):
     """A search was requested with no marked elements."""
 
 
+class SearchFailedError(QReliefFError):
+    """A repeated search kept reading unmarked elements."""
+
+
 class DegenerateSampleError(QReliefFError):
     """A sample row cannot be normalized (zero norm)."""
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import pi
 
+from .errors import ConfigError
 from .rng import RngStream
 from .statevector import GateOp, StateVector, h, ry, swap, x, zero_state
 
@@ -72,6 +73,8 @@ def reproduce_program3(
     shots: int = 1024, runs: int = 8, seed: int = 0
 ) -> Program3Result:
     """Exact ancilla P(1) plus ``runs`` sampled means of ``shots`` each."""
+    if shots < 1 or runs < 1:
+        raise ConfigError(f"shots and runs must be >= 1, got {shots} and {runs}")
     state = final_state()
     exact = state.probability_one(RESULT_QUBIT)
     rng = RngStream(seed)

@@ -116,12 +116,25 @@ def swap(a: int, b: int, controls=()) -> GateOp:
     return GateOp("swap", (a, b), _normalize_controls(controls))
 
 
+def check_width(n_qubits: int):
+    """Raise :class:`CapacityError` unless 1 <= n_qubits <= MAX_QUBITS.
+
+    Every :class:`StateVector` passes this check; call it directly before
+    allocating amplitudes by other means.
+    """
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise CapacityError(
+            f"qubit count {n_qubits} outside supported range [1, {MAX_QUBITS}]"
+        )
+
+
 class StateVector:
     """2**n_qubits complex amplitudes; the simulator's single source of truth."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray, _checked: bool = False):
+        check_width(n_qubits)
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (1 << n_qubits,):
             raise QReliefFError(
@@ -145,42 +158,55 @@ class StateVector:
         if not 0 <= q < self.n_qubits:
             raise QReliefFError(f"qubit index {q} out of range for {self.n_qubits} qubits")
 
-    def _control_mask(self, controls) -> np.ndarray:
-        idx = np.arange(self.dim)
-        mask = np.ones(self.dim, dtype=bool)
-        for q, pol in controls:
+    def _split(self, amps: np.ndarray, targets, controls=()) -> np.ndarray:
+        """View of ``amps`` (this state's amplitudes or a copy) on the branch
+        where every control holds its polarity, with one trailing length-2 axis
+        per target, in the order given.
+
+        The amplitudes are reshaped so that each listed qubit q owns an axis:
+        one qubit gives ``(2^(n-q-1), 2, 2^q)``, and each further qubit splits
+        one of the outer blocks the same way.  Integer indices then fix the
+        controls, and the target axes move last.  ``sub[..., 1, 0]`` is thus the
+        branch with ``targets[0] = 1`` and ``targets[1] = 0``.  Writes through
+        the view land in ``amps`` when it is C-contiguous.
+        """
+        qubits = [*targets, *(q for q, _ in controls)]
+        for q in qubits:
             self._check_qubit(q)
-            mask &= ((idx >> q) & 1) == pol
-        return mask
+        order = sorted(qubits, reverse=True)
+        shape, above = [], self.n_qubits
+        for q in order:
+            if q == above:
+                raise QReliefFError(f"repeated qubit in {qubits}")
+            shape += [1 << (above - q - 1), 2]
+            above = q
+        shape.append(1 << above)
+        view = amps.reshape(shape)
+        # qubit order[i] owns axis 2i + 1
+        if controls:
+            index = [slice(None)] * len(shape)
+            for q, pol in controls:
+                index[2 * order.index(q) + 1] = pol
+            view = view[tuple(index)]
+        # each control axis above a target's drops out of the indexed view
+        kept = [2 * order.index(q) + 1 - sum(c > q for c, _ in controls) for q in targets]
+        perm = [i for i in range(view.ndim) if i not in kept] + kept
+        return view.transpose(perm)
 
     # -- gate application ----------------------------------------------------
 
     def apply(self, gate: GateOp) -> "StateVector":
         """Return U|self> where U is the gate extended by identity."""
-        for q in gate.targets:
-            self._check_qubit(q)
-        mask = self._control_mask(gate.controls)
         amps = self.amplitudes.copy()
-        idx = np.arange(self.dim)
+        sub = self._split(amps, gate.targets, gate.controls)
         if gate.kind == "swap":
-            a, b = gate.targets
-            sel = mask & (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 0)
-            src = idx[sel]
-            dst = src ^ ((1 << a) | (1 << b))
-            amps[src], amps[dst] = amps[dst], amps[src].copy()
+            sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
         elif gate.kind == "phase":
-            (t,) = gate.targets
-            sel = mask & (((idx >> t) & 1) == 1)
-            amps[sel] *= np.exp(1j * gate.angle)
+            sub[..., 1] *= np.exp(1j * gate.angle)
         else:
-            (t,) = gate.targets
             u = gate.matrix()
-            sel = mask & (((idx >> t) & 1) == 0)
-            i0 = idx[sel]
-            i1 = i0 | (1 << t)
-            a0, a1 = amps[i0], amps[i1].copy()
-            amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-            amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+            a0, a1 = sub[..., 0], sub[..., 1]
+            a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
         # unitary by construction; skip the norm re-check
         return StateVector(self.n_qubits, amps, _checked=True)
 
@@ -197,27 +223,14 @@ class StateVector:
         consistent with the global bit order.
         """
         targets = [int(t) for t in targets]
-        for t in targets:
-            self._check_qubit(t)
         k = len(targets)
         u = np.asarray(u, dtype=complex)
         if u.shape != (1 << k, 1 << k):
             raise QReliefFError("unitary dimension does not match target register")
-        mask = self._control_mask(_normalize_controls(controls))
-        idx = np.arange(self.dim)
-        target_bits = 0
-        for t in targets:
-            target_bits |= 1 << t
-        # offsets of each sub-register value within the full index space
-        sub = np.arange(1 << k)
-        offs = np.zeros(1 << k, dtype=np.int64)
-        for j, t in enumerate(targets):
-            offs |= ((sub >> j) & 1) << t
-        base = idx[(idx & target_bits) == 0]
-        rows = mask[base]  # controls do not involve targets, constant per block
         amps = self.amplitudes.copy()
-        block = amps[base[rows, None] + offs[None, :]]
-        amps[base[rows, None] + offs[None, :]] = block @ u.T
+        # targets[0] on the last axis: each row of the block is one register value
+        sub = self._split(amps, targets[::-1], _normalize_controls(controls))
+        sub[...] = (sub.reshape(-1, 1 << k) @ u.T).reshape(sub.shape)
         return StateVector(self.n_qubits, amps, _checked=True)
 
     def phase_on_indices(self, sel: np.ndarray, phi: float) -> "StateVector":
@@ -233,19 +246,15 @@ class StateVector:
 
     def probability_one(self, qubit: int) -> float:
         """Exact probability of reading 1 on ``qubit``."""
-        self._check_qubit(qubit)
-        idx = np.arange(self.dim)
-        sel = ((idx >> qubit) & 1) == 1
-        return float(np.sum(np.abs(self.amplitudes[sel]) ** 2))
+        ones = self._split(self.amplitudes, [qubit])[..., 1]
+        return float(np.sum(np.abs(ones).ravel() ** 2))
 
     def postselect(self, qubit: int, outcome: int) -> "StateVector":
         """Project on ``qubit == outcome`` and renormalize."""
-        self._check_qubit(qubit)
         if outcome not in (0, 1):
             raise QReliefFError(f"outcome must be 0 or 1, got {outcome}")
-        idx = np.arange(self.dim)
-        keep = ((idx >> qubit) & 1) == outcome
-        amps = np.where(keep, self.amplitudes, 0.0)
+        amps = self.amplitudes.copy()
+        self._split(amps, [qubit])[..., 1 - outcome] = 0.0
         p = np.sum(np.abs(amps) ** 2)
         if p <= 1e-12:
             raise PostselectionError(
@@ -262,14 +271,8 @@ class StateVector:
         qubits = [int(q) for q in qubits]
         if not qubits:
             raise QReliefFError("empty qubit list")
-        for q in qubits:
-            self._check_qubit(q)
-        idx = np.arange(self.dim)
-        key = np.zeros(self.dim, dtype=np.int64)
-        for j, q in enumerate(qubits):
-            key |= ((idx >> q) & 1) << j
-        probs = np.abs(self.amplitudes) ** 2
-        return np.bincount(key, weights=probs, minlength=1 << len(qubits))
+        probs = self._split(np.abs(self.amplitudes) ** 2, qubits[::-1])
+        return probs.reshape(-1, 1 << len(qubits)).sum(axis=0)
 
     def sample(self, qubits, shots: int, rng: RngStream) -> dict[str, int]:
         """Draw ``shots`` i.i.d. readings of the listed qubits.
@@ -292,10 +295,7 @@ class StateVector:
 
 def zero_state(n_qubits: int) -> StateVector:
     """|0...0> on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(
-            f"qubit count {n_qubits} outside supported range [1, {MAX_QUBITS}]"
-        )
+    check_width(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
@@ -303,10 +303,7 @@ def zero_state(n_qubits: int) -> StateVector:
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
     """|index> on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(
-            f"qubit count {n_qubits} outside supported range [1, {MAX_QUBITS}]"
-        )
+    check_width(n_qubits)
     if not 0 <= index < (1 << n_qubits):
         raise QReliefFError(f"basis index {index} out of range")
     amps = np.zeros(1 << n_qubits, dtype=complex)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qrelieff import (
+    CapacityError,
     ConfigError,
     NoSolutionError,
     QReliefFError,
     RngStream,
+    SearchFailedError,
     StateVector,
     amplitude_estimate,
     basis_state,
@@ -31,7 +33,14 @@ from qrelieff import (
     uniform_mod_n,
     zero_state,
 )
-from qrelieff.circuits import AEOutcome, EncodingLayout, Preparation, encode_sample_gates
+from qrelieff import circuits, statevector
+from qrelieff.circuits import (
+    AEOutcome,
+    EncodingLayout,
+    Preparation,
+    encode_sample_gates,
+    swap_test_state,
+)
 from qrelieff.statevector import ry
 
 from conftest import EXAMPLE_ROWS, random_unit_vector
@@ -205,6 +214,15 @@ class TestSwapFlagAndSwapTest:
         expected = 0.5 - np.dot(u, v) ** 2 / (2 * n**2)
         assert p1 == pytest.approx(expected, abs=1e-10)
 
+    def test_width_checked_before_composite(self, monkeypatch):
+        def kron(*args):
+            raise AssertionError("composite allocated before the width check")
+
+        monkeypatch.setattr(statevector, "MAX_QUBITS", 6)
+        monkeypatch.setattr(circuits.np, "kron", kron)
+        with pytest.raises(CapacityError):
+            swap_test_state(zero_state(3), zero_state(3))  # 7-qubit composite
+
     def test_width_mismatch(self):
         with pytest.raises(QReliefFError):
             swap_test(zero_state(1), zero_state(2))
@@ -335,6 +353,16 @@ class TestAmplitudeEstimation:
         dist = amplitude_estimate(prep, 3, mode="full")
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
 
+    def test_width_checked_before_orbit(self, monkeypatch):
+        def empty(*args, **kwargs):
+            raise AssertionError("orbit allocated before the width check")
+
+        monkeypatch.setattr(statevector, "MAX_QUBITS", 4)
+        monkeypatch.setattr(circuits.np, "empty", empty)
+        prep = Preparation((h(0), ry(0.4, 1)), 2, 1)
+        with pytest.raises(CapacityError):
+            amplitude_estimate(prep, 3, mode="full")  # p + t = 5 qubits
+
     def test_bad_parameters(self):
         with pytest.raises(ConfigError):
             amplitude_estimate(reduced_preparation(0.5), 0)
@@ -373,6 +401,19 @@ class TestQuantumExtremeSearch:
     def test_bad_direction(self):
         with pytest.raises(ConfigError):
             quantum_extreme_search([1, 2], 1, "sideways", RngStream(0))
+
+    def test_unmarked_readings_are_bounded(self, monkeypatch):
+        # every reading lands on element 0, the pivot, which is never marked
+        calls = []
+
+        def sample(self, qubits, shots, rng):
+            calls.append(1)
+            return {"0" * len(list(qubits)): shots}
+
+        monkeypatch.setattr(StateVector, "sample", sample)
+        with pytest.raises(SearchFailedError):
+            quantum_extreme_search([3, 1, 2], 1, "min", RngStream(0))
+        assert len(calls) == circuits.MAX_FAILED_READINGS
 
     def test_matches_classical_sort(self):
         rng = np.random.default_rng(13)

@@ -101,6 +101,20 @@ class TestRunCli:
         code, _ = run(["--input", fixture_path, "--backend", "quantum"])
         assert code == 4
 
+    def test_capacity_error_from_register_width(self, fixture_path, monkeypatch):
+        # the example's swap-test composite has 17 qubits
+        monkeypatch.setattr("qrelieff.statevector.MAX_QUBITS", 16)
+        code, _ = run(["--input", fixture_path, "--backend", "quantum"])
+        assert code == 4
+
+    def test_program3_zero_shots_is_config_error(self, monkeypatch):
+        def final_state():
+            raise AssertionError("circuit built before the shot count was checked")
+
+        monkeypatch.setattr("qrelieff.program3.final_state", final_state)
+        code, _ = run(["--reproduce-program3", "--shots", "0"])
+        assert code == 2
+
     def test_output_file(self, fixture_path, tmp_path):
         target = tmp_path / "report.json"
         code, rendered = run(

@@ -1,0 +1,135 @@
+"""The stride-view gate kernel and the Grover-orbit amplitude estimation
+against the index-mask kernel and the controlled-G loop they replaced."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from qrelieff.circuits import (
+    Preparation,
+    amplitude_estimate,
+    fold_distribution,
+    reduced_preparation,
+)
+from qrelieff.program3 import RESULT_QUBIT, final_state
+from qrelieff.statevector import GateOp, StateVector
+
+TOL = 1e-12
+# Program 3's exact P(1) as computed by the index-mask kernel.
+PROGRAM3_EXACT_P1 = 0.49999999999999933
+
+
+@st.composite
+def gates(draw, n_qubits: int):
+    """One primitive gate with random kind, targets, controls and polarities."""
+    kinds = ["h", "x", "ry", "phase"] + (["swap"] if n_qubits > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    order = draw(st.permutations(range(n_qubits)))
+    n_targets = 2 if kind == "swap" else 1
+    n_controls = draw(st.integers(0, n_qubits - n_targets))
+    controls = tuple(
+        (q, draw(st.integers(0, 1))) for q in order[n_targets:n_targets + n_controls]
+    )
+    angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind in ("ry", "phase") else 0.0
+    return GateOp(kind, tuple(order[:n_targets]), controls, angle)
+
+
+@st.composite
+def states(draw, n_qubits: int):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+
+
+@st.composite
+def circuits(draw, max_qubits=10, max_gates=12):
+    n = draw(st.integers(1, max_qubits))
+    return draw(states(n)), draw(st.lists(gates(n), min_size=1, max_size=max_gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_gate_sequences_match_reference(case):
+    state, sequence = case
+    fast, slow = state, state
+    for gate in sequence:
+        fast, slow = fast.apply(gate), ref.apply(slow, gate)
+    np.testing.assert_allclose(fast.amplitudes, slow.amplitudes, rtol=0, atol=TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_measurements_match_reference(data):
+    n = data.draw(st.integers(1, 10))
+    state = data.draw(states(n))
+    q = data.draw(st.integers(0, n - 1))
+    assert abs(state.probability_one(q) - ref.probability_one(state, q)) <= TOL
+    outcome = data.draw(st.integers(0, 1))
+    np.testing.assert_allclose(
+        state.postselect(q, outcome).amplitudes,
+        ref.postselect(state, q, outcome).amplitudes, rtol=0, atol=TOL,
+    )
+    qubits = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    np.testing.assert_allclose(
+        state.marginal_probabilities(qubits),
+        ref.marginal_probabilities(state, qubits), rtol=0, atol=TOL,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_apply_unitary_matches_reference(data):
+    n = data.draw(st.integers(1, 8))
+    state = data.draw(states(n))
+    order = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(1, min(n, 3)))
+    n_controls = data.draw(st.integers(0, n - k))
+    controls = [(q, data.draw(st.integers(0, 1))) for q in order[k:k + n_controls]]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+    np.testing.assert_allclose(
+        state.apply_unitary(u, order[:k], controls).amplitudes,
+        ref.apply_unitary(state, u, order[:k], controls).amplitudes, rtol=0, atol=TOL,
+    )
+
+
+@pytest.mark.parametrize("t", range(1, 11))
+def test_reduced_ae_matches_controlled_grover_loop(t):
+    rng = np.random.default_rng(t)
+    amplitudes = [0.0, 0.5, 1.0, *rng.random(3 if t <= 8 else 1)]
+    for a in amplitudes:
+        prep = reduced_preparation(float(a))
+        np.testing.assert_allclose(
+            amplitude_estimate(prep, t), ref.amplitude_estimate(prep, t),
+            rtol=0, atol=TOL, err_msg=f"a={a}",
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_full_ae_matches_controlled_grover_loop(data):
+    p = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(1, 5))
+    prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
+    prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
+    np.testing.assert_allclose(
+        amplitude_estimate(prep, t, mode="full"),
+        ref.amplitude_estimate(prep, t, mode="full"), rtol=0, atol=TOL,
+    )
+
+
+def test_program3_exact_p1_unchanged():
+    assert abs(final_state().probability_one(RESULT_QUBIT) - PROGRAM3_EXACT_P1) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_fold_distribution_is_bit_identical_to_loop(t, seed):
+    dist = np.random.default_rng(seed).random(1 << t)
+    dist /= dist.sum()
+    assert np.array_equal(fold_distribution(dist), ref.fold_distribution(dist))

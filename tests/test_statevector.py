@@ -37,6 +37,16 @@ class TestZeroState:
         with pytest.raises(CapacityError):
             zero_state(0)
 
+    def test_capacity_enforced_on_construction(self, monkeypatch):
+        from qrelieff import statevector
+
+        monkeypatch.setattr(statevector, "MAX_QUBITS", 3)
+        with pytest.raises(CapacityError):
+            StateVector(4, np.eye(1, 16, dtype=complex)[0])
+        with pytest.raises(CapacityError):
+            zero_state(4)
+        assert zero_state(3).n_qubits == 3
+
     def test_basis_state(self):
         np.testing.assert_allclose(basis_state(2, 2).amplitudes, [0, 0, 1, 0])
         with pytest.raises(QReliefFError):
@@ -60,6 +70,10 @@ class TestApply:
     def test_index_out_of_range(self):
         with pytest.raises(QReliefFError):
             zero_state(1).apply(h(1))
+
+    def test_repeated_control_rejected(self):
+        with pytest.raises(QReliefFError):
+            zero_state(3).apply(x(0, controls=[1, (1, 0)]))
 
     def test_control_overlapping_target(self):
         with pytest.raises(QReliefFError):
