@@ -49,7 +49,6 @@ from .relieff import (
     NormalizedDataset,
     ReliefFResult,
     RunConfig,
-    diff,
     find_neighbors,
     normalize,
     relieff_run,

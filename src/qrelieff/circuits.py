@@ -206,15 +206,8 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
         raise QReliefFError("swap test requires equal register widths")
     m = a.n_qubits
     check_width(2 * m + 1)
-    if swap_qubits is None:
-        swap_qubits = range(m)
-    anc = 2 * m
     amps = np.kron(np.array([1.0, 0.0], dtype=complex), np.kron(a.amplitudes, b.amplitudes))
-    state = StateVector(2 * m + 1, amps)
-    state = state.apply(h(anc))
-    for q in swap_qubits:
-        state = state.apply(swap(m + q, q, controls=[(anc, 1)]))
-    return state.apply(h(anc))
+    return StateVector(2 * m + 1, amps).apply_all(swap_test_gates(m, swap_qubits))
 
 
 def swap_test(a: StateVector, b: StateVector, swap_qubits=None) -> float:
@@ -268,26 +261,23 @@ def grover_plan(n: int, marked_estimate: int) -> GroverPlan:
     return GroverPlan(n, space, marked_estimate, J, eta, phi)
 
 
-def _oracle_mask(oracle, dim: int) -> np.ndarray:
-    if isinstance(oracle, np.ndarray) and oracle.dtype == bool:
-        if oracle.shape != (dim,):
-            raise QReliefFError("oracle mask length does not match state")
-        return oracle
-    return np.fromiter((bool(oracle(i)) for i in range(dim)), dtype=bool, count=dim)
-
-
 def grover_iterate(
-    state: StateVector, plan: GroverPlan, oracle, w_gates
+    state: StateVector, plan: GroverPlan, oracle: np.ndarray, w_gates
 ) -> StateVector:
     """One generalized Grover iteration G = -W I0 W^-1 O.
 
-    ``oracle`` is a pure predicate over basis indices (or a boolean mask); the
-    marked branches pick up phase e^{i phi}, as does the all-zeros branch after
-    undoing the preparation ``w_gates``.
+    ``oracle`` is a boolean mask over basis indices; the marked branches pick
+    up phase e^{i phi}, as does the all-zeros branch after undoing the
+    preparation ``w_gates``.
     """
-    mask = _oracle_mask(oracle, state.dim)
+    if not (
+        isinstance(oracle, np.ndarray)
+        and oracle.dtype == bool
+        and oracle.shape == (state.dim,)
+    ):
+        raise QReliefFError("oracle must be a boolean mask of the state's length")
     w_gates = list(w_gates)
-    state = state.phase_on_indices(mask, plan.phi)
+    state = state.phase_on_indices(oracle, plan.phi)
     state = state.apply_all(g.inverse() for g in reversed(w_gates))
     zeros = np.zeros(state.dim, dtype=bool)
     zeros[0] = True
@@ -296,7 +286,7 @@ def grover_iterate(
     return StateVector(state.n_qubits, -state.amplitudes)
 
 
-def grover_search_state(plan: GroverPlan, oracle, w_gates=None) -> StateVector:
+def grover_search_state(plan: GroverPlan, oracle: np.ndarray, w_gates=None) -> StateVector:
     """W|0> followed by the plan's J iterations."""
     if w_gates is None:
         w_gates = [h(q) for q in range(plan.n)]
@@ -396,13 +386,12 @@ def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
     return orbit
 
 
-def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.ndarray:
-    """Exact outcome distribution of t-bit amplitude estimation.
+def amplitude_estimate(prep: Preparation, t: int) -> np.ndarray:
+    """Exact outcome distribution of t-bit amplitude estimation of ``prep``.
 
-    ``reduced`` mode replaces the preparation by the algebraically equivalent
-    single-qubit rotation with the same flag amplitude; ``full`` mode runs the
-    given circuit.  Returns the probability of each y in [0, 2^t); the
-    estimate for outcome y is sin^2(pi y / 2^t).
+    Returns the probability of each y in [0, 2^t); the estimate for outcome y
+    is sin^2(pi y / 2^t).  :func:`reduced_preparation` gives the single-qubit
+    circuit with the same flag amplitude as any larger preparation.
 
     After the readout Hadamards and the controlled powers of G, the circuit's
     state is 2^(-t/2) sum_y |y> G^y A|0>, readout register above the
@@ -411,13 +400,8 @@ def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.n
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")
-    if mode not in ("reduced", "full"):
-        raise ConfigError(f"unknown amplitude-estimation mode {mode!r}")
     if not 0 <= prep.flag < prep.n_qubits:
         raise QReliefFError("preparation has no valid flag qubit")
-    if mode == "reduced":
-        a = zero_state(prep.n_qubits).apply_all(prep.gates).probability_one(prep.flag)
-        prep = reduced_preparation(a)
     p = prep.n_qubits
     orbit = _grover_orbit(prep, t)
     orbit /= math.sqrt(1 << t)
@@ -428,8 +412,8 @@ def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.n
 
 @lru_cache(maxsize=4096)
 def ae_distribution_for_amplitude(a: float, t: int) -> np.ndarray:
-    """Memoized reduced-mode estimation distribution for a scalar amplitude."""
-    dist = amplitude_estimate(reduced_preparation(a), t, mode="reduced")
+    """Memoized estimation distribution of :func:`reduced_preparation` (a)."""
+    dist = amplitude_estimate(reduced_preparation(a), t)
     dist.setflags(write=False)
     return dist
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from importlib import resources
@@ -19,7 +20,7 @@ from . import report as report_mod
 from .errors import CapacityError, ConfigError, DataError, QReliefFError
 from .pipeline import PipelineConfig, qrelieff_run
 from .program3 import reproduce_program3
-from .relieff import Dataset, RunConfig, normalize, relieff_run
+from .relieff import Dataset, normalize, relieff_run
 from .rng import RngStream
 
 
@@ -63,11 +64,16 @@ def load_csv(path, label_column: str = "class") -> tuple[Dataset, list[str]]:
                     continue
                 cell = cell.strip()
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric cell at row {r}, column {header[i]!r}: {cell!r}"
                     )
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: non-finite cell at row {r}, column {header[i]!r}: {cell!r}"
+                    )
+                values.append(value)
             name = row[label_pos].strip()
             if not name:
                 raise DataError(f"{path}: empty label at row {r}")
@@ -146,28 +152,24 @@ def run_cli(argv, out=None) -> int:
             return _run_program3(args, out)
         if not args.input:
             raise ConfigError("--input is required")
+        cfg = PipelineConfig(
+            T=args.T, k=args.k, tau=args.tau,
+            neighbor_order=args.order, pick_policy=args.pick,
+            mode=args.mode, shots=args.shots, ae_bits=args.ae_bits,
+            ae_circuit=args.ae_circuit,
+        )
         dataset, class_names = load_csv(args.input, args.label_col)
         nd, stats = normalize(dataset, args.feature_kind)
 
         timing = {}
         classical = quantum = None
         if args.backend in ("classical", "both"):
-            cfg = RunConfig(
-                T=args.T, k=args.k, tau=args.tau, seed=args.seed,
-                neighbor_order=args.order, pick_policy=args.pick,
-            )
             t0 = time.perf_counter()
             classical = relieff_run(nd, cfg, RngStream(args.seed), stats)
             timing["classical_s"] = time.perf_counter() - t0
         if args.backend in ("quantum", "both"):
-            qcfg = PipelineConfig(
-                T=args.T, k=args.k, tau=args.tau, seed=args.seed,
-                neighbor_order=args.order, pick_policy=args.pick,
-                mode=args.mode, shots=args.shots, ae_bits=args.ae_bits,
-                ae_circuit=args.ae_circuit,
-            )
             t0 = time.perf_counter()
-            quantum = qrelieff_run(nd, qcfg, RngStream(args.seed), stats)
+            quantum = qrelieff_run(nd, cfg, RngStream(args.seed), stats)
             timing["quantum_s"] = time.perf_counter() - t0
 
         config_echo = {

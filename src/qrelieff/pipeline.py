@@ -31,6 +31,7 @@ from .relieff import (
     IterationRecord,
     NeighborSet,
     NormalizedDataset,
+    ReliefFResult,
     RunConfig,
     pick_sequence,
     update_weights,
@@ -52,8 +53,8 @@ class PipelineConfig(RunConfig):
         super().__post_init__()
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ConfigError(f"shots must be >= 1 in sampled mode, got {self.shots}")
+        if self.shots < 1:
+            raise ConfigError(f"shots must be >= 1, got {self.shots}")
         if not 1 <= self.ae_bits <= 10:
             raise ConfigError(f"ae_bits must lie in [1, 10], got {self.ae_bits}")
         if self.ae_circuit not in ("reduced", "full"):
@@ -104,9 +105,14 @@ class SimilarityTable:
         }
 
 
+def pipeline_layout(nd: NormalizedDataset) -> EncodingLayout:
+    """Layout of every encoded sample: a ceil(log2 M)-bit sample register."""
+    return EncodingLayout(nd.n_features, max(1, math.ceil(math.log2(nd.n_samples))))
+
+
 def prepare_states(nd: NormalizedDataset) -> list[StateVector]:
-    """One encoded state per sample, with a ceil(log2 M)-bit sample register."""
-    index_bits = max(1, math.ceil(math.log2(nd.n_samples)))
+    """One encoded state per sample, in the :func:`pipeline_layout`."""
+    index_bits = pipeline_layout(nd).index_bits
     return [
         encode_sample(nd.samples[q], q, index_bits) for q in range(nd.n_samples)
     ]
@@ -136,11 +142,6 @@ def _swap_test_p1(
     return counts.get("1", 0) / cfg.shots
 
 
-def _pipeline_layout(u_state: StateVector, n_features: int) -> EncodingLayout:
-    feature_qubits = EncodingLayout(n_features, 0).n_feature_qubits
-    return EncodingLayout(n_features, u_state.n_qubits - 2 - feature_qubits)
-
-
 def _shift_gates(gates, offset: int):
     return [
         GateOp(
@@ -154,22 +155,21 @@ def _shift_gates(gates, offset: int):
 
 
 def _full_circuit_outcome(
-    nd_rows_uv, sample_indices, layout: EncodingLayout, cfg: PipelineConfig,
-    rng: RngStream | None,
+    nd: NormalizedDataset, u: int, q: int, layout: EncodingLayout,
+    cfg: PipelineConfig, rng: RngStream | None,
 ) -> AEOutcome:
     """Amplitude-estimate the swap-test ancilla on the genuine circuit.
 
     Returns the t-bit reading of the ancilla amplitude a = P(1); only
     available for power-of-two feature counts (the encoding must be unitary).
     """
-    (u_row, v_row), (u_idx, v_idx) = nd_rows_uv, sample_indices
     m = layout.n_qubits
-    b_gates = encode_sample_gates(v_row, v_idx, layout.index_bits)
-    a_gates = encode_sample_gates(u_row, u_idx, layout.index_bits) + [swap(0, 1)]
+    b_gates = encode_sample_gates(nd.samples[q], q, layout.index_bits)
+    a_gates = encode_sample_gates(nd.samples[u], u, layout.index_bits) + [swap(0, 1)]
     data_qubits = range(2 + layout.n_feature_qubits)
-    gates = list(b_gates) + _shift_gates(a_gates, m) + swap_test_gates(m, data_qubits)
+    gates = b_gates + _shift_gates(a_gates, m) + swap_test_gates(m, data_qubits)
     prep = Preparation(tuple(gates), 2 * m + 1, 2 * m)
-    dist = amplitude_estimate(prep, cfg.ae_bits, mode="full")
+    dist = amplitude_estimate(prep, cfg.ae_bits)
     if cfg.mode == "exact" or rng is None:
         return modal_outcome(dist, cfg.ae_bits)
     y = rng.choice_weighted(dist / dist.sum())
@@ -183,39 +183,37 @@ def _quantize_similarity(s: float, t: int) -> AEOutcome:
 
 
 def quantum_similarity(
-    u_state: StateVector,
-    v_state: StateVector,
-    n_features: int,
+    states: list[StateVector],
+    nd: NormalizedDataset,
+    u: int,
+    q: int,
     cfg: PipelineConfig,
     rng: RngStream | None = None,
-    rows=None,
-    sample_indices=None,
 ) -> SimilarityRecord:
-    """Similarity s = (1 - 2 P(1)) N^2 of two encoded samples, plus its t-bit
-    amplitude-estimation reading.
+    """Similarity s = (1 - 2 P(1)) N^2 of encoded samples u and q, plus its
+    t-bit amplitude-estimation reading.
 
     The default path runs the swap test (exact or shots-estimated ancilla),
     recovers s, and estimates the algebraically equivalent single-qubit
     amplitude sqrt(s); the ``full`` circuit path amplitude-estimates the
     swap-test ancilla itself and converts that reading back to an s grid
     point.  Sampling noise can push the raw estimate outside [0, 1]; it is
-    clamped and flagged rather than propagated.
+    clamped and flagged rather than propagated.  The record of u against
+    itself is marked excluded.
     """
-    layout = _pipeline_layout(u_state, n_features)
-    p1 = _swap_test_p1(u_state, v_state, layout, cfg, rng)
+    n_features, layout = nd.n_features, pipeline_layout(nd)
+    p1 = _swap_test_p1(states[u], states[q], layout, cfg, rng)
     s = (1.0 - 2.0 * p1) * n_features**2
     clamped = not 0.0 <= s <= 1.0
     s = min(max(s, 0.0), 1.0)
     if cfg.ae_circuit == "full":
-        if rows is None or sample_indices is None:
-            raise QReliefFError("full-circuit estimation needs the raw sample rows")
-        ae = _full_circuit_outcome(rows, sample_indices, layout, cfg, rng)
+        ae = _full_circuit_outcome(nd, u, q, layout, cfg, rng)
         s_full = min(max((1.0 - 2.0 * ae.a_hat) * n_features**2, 0.0), 1.0)
         outcome = _quantize_similarity(s_full, cfg.ae_bits)
     else:
         dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
         outcome = modal_outcome(dist, cfg.ae_bits)
-    return SimilarityRecord(-1, s, outcome, noise_clamped=clamped)
+    return SimilarityRecord(q, s, outcome, excluded=q == u, noise_clamped=clamped)
 
 
 def build_similarity_table(
@@ -232,22 +230,12 @@ def build_similarity_table(
     """
     table = SimilarityTable(u)
     for c in range(nd.n_classes):
-        recs = []
-        for q in nd.class_members(c):
-            sub = rng.substream(int(q)) if rng is not None else None
-            rec = quantum_similarity(
-                states[u],
-                states[q],
-                nd.n_features,
-                cfg,
-                sub,
-                rows=(nd.samples[u], nd.samples[q]),
-                sample_indices=(u, int(q)),
+        table.records[c] = [
+            quantum_similarity(
+                states, nd, u, q, cfg, rng.substream(q) if rng is not None else None
             )
-            rec.sample = int(q)
-            rec.excluded = int(q) == u
-            recs.append(rec)
-        table.records[c] = recs
+            for q in nd.class_members(c).tolist()
+        ]
     return table
 
 
@@ -292,15 +280,8 @@ def quantum_neighbors(
 
 
 @dataclass
-class QReliefFResult:
-    average_weights: np.ndarray
-    iterations: list[IterationRecord]
+class QReliefFResult(ReliefFResult):
     tables: list[SimilarityTable]
-
-    def selected(self, tau: float) -> list[int]:
-        from .relieff import select_features
-
-        return select_features(self.average_weights, tau)
 
 
 def qrelieff_run(

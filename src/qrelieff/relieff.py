@@ -116,20 +116,12 @@ def normalize(d: Dataset, feature_kind: str = "auto") -> tuple[NormalizedDataset
     return nd, FeatureStats.from_matrix(rows, feature_kind)
 
 
-def diff(i: int, u: np.ndarray, v: np.ndarray, stats: FeatureStats) -> float:
-    """Per-feature dissimilarity in [0, 1] between two normalized rows."""
-    if not 0 <= i < len(u):
-        raise QReliefFError(f"feature index {i} out of range")
-    if stats.discrete[i]:
-        return 0.0 if abs(u[i] - v[i]) < 1e-12 else 1.0
-    span = stats.maxs[i] - stats.mins[i]
-    if span == 0:
-        return 0.0  # constant feature carries no information
-    return abs(u[i] - v[i]) / span
-
-
 def diff_vector(u: np.ndarray, v: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    """diff over all features at once."""
+    """Per-feature dissimilarity in [0, 1] between two normalized rows.
+
+    A discrete feature differs by 0 or 1; a continuous one by |u_i - v_i| over
+    its observed range, and a constant feature (zero range) by 0.
+    """
     span = stats.maxs - stats.mins
     cont = np.divide(
         np.abs(u - v), span, out=np.zeros_like(span), where=span != 0
@@ -235,7 +227,6 @@ class RunConfig:
     T: int = 4
     k: int = 1
     tau: float = 0.5
-    seed: int = 0
     neighbor_order: str = "max"
     pick_policy: str = "random"
 

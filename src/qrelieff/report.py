@@ -10,6 +10,7 @@ from importlib import resources
 
 import numpy as np
 
+from .pipeline import QReliefFResult
 from .relieff import ReliefFResult
 
 
@@ -36,12 +37,10 @@ def _backend_section(result, feature_names, tau, emit_iterations):
             }
             for rec in result.iterations
         ]
-        if hasattr(result, "tables"):
-            section["similarity_log"] = [t.as_dict() for t in result.tables]
     return section
 
 
-def neighbor_agreement(classical: ReliefFResult, quantum) -> list[bool]:
+def neighbor_agreement(classical: ReliefFResult, quantum: ReliefFResult) -> list[bool]:
     """Per-iteration equality of the two backends' neighbor sets."""
     out = []
     for c_rec, q_rec in zip(classical.iterations, quantum.iterations):
@@ -59,7 +58,7 @@ def build_report(
     config: dict,
     dataset_info: dict,
     classical: ReliefFResult | None,
-    quantum,
+    quantum: QReliefFResult | None,
     tau: float,
     feature_names: list[str],
     emit_iterations: bool,
@@ -76,9 +75,10 @@ def build_report(
             classical, feature_names, tau, emit_iterations
         )
     if quantum is not None:
-        report["results"]["quantum"] = _backend_section(
-            quantum, feature_names, tau, emit_iterations
-        )
+        section = _backend_section(quantum, feature_names, tau, emit_iterations)
+        if emit_iterations:
+            section["similarity_log"] = [t.as_dict() for t in quantum.tables]
+        report["results"]["quantum"] = section
     if classical is not None and quantum is not None:
         per_iter = neighbor_agreement(classical, quantum)
         report["agreement"] = {

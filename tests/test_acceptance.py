@@ -218,8 +218,8 @@ def test_criterion_8_backend_agreement():
         )
         nd, stats = normalize(ds)
         seed = 1000 + case
-        ccfg = RunConfig(T=4, k=1, pick_policy="random", seed=seed)
-        qcfg = PipelineConfig(T=4, k=1, pick_policy="random", seed=seed, ae_bits=8)
+        ccfg = RunConfig(T=4, k=1, pick_policy="random")
+        qcfg = PipelineConfig(T=4, k=1, pick_policy="random", ae_bits=8)
         classical = relieff_run(nd, ccfg, RngStream(seed), stats)
         quantum = qrelieff_run(nd, qcfg, RngStream(seed), stats)
         for c_rec, q_rec in zip(classical.iterations, quantum.iterations):

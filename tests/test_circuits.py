@@ -289,6 +289,18 @@ class TestGroverIterate:
             np.abs(out.amplitudes) ** 2, np.abs(state.amplitudes) ** 2, atol=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [lambda i: i == 3, np.zeros(8, dtype=bool), np.zeros(4, dtype=int), [False] * 4],
+        ids=["callable", "wrong-length", "int-dtype", "list"],
+    )
+    def test_oracle_must_be_state_length_mask(self, oracle):
+        plan = grover_plan(2, 1)
+        w = [h(0), h(1)]
+        state = zero_state(2).apply_all(w)
+        with pytest.raises(QReliefFError, match="boolean mask"):
+            grover_iterate(state, plan, oracle, w)
+
 
 class TestQft:
     def test_inverse_pair(self):
@@ -340,9 +352,15 @@ class TestAmplitudeEstimation:
         assert folded[lo] + folded[hi] >= 8 / math.pi**2
 
     def test_full_mode_matches_reduced(self):
-        prep = Preparation((ry(2.0 * math.asin(math.sqrt(0.3)), 0),), 1, 0)
-        full = amplitude_estimate(prep, 3, mode="full")
-        reduced = amplitude_estimate(prep, 3, mode="reduced")
+        # a two-qubit preparation whose flag P(1) is 0.3 against the
+        # single-qubit rotation with the same flag amplitude
+        from qrelieff.statevector import x as xgate
+
+        prep = Preparation(
+            (ry(2.0 * math.asin(math.sqrt(0.3)), 0), xgate(1, controls=[0])), 2, 1
+        )
+        full = amplitude_estimate(prep, 3)
+        reduced = amplitude_estimate(reduced_preparation(0.3), 3)
         np.testing.assert_allclose(full, reduced, atol=1e-10)
 
     def test_multi_qubit_full_mode(self):
@@ -350,7 +368,7 @@ class TestAmplitudeEstimation:
         from qrelieff.statevector import x as xgate
 
         prep = Preparation((h(0), xgate(1, controls=[0])), 2, 1)
-        dist = amplitude_estimate(prep, 3, mode="full")
+        dist = amplitude_estimate(prep, 3)
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
 
     def test_width_checked_before_orbit(self, monkeypatch):
@@ -361,13 +379,11 @@ class TestAmplitudeEstimation:
         monkeypatch.setattr(circuits.np, "empty", empty)
         prep = Preparation((h(0), ry(0.4, 1)), 2, 1)
         with pytest.raises(CapacityError):
-            amplitude_estimate(prep, 3, mode="full")  # p + t = 5 qubits
+            amplitude_estimate(prep, 3)  # p + t = 5 qubits
 
     def test_bad_parameters(self):
         with pytest.raises(ConfigError):
             amplitude_estimate(reduced_preparation(0.5), 0)
-        with pytest.raises(ConfigError):
-            amplitude_estimate(reduced_preparation(0.5), 3, mode="other")
 
     def test_grid_alignment_concentrates(self):
         t = 5

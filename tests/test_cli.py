@@ -43,6 +43,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2.*'b'"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_named(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"a,b,class\n1,2,A\n3,{cell},B\n")
+        with pytest.raises(DataError, match=r"non-finite cell at row 3.*'b'"):
+            load_csv(p)
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3,4\n")
@@ -78,6 +85,23 @@ class TestRunCli:
     def test_tau_out_of_range(self, fixture_path):
         code, _ = run(["--input", fixture_path, "--tau", "1.5"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shots", "0"],
+            ["--mode", "sampled", "--shots", "0"],
+            ["--backend", "classical", "--shots", "0"],
+            ["--backend", "classical", "--ae-bits", "99"],
+            ["--backend", "classical", "--ae-bits", "0"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_flags_outside_report_schema_rejected(self, fixture_path, flags):
+        # every report the CLI writes must validate, whichever backend runs
+        code, out = run(["--input", fixture_path, *flags])
+        assert code == 2
+        assert out == ""
 
     def test_missing_input_flag(self):
         code, _ = run(["--backend", "classical"])

@@ -118,7 +118,7 @@ def test_full_ae_matches_controlled_grover_loop(data):
     prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
     prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
     np.testing.assert_allclose(
-        amplitude_estimate(prep, t, mode="full"),
+        amplitude_estimate(prep, t),
         ref.amplitude_estimate(prep, t, mode="full"), rtol=0, atol=TOL,
     )
 

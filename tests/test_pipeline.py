@@ -35,6 +35,8 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(mode="sampled", shots=0)
         with pytest.raises(ConfigError):
+            PipelineConfig(mode="exact", shots=0)
+        with pytest.raises(ConfigError):
             PipelineConfig(ae_bits=11)
         with pytest.raises(ConfigError):
             PipelineConfig(ae_circuit="medium")
@@ -71,18 +73,22 @@ class TestQuantumSimilarity:
     def test_self_similarity(self, example_normalized, example_states):
         nd, _ = example_normalized
         cfg = PipelineConfig()
-        rec = quantum_similarity(example_states[0], example_states[0], 6, cfg)
+        rec = quantum_similarity(example_states, nd, 0, 0, cfg)
         assert rec.s_raw == pytest.approx(1.0, abs=1e-9)
+        assert rec.sample == 0 and rec.excluded
 
-    def test_orthogonal_rows(self, example_states):
+    def test_orthogonal_rows(self, example_normalized, example_states):
+        nd, _ = example_normalized
         cfg = PipelineConfig()
-        rec = quantum_similarity(example_states[0], example_states[2], 6, cfg)
+        rec = quantum_similarity(example_states, nd, 0, 2, cfg)
         assert rec.s_raw == pytest.approx(0.0, abs=1e-9)
         assert rec.s_quantized == 0
+        assert rec.sample == 2 and not rec.excluded
 
-    def test_quarter_similarity(self, example_states):
+    def test_quarter_similarity(self, example_normalized, example_states):
+        nd, _ = example_normalized
         cfg = PipelineConfig()
-        rec = quantum_similarity(example_states[0], example_states[1], 6, cfg)
+        rec = quantum_similarity(example_states, nd, 0, 1, cfg)
         assert rec.s_raw == pytest.approx(0.25, abs=1e-9)
 
     def test_quantization_monotone(self, example_normalized, example_states):
@@ -90,16 +96,17 @@ class TestQuantumSimilarity:
         cfg = PipelineConfig()
         recs = []
         for q in range(1, 6):
-            recs.append(quantum_similarity(example_states[0], example_states[q], 6, cfg))
+            recs.append(quantum_similarity(example_states, nd, 0, q, cfg))
         for a in recs:
             for b in recs:
                 if a.s_quantized != b.s_quantized:
                     assert (a.s_raw < b.s_raw) == (a.s_quantized < b.s_quantized)
 
-    def test_sampled_mode_needs_rng(self, example_states):
+    def test_sampled_mode_needs_rng(self, example_normalized, example_states):
+        nd, _ = example_normalized
         cfg = PipelineConfig(mode="sampled", shots=64)
         with pytest.raises(QReliefFError):
-            quantum_similarity(example_states[0], example_states[1], 6, cfg)
+            quantum_similarity(example_states, nd, 0, 1, cfg)
 
     def test_full_circuit_small(self):
         # orthogonal rows: the swap-test ancilla amplitude is exactly 0.5,
@@ -109,21 +116,13 @@ class TestQuantumSimilarity:
         )
         nd, _ = normalize(ds)
         states = prepare_states(nd)
-        reduced = quantum_similarity(
-            states[0], states[1], 2, PipelineConfig(ae_bits=3),
-        )
+        reduced = quantum_similarity(states, nd, 0, 1, PipelineConfig(ae_bits=3))
         full = quantum_similarity(
-            states[0], states[1], 2, PipelineConfig(ae_bits=3, ae_circuit="full"),
-            rows=(nd.samples[0], nd.samples[1]), sample_indices=(0, 1),
+            states, nd, 0, 1, PipelineConfig(ae_bits=3, ae_circuit="full")
         )
         assert full.s_raw == pytest.approx(0.0, abs=1e-9)
         assert reduced.s_raw == pytest.approx(0.0, abs=1e-9)
         assert full.s_quantized == reduced.s_quantized == 0
-
-    def test_full_circuit_needs_rows(self, example_states):
-        cfg = PipelineConfig(ae_circuit="full")
-        with pytest.raises(QReliefFError):
-            quantum_similarity(example_states[0], example_states[1], 6, cfg)
 
 
 class TestQuantumNeighbors:
@@ -163,8 +162,8 @@ class TestQReliefFRun:
 
     def test_matches_classical_backend(self, example_normalized):
         nd, stats = example_normalized
-        qcfg = PipelineConfig(T=4, pick_policy="random", seed=11)
-        ccfg = RunConfig(T=4, pick_policy="random", seed=11)
+        qcfg = PipelineConfig(T=4, pick_policy="random")
+        ccfg = RunConfig(T=4, pick_policy="random")
         q = qrelieff_run(nd, qcfg, RngStream(11), stats)
         c = relieff_run(nd, ccfg, RngStream(11), stats)
         assert [r.picked for r in q.iterations] == [r.picked for r in c.iterations]
@@ -185,9 +184,7 @@ class TestQReliefFRun:
             nd, PipelineConfig(T=4, pick_policy="round-robin"), RngStream(0), stats
         ).selected(0.5)
         for seed in range(10):
-            cfg = PipelineConfig(
-                T=4, pick_policy="round-robin", mode="sampled", shots=1024, seed=seed
-            )
+            cfg = PipelineConfig(T=4, pick_policy="round-robin", mode="sampled", shots=1024)
             sampled = qrelieff_run(nd, cfg, RngStream(seed), stats).selected(0.5)
             assert sampled == exact, seed
 
