@@ -76,10 +76,8 @@ def uniform_mod_n(n: int, bound: int) -> StateVector:
     if not 1 <= bound <= (1 << n):
         raise QReliefFError(f"bound {bound} outside [1, {1 << n}]")
     if bound == (1 << n):
-        state = zero_state(n)
-        return state.apply_all(h(q) for q in range(n))
-    state = zero_state(n + 1)  # qubit n is the comparison flag
-    state = state.apply_all(h(q) for q in range(n))
+        return zero_state(n)._run(h(q) for q in range(n))
+    state = zero_state(n + 1)._run(h(q) for q in range(n))  # qubit n is the comparison flag
     state = cmp_flag(state, range(n), bound, n)
     state = state.postselect(n, 0)
     # the flag is |0> exactly; drop it
@@ -124,7 +122,7 @@ class EncodingLayout:
 
 
 def _check_feature_vector(v: np.ndarray):
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
         raise QReliefFError(f"feature vector norm {np.linalg.norm(v)} is not 1")
     if np.any(v < 0):
         raise QReliefFError("feature values must be nonnegative")
@@ -160,8 +158,7 @@ def encode_sample(v, sample_index: int = 0, index_bits: int = 0) -> StateVector:
         sample = np.zeros(1 << index_bits, dtype=complex)
         sample[sample_index] = 1.0
         full = np.kron(sample, full)
-    state = StateVector(layout.n_qubits, full)
-    return state.apply_all(_multiplexed_ry_gates(v, layout))
+    return StateVector(layout.n_qubits, full)._run(_multiplexed_ry_gates(v, layout))
 
 
 def encode_sample_gates(v, sample_index: int = 0, index_bits: int = 0) -> list[GateOp]:
@@ -206,8 +203,11 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
         raise QReliefFError("swap test requires equal register widths")
     m = a.n_qubits
     check_width(2 * m + 1)
-    amps = np.kron(np.array([1.0, 0.0], dtype=complex), np.kron(a.amplitudes, b.amplitudes))
-    return StateVector(2 * m + 1, amps).apply_all(swap_test_gates(m, swap_qubits))
+    amps = np.zeros(2 << 2 * m, dtype=complex)
+    # ancilla |0>: A (x) B fills the lower half
+    np.multiply.outer(a.amplitudes, b.amplitudes, out=amps[: 1 << 2 * m].reshape(a.dim, b.dim))
+    # a product of two unit vectors; skip the norm re-check
+    return StateVector(2 * m + 1, amps, _checked=True)._run(swap_test_gates(m, swap_qubits))
 
 
 def swap_test(a: StateVector, b: StateVector, swap_qubits=None) -> float:
@@ -277,20 +277,20 @@ def grover_iterate(
     ):
         raise QReliefFError("oracle must be a boolean mask of the state's length")
     w_gates = list(w_gates)
+    # one copy, then every step in place on it
     state = state.phase_on_indices(oracle, plan.phi)
-    state = state.apply_all(g.inverse() for g in reversed(w_gates))
-    zeros = np.zeros(state.dim, dtype=bool)
-    zeros[0] = True
-    state = state.phase_on_indices(zeros, plan.phi)
-    state = state.apply_all(w_gates)
-    return StateVector(state.n_qubits, -state.amplitudes)
+    state._run(g.inverse() for g in reversed(w_gates))
+    state.amplitudes[:1] *= np.exp(1j * plan.phi)  # I0: the all-zeros branch
+    state._run(w_gates)
+    np.negative(state.amplitudes, out=state.amplitudes)
+    return state
 
 
 def grover_search_state(plan: GroverPlan, oracle: np.ndarray, w_gates=None) -> StateVector:
     """W|0> followed by the plan's J iterations."""
     if w_gates is None:
         w_gates = [h(q) for q in range(plan.n)]
-    state = zero_state(plan.n).apply_all(w_gates)
+    state = zero_state(plan.n)._run(w_gates)
     for _ in range(plan.J):
         state = grover_iterate(state, plan, oracle, w_gates)
     return state
@@ -367,22 +367,25 @@ class AEOutcome:
 def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
     """Row y is G^y A|0> for y in [0, 2^t), with G = -A S0 A^-1 S_chi.
 
-    G runs uncontrolled on the preparation register alone.
+    G runs uncontrolled on the preparation register alone, in place on one
+    working state whose amplitudes are copied into each row.
     """
     p = prep.n_qubits
     check_width(p + t)
     inverse = [g.inverse() for g in reversed(prep.gates)]
-    idx = np.arange(1 << p)
-    flag = ((idx >> prep.flag) & 1) == 1  # S_chi: phase flip on flag = 1
-    zero = idx == 0  # S0: phase flip on the all-zero branch
+    flag = ((np.arange(1 << p) >> prep.flag) & 1) == 1
+    flip = np.exp(1j * math.pi)  # e^(i pi), whose imaginary part is not exactly 0
     orbit = np.empty((1 << t, 1 << p), dtype=complex)
-    state = zero_state(p).apply_all(prep.gates)
-    orbit[0] = state.amplitudes
+    state = zero_state(p)._run(prep.gates)
+    amps = state.amplitudes
+    orbit[0] = amps
     for y in range(1, 1 << t):
-        state = state.phase_on_indices(flag, math.pi).apply_all(inverse)
-        state = state.phase_on_indices(zero, math.pi).apply_all(prep.gates)
-        orbit[y] = -state.amplitudes
-        state = StateVector(p, orbit[y], _checked=True)
+        amps[flag] *= flip  # S_chi: phase flip on flag = 1
+        state._run(inverse)
+        amps[:1] *= flip  # S0: phase flip on the all-zero branch
+        state._run(prep.gates)
+        np.negative(amps, out=amps)
+        orbit[y] = amps
     return orbit
 
 

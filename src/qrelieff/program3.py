@@ -46,7 +46,7 @@ def build_circuit() -> list[GateOp]:
 
 
 def final_state() -> StateVector:
-    return zero_state(N_QUBITS).apply_all(build_circuit())
+    return zero_state(N_QUBITS)._run(build_circuit())
 
 
 @dataclass

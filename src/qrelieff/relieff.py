@@ -36,6 +36,10 @@ class Dataset:
             raise QReliefFError("label count does not match sample count")
         if len(self.feature_names) != n:
             raise QReliefFError("feature name count does not match feature count")
+        bad = np.argwhere(~np.isfinite(self.samples))
+        if bad.size:
+            row, col = bad[0]
+            raise QReliefFError(f"non-finite sample value at row {row}, column {col}")
         present = np.unique(self.labels)
         if not np.array_equal(present, np.arange(len(present))):
             raise QReliefFError("labels must be dense class ids 0..P-1")
@@ -65,7 +69,7 @@ class NormalizedDataset(Dataset):
     def __post_init__(self):
         super().__post_init__()
         norms = np.linalg.norm(self.samples, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
             raise QReliefFError("rows of a NormalizedDataset must have unit norm")
 
 

@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * Qubit ``j`` is the least-significant bit ``j`` of the basis index, i.e.
   basis index of a bitstring ``b`` is ``sum(b_j * 2**j)``.
 * Gate application is functional: every operation returns a new
-  :class:`StateVector`; inputs are never mutated.
+  :class:`StateVector`; inputs are never mutated.  :meth:`StateVector.apply_all`
+  copies the amplitudes once and runs the whole gate list in place on that
+  private copy.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
   through :meth:`StateVector.sample`.
 """
@@ -143,7 +145,7 @@ class StateVector:
             )
         if not _checked:
             norm = np.sum(np.abs(amplitudes) ** 2)
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
                 raise QReliefFError(f"state norm {norm} deviates from 1")
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
@@ -195,9 +197,13 @@ class StateVector:
 
     # -- gate application ----------------------------------------------------
 
-    def apply(self, gate: GateOp) -> "StateVector":
-        """Return U|self> where U is the gate extended by identity."""
-        amps = self.amplitudes.copy()
+    def apply(self, gate: GateOp, _in_place: bool = False) -> "StateVector":
+        """Return U|self> where U is the gate extended by identity.
+
+        ``_in_place`` overwrites this state's amplitudes and returns ``self``;
+        only for states whose C-contiguous buffer no caller holds.
+        """
+        amps = self.amplitudes if _in_place else self.amplitudes.copy()
         sub = self._split(amps, gate.targets, gate.controls)
         if gate.kind == "swap":
             sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
@@ -207,14 +213,23 @@ class StateVector:
             u = gate.matrix()
             a0, a1 = sub[..., 0], sub[..., 1]
             a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
+        if _in_place:
+            return self
         # unitary by construction; skip the norm re-check
         return StateVector(self.n_qubits, amps, _checked=True)
 
     def apply_all(self, gates) -> "StateVector":
-        state = self
+        """Return the state after ``gates``, run in order on one private copy."""
+        return StateVector(self.n_qubits, self.amplitudes.copy(), _checked=True)._run(gates)
+
+    def _run(self, gates) -> "StateVector":
+        """Apply ``gates`` in place, each through :meth:`apply`; returns ``self``.
+
+        Only for states whose C-contiguous buffer no caller holds.
+        """
         for g in gates:
-            state = state.apply(g)
-        return state
+            self.apply(g, _in_place=True)
+        return self
 
     def apply_unitary(self, u: np.ndarray, targets, controls=()) -> "StateVector":
         """Apply an arbitrary unitary on the subspace spanned by ``targets``.

@@ -4,13 +4,18 @@ The gate kernel here builds ``np.arange(dim)`` index masks and gathers with
 fancy indexing; amplitude estimation applies the controlled Grover operator
 2^j times for readout qubit j on the whole (p+t)-qubit state.  Both are slow
 but transparent, and the equivalence tests hold the package to them.
+
+The swap-test composite, the Grover iteration and the Grover orbit below are
+the same circuits with one new state per gate (``StateVector.apply``) and
+full-length index masks; the package runs them in place on one buffer and must
+match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from qrelieff.circuits import Preparation, reduced_preparation
+from qrelieff.circuits import Preparation, reduced_preparation, swap_test_gates
 from qrelieff.statevector import GateOp, StateVector, _normalize_controls
 
 
@@ -141,3 +146,48 @@ def fold_distribution(dist: np.ndarray) -> np.ndarray:
     for m in range(1, half):
         folded[m] = dist[m] + dist[len(dist) - m]
     return folded
+
+
+def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVector:
+    """The swap-test composite built with two ``np.kron`` calls."""
+    amps = np.kron(np.array([1.0, 0.0], dtype=complex), np.kron(a.amplitudes, b.amplitudes))
+    state = StateVector(2 * a.n_qubits + 1, amps)
+    for g in swap_test_gates(a.n_qubits, swap_qubits):
+        state = state.apply(g)
+    return state
+
+
+def grover_iterate(state: StateVector, phi: float, oracle: np.ndarray, w_gates) -> StateVector:
+    """G = -W I0 W^-1 O, with I0 as a full-length mask."""
+    state = state.phase_on_indices(oracle, phi)
+    for g in reversed(w_gates):
+        state = state.apply(g.inverse())
+    zeros = np.zeros(state.dim, dtype=bool)
+    zeros[0] = True
+    state = state.phase_on_indices(zeros, phi)
+    for g in w_gates:
+        state = state.apply(g)
+    return StateVector(state.n_qubits, -state.amplitudes)
+
+
+def grover_orbit(prep: Preparation, t: int) -> np.ndarray:
+    """Row y is G^y A|0>, one new state per gate and per phase flip."""
+    p = prep.n_qubits
+    idx = np.arange(1 << p)
+    flag = ((idx >> prep.flag) & 1) == 1
+    zero = idx == 0
+    orbit = np.empty((1 << t, 1 << p), dtype=complex)
+    state = StateVector(p, np.eye(1, 1 << p, dtype=complex)[0])
+    for g in prep.gates:
+        state = state.apply(g)
+    orbit[0] = state.amplitudes
+    for y in range(1, 1 << t):
+        state = state.phase_on_indices(flag, math.pi)
+        for g in reversed(prep.gates):
+            state = state.apply(g.inverse())
+        state = state.phase_on_indices(zero, math.pi)
+        for g in prep.gates:
+            state = state.apply(g)
+        orbit[y] = -state.amplitudes
+        state = StateVector(p, orbit[y], _checked=True)
+    return orbit

@@ -1,5 +1,7 @@
 """The stride-view gate kernel and the Grover-orbit amplitude estimation
-against the index-mask kernel and the controlled-G loop they replaced."""
+against the index-mask kernel and the controlled-G loop they replaced, and the
+in-place gate lists (``apply_all``, the swap test, the Grover iteration and
+orbit) bit for bit against one new state per gate."""
 
 import math
 
@@ -11,12 +13,18 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from qrelieff.circuits import (
     Preparation,
+    _grover_orbit,
     amplitude_estimate,
+    encode_sample,
     fold_distribution,
+    grover_iterate,
+    grover_plan,
     reduced_preparation,
+    swap_flag,
+    swap_test_state,
 )
 from qrelieff.program3 import RESULT_QUBIT, final_state
-from qrelieff.statevector import GateOp, StateVector
+from qrelieff.statevector import GateOp, StateVector, h
 
 TOL = 1e-12
 # Program 3's exact P(1) as computed by the index-mask kernel.
@@ -133,3 +141,73 @@ def test_fold_distribution_is_bit_identical_to_loop(t, seed):
     dist = np.random.default_rng(seed).random(1 << t)
     dist /= dist.sum()
     assert np.array_equal(fold_distribution(dist), ref.fold_distribution(dist))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_apply_all_is_bit_identical_to_chained_apply(case):
+    state, sequence = case
+    # a state on the caller's own array: np.asarray does not copy it
+    caller = state.amplitudes.copy()
+    state = StateVector(state.n_qubits, caller)
+    assert state.amplitudes is caller
+    chained = state
+    for gate in sequence:
+        chained = chained.apply(gate)
+    before = caller.copy()
+    result = state.apply_all(sequence)
+    assert np.array_equal(result.amplitudes, chained.amplitudes)
+    assert np.array_equal(caller, before)
+    assert result.amplitudes is not caller
+
+
+@st.composite
+def encoded_samples(draw, n_features: int, index_bits: int):
+    values = np.array(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=n_features, max_size=n_features
+    ).filter(lambda v: sum(v) > 1e-3)))
+    sample = draw(st.integers(0, (1 << index_bits) - 1))
+    return encode_sample(values / np.linalg.norm(values), sample, index_bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_swap_test_state_is_bit_identical_to_kron(data):
+    n_features = data.draw(st.integers(1, 8))
+    index_bits = data.draw(st.integers(0, 2))
+    a = data.draw(encoded_samples(n_features, index_bits))
+    b = swap_flag(data.draw(encoded_samples(n_features, index_bits)))
+    before = (a.amplitudes.copy(), b.amplitudes.copy())
+    assert np.array_equal(swap_test_state(a, b).amplitudes, ref.swap_test_state(a, b).amplitudes)
+    assert np.array_equal(a.amplitudes, before[0]) and np.array_equal(b.amplitudes, before[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grover_iterate_is_bit_identical_to_mask_version(data):
+    n = data.draw(st.integers(1, 6))
+    marked = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1))
+    oracle = np.zeros(1 << n, dtype=bool)
+    oracle[list(marked)] = True
+    plan = grover_plan(n, len(marked))
+    w_gates = data.draw(st.one_of(
+        st.just([h(q) for q in range(n)]), st.lists(gates(n), min_size=1, max_size=4)
+    ))
+    state = data.draw(states(n))
+    before = state.amplitudes.copy()
+    fast, slow = state, state
+    for _ in range(3):
+        fast = grover_iterate(fast, plan, oracle, w_gates)
+        slow = ref.grover_iterate(slow, plan.phi, oracle, w_gates)
+        assert np.array_equal(fast.amplitudes, slow.amplitudes)
+    assert np.array_equal(state.amplitudes, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grover_orbit_is_bit_identical_to_per_gate_orbit(data):
+    p = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(1, 6))
+    prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
+    prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
+    assert np.array_equal(_grover_orbit(prep, t), ref.grover_orbit(prep, t))
