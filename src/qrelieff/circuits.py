@@ -25,6 +25,7 @@ from .rng import RngStream
 from .statevector import (
     GateOp,
     StateVector,
+    basis_state,
     check_width,
     h,
     ry,
@@ -300,31 +301,30 @@ def grover_search_state(plan: GroverPlan, oracle: np.ndarray, w_gates=None) -> S
 # quantum Fourier transform
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _dft_matrix(t: int, inverse: bool) -> np.ndarray:
-    """The 2^t-point (inverse) DFT matrix, built on first use and read-only."""
-    dim = 1 << t
-    sign = -1.0 if inverse else 1.0
-    jk = np.outer(np.arange(dim), np.arange(dim))
-    dft = np.exp(sign * 2j * math.pi * jk / dim) / math.sqrt(dim)
-    dft.setflags(write=False)
-    return dft
+def _fourier(state: StateVector, register, transform) -> StateVector:
+    """``transform`` (an orthonormal numpy FFT) on the register's value space,
+    with ``register[0]`` as the least-significant bit of the value."""
+    register = [int(q) for q in register]
+    if not register:
+        raise QReliefFError("empty register")
+    amps = state.amplitudes.copy()
+    # register[0] on the last axis: each row of the block is one register value
+    sub = state._split(amps, register[::-1])
+    rows = sub.reshape(-1, 1 << len(register))
+    sub[...] = transform(rows, axis=1, norm="ortho").reshape(sub.shape)
+    return StateVector(state.n_qubits, amps, _checked=True)
 
 
 def qft(state: StateVector, register) -> StateVector:
-    """Discrete Fourier transform on the register's value space."""
-    register = list(register)
-    if not register:
-        raise QReliefFError("empty register")
-    return state.apply_unitary(_dft_matrix(len(register), inverse=False), register)
+    """Discrete Fourier transform e^{+2 pi i jk/n}/sqrt(n) on the register's
+    value space."""
+    return _fourier(state, register, np.fft.ifft)
 
 
 def inverse_qft(state: StateVector, register) -> StateVector:
-    """Exact inverse discrete Fourier transform on the register's value space."""
-    register = list(register)
-    if not register:
-        raise QReliefFError("empty register")
-    return state.apply_unitary(_dft_matrix(len(register), inverse=True), register)
+    """Exact inverse discrete Fourier transform e^{-2 pi i jk/n}/sqrt(n) on the
+    register's value space."""
+    return _fourier(state, register, np.fft.fft)
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +364,58 @@ class AEOutcome:
         return math.sin(math.pi * self.y / (1 << self.t)) ** 2
 
 
-def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
-    """Row y is G^y A|0> for y in [0, 2^t), with G = -A S0 A^-1 S_chi.
-
-    G runs uncontrolled on the preparation register alone, in place on one
-    working state whose amplitudes are copied into each row.
-    """
-    p = prep.n_qubits
-    check_width(p + t)
+def _grover_step(prep: Preparation):
+    """G = -A S0 A^-1 S_chi on the preparation register, as a function that
+    runs it in place on a state and returns that state."""
     inverse = [g.inverse() for g in reversed(prep.gates)]
-    flag = ((np.arange(1 << p) >> prep.flag) & 1) == 1
+    flag = ((np.arange(1 << prep.n_qubits) >> prep.flag) & 1) == 1
     flip = np.exp(1j * math.pi)  # e^(i pi), whose imaginary part is not exactly 0
-    orbit = np.empty((1 << t, 1 << p), dtype=complex)
-    state = zero_state(p)._run(prep.gates)
-    amps = state.amplitudes
-    orbit[0] = amps
-    for y in range(1, 1 << t):
+
+    def grover(state: StateVector) -> StateVector:
+        amps = state.amplitudes
         amps[flag] *= flip  # S_chi: phase flip on flag = 1
         state._run(inverse)
         amps[:1] *= flip  # S0: phase flip on the all-zero branch
         state._run(prep.gates)
         np.negative(amps, out=amps)
-        orbit[y] = amps
+        return state
+
+    return grover
+
+
+def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
+    """Row y is G^y A|0> for y in [0, 2^t), one G step per row.
+
+    G runs uncontrolled on the preparation register alone, in place on one
+    working state whose amplitudes are copied into each row.
+    """
+    grover = _grover_step(prep)
+    orbit = np.empty((1 << t, 1 << prep.n_qubits), dtype=complex)
+    state = zero_state(prep.n_qubits)._run(prep.gates)
+    orbit[0] = state.amplitudes
+    for y in range(1, 1 << t):
+        orbit[y] = grover(state).amplitudes
+    return orbit
+
+
+def _grover_orbit_by_squaring(prep: Preparation, t: int) -> np.ndarray:
+    """The rows of :func:`_grover_orbit` from G as a dense 2^p x 2^p matrix.
+
+    Rows [2^k, 2^(k+1)) are rows [0, 2^k) times (G^(2^k))^T, and G is squared
+    after each block: 2t - 1 matrix products in place of 2^t - 1 G steps.
+    """
+    p = prep.n_qubits
+    grover = _grover_step(prep)
+    g = np.empty((1 << p, 1 << p), dtype=complex)
+    for j in range(1 << p):
+        g[:, j] = grover(basis_state(p, j)).amplitudes
+    orbit = np.empty((1 << t, 1 << p), dtype=complex)
+    orbit[0] = zero_state(p)._run(prep.gates).amplitudes
+    for k in range(t):
+        block = 1 << k
+        np.matmul(orbit[:block], g.T, out=orbit[block : 2 * block])
+        if k + 1 < t:
+            g = g @ g
     return orbit
 
 
@@ -398,15 +428,22 @@ def amplitude_estimate(prep: Preparation, t: int) -> np.ndarray:
 
     After the readout Hadamards and the controlled powers of G, the circuit's
     state is 2^(-t/2) sum_y |y> G^y A|0>, readout register above the
-    preparation register; it is built from the orbit of A|0> under G rather
-    than by applying 2^t - 1 controlled G's.
+    preparation register; it is built from the orbit of A|0> under the
+    uncontrolled G rather than by applying 2^t - 1 controlled G's.  When G as
+    a dense matrix has no more entries than the readout has values (4^p <= 2^t
+    for a p-qubit preparation: reduced mode, p = 1, for t >= 2), the orbit
+    comes from t - 1 squarings of that matrix, 8^p multiply-adds each, and t
+    block products.  Otherwise (t = 1, and every ``full`` circuit, where
+    p >= 9) the orbit runs gate by gate and G is never built.  The inverse QFT
+    is an FFT along the readout register.
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")
     if not 0 <= prep.flag < prep.n_qubits:
         raise QReliefFError("preparation has no valid flag qubit")
     p = prep.n_qubits
-    orbit = _grover_orbit(prep, t)
+    check_width(p + t)
+    orbit = (_grover_orbit_by_squaring if 2 * p <= t else _grover_orbit)(prep, t)
     orbit /= math.sqrt(1 << t)
     readout = range(p, p + t)
     state = inverse_qft(StateVector(p + t, orbit.reshape(-1), _checked=True), readout)

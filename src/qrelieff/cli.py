@@ -1,7 +1,9 @@
 """Command-line harness: CSV ingestion, backend orchestration and report
 emission.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 capacity error.
+Exit codes: 0 success, 2 configuration error, 3 data error (and any other
+package error), 4 capacity error (including running out of memory), 5 internal
+error (a circuit invariant failed: a program fault, not bad input).
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_mod
-from .errors import CapacityError, ConfigError, DataError, QReliefFError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DataError,
+    NoSolutionError,
+    PostselectionError,
+    QReliefFError,
+    SearchFailedError,
+)
 from .pipeline import PipelineConfig, qrelieff_run
 from .program3 import reproduce_program3
 from .relieff import Dataset, normalize, relieff_run
@@ -216,6 +226,12 @@ def run_cli(argv, out=None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return 4
+    except MemoryError as exc:
+        sys.stderr.write(f"capacity error: out of memory: {str(exc) or 'allocation failed'}\n")
+        return 4
+    except (PostselectionError, NoSolutionError, SearchFailedError) as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 5
     except QReliefFError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -2,8 +2,9 @@
 
 The gate kernel here builds ``np.arange(dim)`` index masks and gathers with
 fancy indexing; amplitude estimation applies the controlled Grover operator
-2^j times for readout qubit j on the whole (p+t)-qubit state.  Both are slow
-but transparent, and the equivalence tests hold the package to them.
+2^j times for readout qubit j on the whole (p+t)-qubit state; the (inverse)
+QFT is a dense DFT matrix.  All are slow but transparent, and the equivalence
+tests hold the package to them.
 
 The swap-test composite, the Grover iteration and the Grover orbit below are
 the same circuits with one new state per gate (``StateVector.apply``) and
@@ -130,11 +131,16 @@ def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.n
     for j, q in enumerate(readout):
         for _ in range(1 << j):
             state = _controlled_g(state, prep, q)
-    dim = 1 << t
-    jk = np.outer(np.arange(dim), np.arange(dim))
-    inverse_dft = np.exp(-2j * math.pi * jk / dim) / math.sqrt(dim)
-    state = apply_unitary(state, inverse_dft, readout)
+    state = apply_unitary(state, dft_matrix(t, inverse=True), readout)
     return marginal_probabilities(state, readout)
+
+
+def dft_matrix(t: int, inverse: bool) -> np.ndarray:
+    """The dense 2^t-point (inverse) DFT matrix the QFT was once applied as."""
+    dim = 1 << t
+    sign = -1.0 if inverse else 1.0
+    jk = np.outer(np.arange(dim), np.arange(dim))
+    return np.exp(sign * 2j * math.pi * jk / dim) / math.sqrt(dim)
 
 
 def fold_distribution(dist: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Unit tests for the composable circuit blocks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from qrelieff.circuits import (
 )
 from qrelieff.statevector import ry
 
+import reference_kernels as ref
 from conftest import EXAMPLE_ROWS, random_unit_vector
 
 
@@ -380,6 +382,33 @@ class TestAmplitudeEstimation:
         prep = Preparation((h(0), ry(0.4, 1)), 2, 1)
         with pytest.raises(CapacityError):
             amplitude_estimate(prep, 3)  # p + t = 5 qubits
+
+    def test_peak_memory_of_one_call(self):
+        # numpy reports its buffers to tracemalloc; a dense 2^10-point DFT
+        # matrix alone is 16 MiB
+        tracemalloc.start()
+        try:
+            amplitude_estimate(reduced_preparation(0.3), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "p, t, dense", [(1, 1, False), (1, 2, True), (2, 4, True), (2, 3, False), (3, 2, False)]
+    )
+    def test_dense_grover_only_when_smaller_than_readout(self, monkeypatch, p, t, dense):
+        def refuse(prep, t):
+            raise AssertionError("wrong orbit path")
+
+        skipped = "_grover_orbit" if dense else "_grover_orbit_by_squaring"
+        monkeypatch.setattr(circuits, skipped, refuse)
+        # flag P(1) = sin^2(0.35), whatever the other qubits hold
+        prep = Preparation((ry(0.7, 0), *(h(q) for q in range(1, p))), p, 0)
+        reduced = reduced_preparation(math.sin(0.35) ** 2)
+        np.testing.assert_allclose(
+            amplitude_estimate(prep, t), ref.amplitude_estimate(reduced, t), atol=1e-12
+        )
 
     def test_bad_parameters(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from qrelieff import CapacityError, DataError, select_features
+from qrelieff import (
+    CapacityError,
+    ConfigError,
+    DataError,
+    DegenerateSampleError,
+    NoSolutionError,
+    PostselectionError,
+    QReliefFError,
+    SearchFailedError,
+    select_features,
+)
 from qrelieff.cli import build_parser, example_csv_path, load_csv, run_cli
 from qrelieff.report import canonical_body, neighbor_agreement, schema
 
@@ -124,6 +134,30 @@ class TestRunCli:
         monkeypatch.setattr("qrelieff.cli.qrelieff_run", boom)
         code, _ = run(["--input", fixture_path, "--backend", "quantum"])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            (MemoryError(), 4, "capacity error: out of memory"),
+            (MemoryError("Unable to allocate 8.00 GiB"), 4, "8.00 GiB"),
+            (PostselectionError("branch has probability 0"), 5, "internal error"),
+            (NoSolutionError("no marked elements"), 5, "internal error"),
+            (SearchFailedError("16 searches in a row"), 5, "internal error"),
+            (ConfigError("bad flag"), 2, "configuration error"),
+            (DataError("bad cell"), 3, "data error"),
+            (DegenerateSampleError("zero-norm row"), 3, "zero-norm row"),
+            (QReliefFError("class has only the picked sample"), 3, "error: class has only"),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None,
+    )
+    def test_exit_code_names_the_cause(self, fixture_path, monkeypatch, capsys,
+                                       error, code, message):
+        def boom(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("qrelieff.cli.qrelieff_run", boom)
+        assert run(["--input", fixture_path, "--backend", "quantum"]) == (code, "")
+        assert message in capsys.readouterr().err
 
     def test_capacity_error_from_register_width(self, fixture_path, monkeypatch):
         # the example's swap-test composite has 17 qubits

@@ -1,7 +1,9 @@
 """The stride-view gate kernel and the Grover-orbit amplitude estimation
-against the index-mask kernel and the controlled-G loop they replaced, and the
+against the index-mask kernel and the controlled-G loop they replaced, the
 in-place gate lists (``apply_all``, the swap test, the Grover iteration and
-orbit) bit for bit against one new state per gate."""
+orbit) bit for bit against one new state per gate, the orbit by repeated
+squaring against the orbit step by step, and the FFT QFT against the dense
+DFT matrix."""
 
 import math
 
@@ -14,11 +16,14 @@ import reference_kernels as ref
 from qrelieff.circuits import (
     Preparation,
     _grover_orbit,
+    _grover_orbit_by_squaring,
     amplitude_estimate,
     encode_sample,
     fold_distribution,
     grover_iterate,
     grover_plan,
+    inverse_qft,
+    qft,
     reduced_preparation,
     swap_flag,
     swap_test_state,
@@ -211,3 +216,31 @@ def test_grover_orbit_is_bit_identical_to_per_gate_orbit(data):
     prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
     prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
     assert np.array_equal(_grover_orbit(prep, t), ref.grover_orbit(prep, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grover_orbit_by_squaring_matches_step_by_step_orbit(data):
+    p = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(p, 8))
+    prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
+    prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
+    np.testing.assert_allclose(
+        _grover_orbit_by_squaring(prep, t), _grover_orbit(prep, t), rtol=0, atol=TOL
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fft_qft_matches_dense_dft(data):
+    t = data.draw(st.integers(1, 10))
+    n = data.draw(st.integers(t, min(t + 2, 11)))
+    state = data.draw(states(n))
+    # any t of the n qubits, in any order
+    register = data.draw(st.permutations(range(n)))[:t]
+    for transform, inverse in ((qft, False), (inverse_qft, True)):
+        np.testing.assert_allclose(
+            transform(state, register).amplitudes,
+            ref.apply_unitary(state, ref.dft_matrix(t, inverse), register).amplitudes,
+            rtol=0, atol=TOL, err_msg=f"inverse={inverse} register={register}",
+        )
