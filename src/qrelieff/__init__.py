@@ -1,10 +1,7 @@
 """Quantum-simulated ReliefF feature selection with a classical oracle."""
 
 from .circuits import (
-    AEOutcome,
-    EncodingLayout,
     GroverPlan,
-    Preparation,
     amplitude_estimate,
     cmp_flag,
     encode_sample,
@@ -33,10 +30,6 @@ from .errors import (
 )
 from .pipeline import (
     PipelineConfig,
-    QReliefFResult,
-    SimilarityRecord,
-    SimilarityTable,
-    prepare_states,
     qrelieff_run,
     quantum_neighbors,
     quantum_similarity,
@@ -45,9 +38,7 @@ from .program3 import Program3Result, reproduce_program3
 from .relieff import (
     Dataset,
     FeatureStats,
-    NeighborSet,
     NormalizedDataset,
-    ReliefFResult,
     RunConfig,
     find_neighbors,
     normalize,
@@ -58,7 +49,6 @@ from .relieff import (
 )
 from .rng import RngStream
 from .statevector import (
-    GateOp,
     StateVector,
     basis_state,
     h,

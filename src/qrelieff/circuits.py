@@ -5,7 +5,8 @@ Register layout for encoded samples (least-significant bit first):
 * bit 0            data qubit (feature-value rotation target)
 * bit 1            flag qubit, prepared |1>
 * bits 2 .. n+1    feature-index register (n = ceil(log2 N), at least 1)
-* bits n+2 ..      sample-index register (optional)
+
+The width depends on the feature count N alone.
 
 ``swap_flag`` exchanges bits 0 and 1, turning the encoded layout
 ``...|flag>|data>`` into ``...|data>|flag>`` so a subsequent swap test
@@ -94,7 +95,6 @@ class EncodingLayout:
     """Qubit positions of one encoded sample."""
 
     n_features: int
-    index_bits: int
 
     @property
     def data(self) -> int:
@@ -113,13 +113,8 @@ class EncodingLayout:
         return max(1, math.ceil(math.log2(self.n_features)))
 
     @property
-    def sample_qubits(self) -> tuple[int, ...]:
-        lo = 2 + self.n_feature_qubits
-        return tuple(range(lo, lo + self.index_bits))
-
-    @property
     def n_qubits(self) -> int:
-        return 2 + self.n_feature_qubits + self.index_bits
+        return 2 + self.n_feature_qubits
 
 
 def _check_feature_vector(v: np.ndarray):
@@ -140,29 +135,22 @@ def _multiplexed_ry_gates(v: np.ndarray, layout: EncodingLayout) -> list[GateOp]
     return gates
 
 
-def encode_sample(v, sample_index: int = 0, index_bits: int = 0) -> StateVector:
+def encode_sample(v) -> StateVector:
     """Encode a unit-norm feature vector as an amplitude-superposition state.
 
-    The result is ``(1/sqrt(N)) |q> sum_i |i> |1> (sqrt(1-v_i^2)|0> + v_i|1>)``
+    The result is ``(1/sqrt(N)) sum_i |i> |1> (sqrt(1-v_i^2)|0> + v_i|1>)``
     in the layout documented at module top.
     """
     v = np.asarray(v, dtype=float)
     _check_feature_vector(v)
-    layout = EncodingLayout(len(v), index_bits)
-    if index_bits and not 0 <= sample_index < (1 << index_bits):
-        raise QReliefFError(f"sample index {sample_index} needs more than {index_bits} bits")
+    layout = EncodingLayout(len(v))
     feats = uniform_mod_n(layout.n_feature_qubits, len(v))
-    amps = feats.amplitudes
     # local value flag*2 + data = 2, i.e. |flag=1, data=0>
-    full = np.kron(amps, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
-    if index_bits:
-        sample = np.zeros(1 << index_bits, dtype=complex)
-        sample[sample_index] = 1.0
-        full = np.kron(sample, full)
+    full = np.kron(feats.amplitudes, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
     return StateVector(layout.n_qubits, full)._run(_multiplexed_ry_gates(v, layout))
 
 
-def encode_sample_gates(v, sample_index: int = 0, index_bits: int = 0) -> list[GateOp]:
+def encode_sample_gates(v) -> list[GateOp]:
     """The unitary gate list realizing :func:`encode_sample`.
 
     Only available when the feature count is a power of two (the bounded
@@ -170,15 +158,12 @@ def encode_sample_gates(v, sample_index: int = 0, index_bits: int = 0) -> list[G
     """
     v = np.asarray(v, dtype=float)
     _check_feature_vector(v)
-    layout = EncodingLayout(len(v), index_bits)
+    layout = EncodingLayout(len(v))
     if len(v) != (1 << layout.n_feature_qubits):
         raise QReliefFError(
             "gate-list encoding requires a power-of-two feature count"
         )
     gates = [x(layout.flag)]
-    for j, q in enumerate(layout.sample_qubits):
-        if (sample_index >> j) & 1:
-            gates.append(x(q))
     gates.extend(h(q) for q in layout.feature_qubits)
     gates.extend(_multiplexed_ry_gates(v, layout))
     return gates
@@ -262,6 +247,21 @@ def grover_plan(n: int, marked_estimate: int) -> GroverPlan:
     return GroverPlan(n, space, marked_estimate, J, eta, phi)
 
 
+def _grover_in_place(
+    state: StateVector, oracle: np.ndarray, phi: float, w_gates, w_inverse
+) -> StateVector:
+    """G = -W I0 W^-1 O in place on ``state``, which it returns; O and I0
+    put e^{i phi} on the ``oracle`` branches and the all-zeros branch."""
+    amps = state.amplitudes
+    rotation = np.exp(1j * phi)
+    amps[oracle] *= rotation  # O
+    state._run(w_inverse)
+    amps[:1] *= rotation  # I0
+    state._run(w_gates)
+    np.negative(amps, out=amps)
+    return state
+
+
 def grover_iterate(
     state: StateVector, plan: GroverPlan, oracle: np.ndarray, w_gates
 ) -> StateVector:
@@ -278,13 +278,10 @@ def grover_iterate(
     ):
         raise QReliefFError("oracle must be a boolean mask of the state's length")
     w_gates = list(w_gates)
-    # one copy, then every step in place on it
-    state = state.phase_on_indices(oracle, plan.phi)
-    state._run(g.inverse() for g in reversed(w_gates))
-    state.amplitudes[:1] *= np.exp(1j * plan.phi)  # I0: the all-zeros branch
-    state._run(w_gates)
-    np.negative(state.amplitudes, out=state.amplitudes)
-    return state
+    copy = StateVector(state.n_qubits, state.amplitudes.copy(), _checked=True)
+    return _grover_in_place(
+        copy, oracle, plan.phi, w_gates, [g.inverse() for g in reversed(w_gates)]
+    )
 
 
 def grover_search_state(plan: GroverPlan, oracle: np.ndarray, w_gates=None) -> StateVector:
@@ -366,21 +363,11 @@ class AEOutcome:
 
 def _grover_step(prep: Preparation):
     """G = -A S0 A^-1 S_chi on the preparation register, as a function that
-    runs it in place on a state and returns that state."""
+    runs it in place on a state and returns that state: the Grover iteration
+    with W = A, the flag = 1 branches as the oracle and phi = pi."""
     inverse = [g.inverse() for g in reversed(prep.gates)]
     flag = ((np.arange(1 << prep.n_qubits) >> prep.flag) & 1) == 1
-    flip = np.exp(1j * math.pi)  # e^(i pi), whose imaginary part is not exactly 0
-
-    def grover(state: StateVector) -> StateVector:
-        amps = state.amplitudes
-        amps[flag] *= flip  # S_chi: phase flip on flag = 1
-        state._run(inverse)
-        amps[:1] *= flip  # S0: phase flip on the all-zero branch
-        state._run(prep.gates)
-        np.negative(amps, out=amps)
-        return state
-
-    return grover
+    return lambda state: _grover_in_place(state, flag, math.pi, prep.gates, inverse)
 
 
 def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
@@ -434,7 +421,7 @@ def amplitude_estimate(prep: Preparation, t: int) -> np.ndarray:
     for a p-qubit preparation: reduced mode, p = 1, for t >= 2), the orbit
     comes from t - 1 squarings of that matrix, 8^p multiply-adds each, and t
     block products.  Otherwise (t = 1, and every ``full`` circuit, where
-    p >= 9) the orbit runs gate by gate and G is never built.  The inverse QFT
+    p >= 7) the orbit runs gate by gate and G is never built.  The inverse QFT
     is an FFT along the readout register.
     """
     if t < 1:

@@ -33,6 +33,7 @@ from .relieff import (
     NormalizedDataset,
     ReliefFResult,
     RunConfig,
+    check_has_miss_class,
     pick_sequence,
     update_weights,
 )
@@ -105,16 +106,16 @@ class SimilarityTable:
         }
 
 
-def pipeline_layout(nd: NormalizedDataset) -> EncodingLayout:
-    """Layout of every encoded sample: a ceil(log2 M)-bit sample register."""
-    return EncodingLayout(nd.n_features, max(1, math.ceil(math.log2(nd.n_samples))))
-
-
 def prepare_states(nd: NormalizedDataset) -> list[StateVector]:
-    """One encoded state per sample, in the :func:`pipeline_layout`."""
-    index_bits = pipeline_layout(nd).index_bits
+    """One encoded state per sample under a ceil(log2 M)-bit register that
+    holds the sample's index.  No circuit reads that register; it only widens
+    the swap-test composite."""
+    sample_bits = max(1, math.ceil(math.log2(nd.n_samples)))
+    basis = np.eye(1 << sample_bits, dtype=complex)
+    encoded = [encode_sample(v) for v in nd.samples]
     return [
-        encode_sample(nd.samples[q], q, index_bits) for q in range(nd.n_samples)
+        StateVector(e.n_qubits + sample_bits, np.kron(basis[q], e.amplitudes))
+        for q, e in enumerate(encoded)
     ]
 
 
@@ -125,14 +126,14 @@ def _swap_test_p1(
     cfg: PipelineConfig,
     rng: RngStream | None,
 ) -> float:
-    """P(ancilla=1) of the swap test over feature-index + flag + data registers.
+    """P(ancilla=1) of the swap test over the encoding's data, flag and
+    feature-index qubits.
 
-    The sample-index registers stay out of the controlled swaps; they factor
+    Qubits above the encoding stay out of the controlled swaps; they factor
     out of the overlap.  In sampled mode the probability is estimated from
     finite ancilla shots.
     """
-    data_qubits = range(2 + layout.n_feature_qubits)  # data, flag, feature index
-    state = swap_test_state(swap_flag(u_state), v_state, data_qubits)
+    state = swap_test_state(swap_flag(u_state), v_state, range(layout.n_qubits))
     ancilla = 2 * u_state.n_qubits
     if cfg.mode == "exact":
         return state.probability_one(ancilla)
@@ -154,22 +155,24 @@ def _shift_gates(gates, offset: int):
     ]
 
 
-def _full_circuit_outcome(
-    nd: NormalizedDataset, u: int, q: int, layout: EncodingLayout,
-    cfg: PipelineConfig, rng: RngStream | None,
-) -> AEOutcome:
-    """Amplitude-estimate the swap-test ancilla on the genuine circuit.
+def _full_circuit_preparation(nd: NormalizedDataset, u: int, q: int) -> Preparation:
+    """The swap-test circuit of samples u and q as a preparation: q encoded
+    on qubits 0..m-1, u (flag and data swapped) on m..2m-1, and the ancilla,
+    the flag, on 2m; 2m + 1 qubits whatever M is.  Needs a power-of-two
+    feature count (the encoding must be unitary)."""
+    m = EncodingLayout(nd.n_features).n_qubits
+    b_gates = encode_sample_gates(nd.samples[q])
+    a_gates = encode_sample_gates(nd.samples[u]) + [swap(0, 1)]
+    gates = b_gates + _shift_gates(a_gates, m) + swap_test_gates(m)
+    return Preparation(tuple(gates), 2 * m + 1, 2 * m)
 
-    Returns the t-bit reading of the ancilla amplitude a = P(1); only
-    available for power-of-two feature counts (the encoding must be unitary).
-    """
-    m = layout.n_qubits
-    b_gates = encode_sample_gates(nd.samples[q], q, layout.index_bits)
-    a_gates = encode_sample_gates(nd.samples[u], u, layout.index_bits) + [swap(0, 1)]
-    data_qubits = range(2 + layout.n_feature_qubits)
-    gates = b_gates + _shift_gates(a_gates, m) + swap_test_gates(m, data_qubits)
-    prep = Preparation(tuple(gates), 2 * m + 1, 2 * m)
-    dist = amplitude_estimate(prep, cfg.ae_bits)
+
+def _full_circuit_outcome(
+    nd: NormalizedDataset, u: int, q: int, cfg: PipelineConfig, rng: RngStream | None
+) -> AEOutcome:
+    """The t-bit amplitude-estimation reading of the swap-test ancilla
+    amplitude a = P(1) on :func:`_full_circuit_preparation`."""
+    dist = amplitude_estimate(_full_circuit_preparation(nd, u, q), cfg.ae_bits)
     if cfg.mode == "exact" or rng is None:
         return modal_outcome(dist, cfg.ae_bits)
     y = rng.choice_weighted(dist / dist.sum())
@@ -201,13 +204,13 @@ def quantum_similarity(
     clamped and flagged rather than propagated.  The record of u against
     itself is marked excluded.
     """
-    n_features, layout = nd.n_features, pipeline_layout(nd)
+    n_features, layout = nd.n_features, EncodingLayout(nd.n_features)
     p1 = _swap_test_p1(states[u], states[q], layout, cfg, rng)
     s = (1.0 - 2.0 * p1) * n_features**2
     clamped = not 0.0 <= s <= 1.0
     s = min(max(s, 0.0), 1.0)
     if cfg.ae_circuit == "full":
-        ae = _full_circuit_outcome(nd, u, q, layout, cfg, rng)
+        ae = _full_circuit_outcome(nd, u, q, cfg, rng)
         s_full = min(max((1.0 - 2.0 * ae.a_hat) * n_features**2, 0.0), 1.0)
         outcome = _quantize_similarity(s_full, cfg.ae_bits)
     else:
@@ -294,6 +297,7 @@ def qrelieff_run(
     search, shared weight update; returns the 1/T averaged weights and a trace
     sufficient to re-derive them offline.
     """
+    check_has_miss_class(nd)
     if stats is None:
         stats = FeatureStats.from_matrix(nd.samples)
     states = prepare_states(nd)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSampleError, QReliefFError
+from .errors import ConfigError, DataError, DegenerateSampleError, QReliefFError
 from .rng import RngStream
 
 
@@ -247,6 +247,14 @@ class RunConfig:
             raise ConfigError(f"pick policy must be 'random' or 'round-robin'")
 
 
+def check_has_miss_class(nd: Dataset):
+    """Reject a dataset with one class before a run: ReliefF scores features
+    by misses (other classes) against hits, and with no miss class a run
+    would only subtract hit differences."""
+    if nd.n_classes < 2:
+        raise DataError(f"ReliefF needs at least 2 classes, got {nd.n_classes}")
+
+
 def pick_sequence(cfg: RunConfig, n_samples: int, rng: RngStream) -> list[int]:
     """The T picked sample indices; round-robin cycles 0,1,2,... deterministically."""
     if cfg.pick_policy == "round-robin":
@@ -278,6 +286,7 @@ def relieff_run(
     stats: FeatureStats | None = None,
 ) -> ReliefFResult:
     """T iterations of pick / find neighbors / update, then the 1/T average."""
+    check_has_miss_class(nd)
     if stats is None:
         stats = FeatureStats.from_matrix(nd.samples)
     wt = np.zeros(nd.n_features)

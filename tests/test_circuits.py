@@ -34,7 +34,7 @@ from qrelieff import (
     uniform_mod_n,
     zero_state,
 )
-from qrelieff import circuits, statevector
+from qrelieff import Dataset, circuits, normalize, statevector
 from qrelieff.circuits import (
     AEOutcome,
     EncodingLayout,
@@ -42,6 +42,7 @@ from qrelieff.circuits import (
     encode_sample_gates,
     swap_test_state,
 )
+from qrelieff.pipeline import prepare_states
 from qrelieff.statevector import ry
 
 import reference_kernels as ref
@@ -154,19 +155,24 @@ class TestEncodeSample:
             )
 
     def test_sample_index_register(self):
-        v = np.array([1.0, 0.0])
-        state = encode_sample(v, sample_index=2, index_bits=2)
-        np.testing.assert_allclose(
-            state.amplitudes, encoded_closed_form(v, 2, 2), atol=1e-10
+        # four samples: prepare_states puts a 2-bit sample register above each
+        ds = Dataset(
+            np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [2.0, 1.0]]),
+            np.array([0, 0, 1, 1]), ["a", "b"],
         )
+        nd, _ = normalize(ds)
+        for q, state in enumerate(prepare_states(nd)):
+            np.testing.assert_allclose(
+                state.amplitudes, encoded_closed_form(nd.samples[q], q, 2), atol=1e-10
+            )
 
     def test_gate_list_matches_nonunitary_path(self):
         rng = np.random.default_rng(23)
         v = random_unit_vector(rng, 4)
-        layout = EncodingLayout(4, 1)
-        gates = encode_sample_gates(v, sample_index=1, index_bits=1)
+        layout = EncodingLayout(4)
+        gates = encode_sample_gates(v)
         via_gates = zero_state(layout.n_qubits).apply_all(gates)
-        direct = encode_sample(v, sample_index=1, index_bits=1)
+        direct = encode_sample(v)
         np.testing.assert_allclose(
             via_gates.amplitudes, direct.amplitudes, atol=1e-10
         )

@@ -12,9 +12,15 @@ from qrelieff import (
     DataError,
     DegenerateSampleError,
     NoSolutionError,
+    PipelineConfig,
     PostselectionError,
     QReliefFError,
+    RngStream,
+    RunConfig,
     SearchFailedError,
+    normalize,
+    qrelieff_run,
+    relieff_run,
     select_features,
 )
 from qrelieff.cli import build_parser, example_csv_path, load_csv, run_cli
@@ -190,6 +196,45 @@ class TestRunCli:
         assert (args.pick, args.order, args.mode) == ("random", "max", "exact")
         assert (args.shots, args.ae_bits, args.ae_circuit) == (1024, 6, "reduced")
         assert args.label_col == "class"
+
+
+class TestOneClassInput:
+    """ReliefF needs a miss class, so one class is a data error on every path."""
+
+    @pytest.fixture
+    def one_class_csv(self, tmp_path):
+        p = tmp_path / "one_class.csv"
+        p.write_text("a,b,class\n1,0,A\n1,1,A\n")
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "run_fn, cfg",
+        [
+            (relieff_run, RunConfig()),
+            (qrelieff_run, PipelineConfig()),
+            (qrelieff_run, PipelineConfig(ae_circuit="full", ae_bits=10)),
+        ],
+        ids=["classical", "quantum", "quantum-full"],
+    )
+    def test_library_run(self, one_class_csv, run_fn, cfg):
+        dataset, _ = load_csv(one_class_csv)  # the dataset itself is valid
+        nd, stats = normalize(dataset)
+        with pytest.raises(DataError, match="at least 2 classes, got 1"):
+            run_fn(nd, cfg, RngStream(0), stats)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "classical"],
+            ["--backend", "quantum"],
+            ["--backend", "both"],
+            ["--backend", "both", "--ae-circuit", "full", "--ae-bits", "10"],
+        ],
+        ids=["classical", "quantum", "both", "both-full"],
+    )
+    def test_cli_exit_code(self, one_class_csv, capsys, flags):
+        assert run(["--input", one_class_csv, *flags]) == (3, "")
+        assert "data error: ReliefF needs at least 2 classes" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

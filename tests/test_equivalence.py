@@ -2,8 +2,9 @@
 against the index-mask kernel and the controlled-G loop they replaced, the
 in-place gate lists (``apply_all``, the swap test, the Grover iteration and
 orbit) bit for bit against one new state per gate, the orbit by repeated
-squaring against the orbit step by step, and the FFT QFT against the dense
-DFT matrix."""
+squaring against the orbit step by step, the FFT QFT against the dense
+DFT matrix, and the ``full`` circuit's preparation against the same circuit
+padded with a sample-index register."""
 
 import math
 
@@ -14,22 +15,28 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from qrelieff.circuits import (
+    EncodingLayout,
     Preparation,
     _grover_orbit,
     _grover_orbit_by_squaring,
     amplitude_estimate,
     encode_sample,
+    encode_sample_gates,
     fold_distribution,
     grover_iterate,
     grover_plan,
     inverse_qft,
+    modal_outcome,
     qft,
     reduced_preparation,
     swap_flag,
+    swap_test_gates,
     swap_test_state,
 )
+from qrelieff.pipeline import _full_circuit_preparation
 from qrelieff.program3 import RESULT_QUBIT, final_state
-from qrelieff.statevector import GateOp, StateVector, h
+from qrelieff.relieff import NormalizedDataset
+from qrelieff.statevector import GateOp, StateVector, h, swap, x
 
 TOL = 1e-12
 # Program 3's exact P(1) as computed by the index-mask kernel.
@@ -167,12 +174,22 @@ def test_apply_all_is_bit_identical_to_chained_apply(case):
 
 
 @st.composite
-def encoded_samples(draw, n_features: int, index_bits: int):
+def unit_vectors(draw, n: int):
+    """A nonnegative unit vector of length n."""
     values = np.array(draw(st.lists(
-        st.floats(0.0, 1.0), min_size=n_features, max_size=n_features
+        st.floats(0.0, 1.0), min_size=n, max_size=n
     ).filter(lambda v: sum(v) > 1e-3)))
-    sample = draw(st.integers(0, (1 << index_bits) - 1))
-    return encode_sample(values / np.linalg.norm(values), sample, index_bits)
+    return values / np.linalg.norm(values)
+
+
+@st.composite
+def encoded_samples(draw, n_features: int, index_bits: int):
+    """An encoded sample under an ``index_bits``-qubit register in a random
+    basis state, as the pipeline's sample-index register pads it."""
+    encoded = encode_sample(draw(unit_vectors(n_features)))
+    register = np.zeros(1 << index_bits, dtype=complex)
+    register[draw(st.integers(0, (1 << index_bits) - 1))] = 1.0
+    return StateVector(encoded.n_qubits + index_bits, np.kron(register, encoded.amplitudes))
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,3 +261,46 @@ def test_fft_qft_matches_dense_dft(data):
             ref.apply_unitary(state, ref.dft_matrix(t, inverse), register).amplitudes,
             rtol=0, atol=TOL, err_msg=f"inverse={inverse} register={register}",
         )
+
+
+def _shifted(gates, offset: int):
+    return [
+        GateOp(g.kind, tuple(q + offset for q in g.targets),
+               tuple((q + offset, pol) for q, pol in g.controls), g.angle)
+        for g in gates
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_full_circuit_preparation_matches_padded_preparation(data):
+    # the full circuit encodes without a sample-index register; with one above
+    # each encoding (X on the set bits of the sample's index) the estimation
+    # distribution must not move
+    n_features = data.draw(st.sampled_from([2, 4]))
+    index_bits = data.draw(st.integers(1, 2))
+    t = data.draw(st.integers(1, 5))
+    n_samples = 1 << index_bits
+    rows = np.array([data.draw(unit_vectors(n_features)) for _ in range(n_samples)])
+    nd = NormalizedDataset(rows, np.arange(n_samples) % 2, [f"F{i}" for i in range(n_features)])
+    u = data.draw(st.integers(0, n_samples - 1))
+    q = data.draw(st.integers(0, n_samples - 1))
+
+    m = EncodingLayout(n_features).n_qubits
+    wide = m + index_bits
+
+    def padded_encoding(sample):
+        marks = [x(m + j) for j in range(index_bits) if (sample >> j) & 1]
+        return encode_sample_gates(rows[sample]) + marks
+
+    gates = (
+        padded_encoding(q)
+        + _shifted(padded_encoding(u) + [swap(0, 1)], wide)
+        + swap_test_gates(wide, range(m))
+    )
+    padded = Preparation(tuple(gates), 2 * wide + 1, 2 * wide)
+    narrow = _full_circuit_preparation(nd, u, q)
+    assert narrow.n_qubits == 2 * m + 1
+    got, want = amplitude_estimate(narrow, t), amplitude_estimate(padded, t)
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+    assert modal_outcome(got, t).y == modal_outcome(want, t).y

@@ -1,0 +1,107 @@
+"""CLI reports against canonical bodies recorded from an earlier version.
+
+``data/golden_reports.json`` holds, for each case, the CLI flags and the
+report minus its wall-clock "timing" section.  A rerun must give the same
+tree: floats within 1e-12, every other value exactly.  The cases are the
+shipped six-sample example (both backends, per-iteration logs, exact and
+sampled mode, random and round-robin picks, seeds 0-1, 6 readout bits) and a
+four-sample, two-feature input through the ``full`` amplitude-estimation
+circuit at 3 readout bits.
+
+Re-record only after a deliberate change of results:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qrelieff.cli import example_csv_path, run_cli
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden_reports.json"
+FLOAT_TOL = 1e-12
+
+
+def _cases() -> dict[str, tuple[str, list[str]]]:
+    """name -> (input file name, CLI flags other than --input)."""
+    cases = {}
+    for mode in ("exact", "sampled"):
+        for pick in ("random", "round-robin"):
+            for seed in (0, 1):
+                cases[f"example6-{mode}-{pick}-seed{seed}"] = ("example6.csv", [
+                    "--backend", "both", "--emit-iterations", "--mode", mode,
+                    "--pick", pick, "--seed", str(seed), "--ae-bits", "6",
+                ])
+        cases[f"four_by_two-full-{mode}"] = ("four_by_two.csv", [
+            "--backend", "both", "--emit-iterations", "--mode", mode,
+            "--ae-circuit", "full", "--ae-bits", "3",
+        ])
+    return cases
+
+
+def _body(input_name: str, flags: list[str]) -> dict:
+    """The report of one CLI run minus "timing", its input path replaced by
+    the file name so the body does not depend on where the checkout lives."""
+    path = example_csv_path() if input_name == "example6.csv" else DATA / input_name
+    out = io.StringIO()
+    code = run_cli(["--input", str(path), *flags], out)
+    assert code == 0, f"exit code {code}"
+    doc = json.loads(out.getvalue())
+    del doc["timing"]
+    doc["config"]["input"] = input_name
+    return doc
+
+
+def assert_same_tree(got, want, path="$"):
+    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), f"{path}: keys {sorted(got)} != {sorted(want)}"
+        for key in want:
+            assert_same_tree(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_tree(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= FLOAT_TOL, f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+GOLDEN_CASES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+def test_every_case_is_recorded():
+    assert sorted(GOLDEN_CASES) == sorted(_cases())
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_report_matches_recorded_body(name):
+    input_name, flags = _cases()[name]
+    case = GOLDEN_CASES[name]
+    assert (case["input"], case["flags"]) == (input_name, flags)
+    assert_same_tree(_body(input_name, flags), case["body"])
+
+
+def test_tree_walk_tolerates_only_float_rounding():
+    assert_same_tree({"w": [0.5, 1]}, {"w": [0.5 + 1e-13, 1]})
+    for got in ({"w": [0.5 + 1e-11, 1]}, {"w": [0.5, 1.0]}, {"w": [0.5]}, {"v": [0.5, 1]}):
+        with pytest.raises(AssertionError):
+            assert_same_tree(got, {"w": [0.5, 1]})
+
+
+def record():
+    cases = {
+        name: {"input": input_name, "flags": flags, "body": _body(input_name, flags)}
+        for name, (input_name, flags) in _cases().items()
+    }
+    GOLDEN.write_text(json.dumps(cases, sort_keys=True, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(record())
