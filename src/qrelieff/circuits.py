@@ -56,17 +56,18 @@ def cmp_flag(state: StateVector, index_register, bound: int, flag: int) -> State
         raise QReliefFError(
             f"bound {bound} outside [1, {1 << len(index_register)}]"
         )
-    idx = np.arange(state.dim)
-    flag_set = ((idx >> flag) & 1) == 1
-    if np.sum(np.abs(state.amplitudes[flag_set]) ** 2) > 1e-12:
+    k = len(index_register)
+    amps = state.amplitudes.copy()
+    # the flag on the middle axis, the register value (index_register[0] its
+    # least-significant bit) along the last
+    sub = state._split(amps, [flag, *index_register[::-1]])
+    block = sub.reshape(-1, 2, 1 << k)
+    if np.sum(np.abs(block[:, 1]) ** 2) > 1e-12:
         raise QReliefFError("flag qubit is not clear before comparison")
-    values = np.zeros(state.dim, dtype=np.int64)
-    for j, q in enumerate(index_register):
-        values |= ((idx >> q) & 1) << j
-    dst = np.where(values >= bound, idx ^ (1 << flag), idx)
-    amps = np.zeros_like(state.amplitudes)
-    amps[dst] = state.amplitudes
-    return StateVector(state.n_qubits, amps)
+    block[:, :, bound:] = block[:, ::-1, bound:].copy()
+    sub[...] = block.reshape(sub.shape)
+    # a permutation of a unit vector; skip the norm re-check
+    return StateVector(state.n_qubits, amps, _checked=True)
 
 
 def uniform_mod_n(n: int, bound: int) -> StateVector:
@@ -116,6 +117,12 @@ class EncodingLayout:
     def n_qubits(self) -> int:
         return 2 + self.n_feature_qubits
 
+    @property
+    def unitary(self) -> bool:
+        """Whether a gate list realizes the encoding: N must fill the feature
+        register, i.e. be a power of two, 2 or more."""
+        return self.n_features == 1 << self.n_feature_qubits
+
 
 def _check_feature_vector(v: np.ndarray):
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
@@ -159,7 +166,7 @@ def encode_sample_gates(v) -> list[GateOp]:
     v = np.asarray(v, dtype=float)
     _check_feature_vector(v)
     layout = EncodingLayout(len(v))
-    if len(v) != (1 << layout.n_feature_qubits):
+    if not layout.unitary:
         raise QReliefFError(
             "gate-list encoding requires a power-of-two feature count"
         )
@@ -284,10 +291,9 @@ def grover_iterate(
     )
 
 
-def grover_search_state(plan: GroverPlan, oracle: np.ndarray, w_gates=None) -> StateVector:
-    """W|0> followed by the plan's J iterations."""
-    if w_gates is None:
-        w_gates = [h(q) for q in range(plan.n)]
+def grover_search_state(plan: GroverPlan, oracle: np.ndarray) -> StateVector:
+    """H^n|0> followed by the plan's J iterations."""
+    w_gates = [h(q) for q in range(plan.n)]
     state = zero_state(plan.n)._run(w_gates)
     for _ in range(plan.J):
         state = grover_iterate(state, plan, oracle, w_gates)

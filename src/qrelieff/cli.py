@@ -182,22 +182,9 @@ def run_cli(argv, out=None) -> int:
             quantum = qrelieff_run(nd, cfg, RngStream(args.seed), stats)
             timing["quantum_s"] = time.perf_counter() - t0
 
+        # every flag but --output and --reproduce-program3, which shape no report body
         config_echo = {
-            "input": args.input,
-            "label_col": args.label_col,
-            "backend": args.backend,
-            "k": args.k,
-            "T": args.T,
-            "tau": args.tau,
-            "seed": args.seed,
-            "pick": args.pick,
-            "order": args.order,
-            "mode": args.mode,
-            "shots": args.shots,
-            "ae_bits": args.ae_bits,
-            "ae_circuit": args.ae_circuit,
-            "feature_kind": args.feature_kind,
-            "emit_iterations": bool(args.emit_iterations),
+            k: v for k, v in vars(args).items() if k not in ("output", "reproduce_program3")
         }
         dataset_info = {
             "n_samples": dataset.n_samples,

@@ -1,7 +1,11 @@
-"""The quantum feature-selection pipeline: amplitude encoding of every sample,
-swap-test similarity read out through amplitude estimation, and Grover-based
-nearest-neighbor search per class.  Weight update and selection are shared
-with the classical core.
+"""The quantum subroutines that plug into the shared ReliefF loop.
+
+For each pick, the similarity step swap-tests every encoded sample against
+the picked one and reads each result out through amplitude estimation
+(:func:`build_similarity_table`).  The neighbor step ranks each class by
+Grover extreme search over those readings (:func:`quantum_neighbors`).  The
+loop, the per-class neighbor walk, the weight update and the selection are
+:mod:`qrelieff.relieff`'s.
 """
 
 from __future__ import annotations
@@ -25,17 +29,16 @@ from .circuits import (
     swap_test_gates,
     swap_test_state,
 )
-from .errors import ConfigError, QReliefFError
+from .errors import ConfigError, DataError, QReliefFError
 from .relieff import (
     FeatureStats,
-    IterationRecord,
     NeighborSet,
     NormalizedDataset,
     ReliefFResult,
     RunConfig,
     check_has_miss_class,
-    pick_sequence,
-    update_weights,
+    neighbor_set,
+    run_iterations,
 )
 from .rng import RngStream
 from .statevector import GateOp, StateVector, swap
@@ -173,7 +176,7 @@ def _full_circuit_outcome(
     """The t-bit amplitude-estimation reading of the swap-test ancilla
     amplitude a = P(1) on :func:`_full_circuit_preparation`."""
     dist = amplitude_estimate(_full_circuit_preparation(nd, u, q), cfg.ae_bits)
-    if cfg.mode == "exact" or rng is None:
+    if cfg.mode == "exact":
         return modal_outcome(dist, cfg.ae_bits)
     y = rng.choice_weighted(dist / dist.sum())
     return AEOutcome(min(y, (1 << cfg.ae_bits) - y), cfg.ae_bits)
@@ -249,37 +252,20 @@ def quantum_neighbors(
     order: str,
     rng: RngStream,
 ) -> NeighborSet:
-    """Grover extreme search over each class's quantized similarities.
+    """:func:`neighbor_set` ranked by Grover extreme search over each class's
+    quantized similarities, on rng substream (c) for class c.
 
     ``max`` order searches for the largest quantized values (nearest under
     cosine-squared semantics); ties resolve to the lower sample index, matching
     the classical comparison on the same quantized keys.
     """
-    if order not in ("max", "min"):
-        raise ConfigError(f"neighbor order must be 'max' or 'min', got {order!r}")
-    u_class = int(labels[table.picked])
-    hits: list[int] = []
-    misses: dict[int, list[int]] = {}
-    for c, recs in sorted(table.records.items()):
-        candidates = [r for r in recs if not r.excluded]
-        if c == u_class and not candidates:
-            raise QReliefFError(
-                f"class {c} has no sample other than the picked one"
-            )
-        if not candidates:
-            misses[c] = []
-            continue
-        values = [r.s_quantized for r in candidates]
-        k_eff = min(k, len(candidates))
-        positions = quantum_extreme_search(
-            values, k_eff, order, rng.substream(int(c))
-        )
-        chosen = [candidates[p].sample for p in positions]
-        if c == u_class:
-            hits = chosen
-        else:
-            misses[c] = chosen
-    return NeighborSet(table.picked, hits, misses)
+
+    def top_k(c, candidates, k):
+        y = {r.sample: r.s_quantized for r in table.records[c]}
+        positions = quantum_extreme_search([y[q] for q in candidates], k, order, rng.substream(c))
+        return [candidates[p] for p in positions]
+
+    return neighbor_set(labels, table.picked, k, top_k)
 
 
 @dataclass
@@ -288,30 +274,27 @@ class QReliefFResult(ReliefFResult):
 
 
 def qrelieff_run(
-    nd: NormalizedDataset,
-    cfg: PipelineConfig,
-    rng: RngStream,
-    stats: FeatureStats | None = None,
+    nd: NormalizedDataset, cfg: PipelineConfig, rng: RngStream, stats: FeatureStats
 ) -> QReliefFResult:
-    """The full quantum loop: encode, swap-test + estimate, Grover neighbor
-    search, shared weight update; returns the 1/T averaged weights and a trace
-    sufficient to re-derive them offline.
+    """Quantum ReliefF: :func:`run_iterations` with the swap-test similarity
+    table of each pick (rng substream (1, t) in sampled mode) and Grover
+    neighbor search (substream (2, t)).  The result keeps every table, so the
+    trace re-derives the weights offline.
     """
-    check_has_miss_class(nd)
-    if stats is None:
-        stats = FeatureStats.from_matrix(nd.samples)
-    states = prepare_states(nd)
-    wt = np.zeros(nd.n_features)
-    trace: list[IterationRecord] = []
-    tables: list[SimilarityTable] = []
-    picks = pick_sequence(cfg, nd.n_samples, rng)
-    for t, u in enumerate(picks):
-        sim_rng = rng.substream(1, t) if cfg.mode == "sampled" else None
-        table = build_similarity_table(states, nd, u, cfg, sim_rng)
-        nb = quantum_neighbors(
-            table, nd.labels, cfg.k, cfg.neighbor_order, rng.substream(2, t)
+    check_has_miss_class(nd)  # before any encoding work
+    if cfg.ae_circuit == "full" and not EncodingLayout(nd.n_features).unitary:
+        raise DataError(
+            f"ae_circuit 'full' needs a power-of-two feature count of 2 or more, "
+            f"got N={nd.n_features}"
         )
-        wt = update_weights(wt, u, nb, nd, stats)
-        trace.append(IterationRecord(u, nb, wt.copy()))
-        tables.append(table)
-    return QReliefFResult(wt / cfg.T, trace, tables)
+    states = prepare_states(nd)
+    tables: list[SimilarityTable] = []
+
+    def neighbors(u, t):
+        sim_rng = rng.substream(1, t) if cfg.mode == "sampled" else None
+        tables.append(build_similarity_table(states, nd, u, cfg, sim_rng))
+        return quantum_neighbors(
+            tables[-1], nd.labels, cfg.k, cfg.neighbor_order, rng.substream(2, t)
+        )
+
+    return QReliefFResult(*run_iterations(nd, cfg, rng, stats, neighbors), tables)

@@ -12,7 +12,7 @@ probability of the same circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import pi
 
 from .errors import ConfigError
@@ -59,14 +59,7 @@ class Program3Result:
     published_p1: float = PUBLISHED_P1
 
     def as_dict(self):
-        return {
-            "exact_p1": self.exact_p1,
-            "run_means": self.run_means,
-            "sampled_mean": self.sampled_mean,
-            "shots": self.shots,
-            "runs": self.runs,
-            "published_p1": self.published_p1,
-        }
+        return asdict(self)
 
 
 def reproduce_program3(

@@ -1,6 +1,12 @@
-"""Classical ReliefF baseline and the numeric core shared with the quantum
-pipeline: row normalization, the per-feature diff measure, neighbor search by
-cosine-squared similarity, the weight update and threshold selection.
+"""The ReliefF loop of both backends and the classical baseline.
+
+:func:`run_iterations` is the one loop: pick, find neighbors, update, then
+the 1/T average.  :func:`neighbor_set` is the one per-class neighbor walk; a
+backend supplies only how it ranks one class's candidates.  The classical
+backend (:func:`relieff_run`) ranks by cosine-squared similarity; the quantum
+pipeline plugs in its similarity table and Grover search.  Also here: row
+normalization, the per-feature diff measure, the weight update and threshold
+selection.
 
 All weight arithmetic operates on normalized rows so the classical oracle and
 the quantum backend are directly comparable.
@@ -155,10 +161,29 @@ class NeighborSet:
         }
 
 
-def _ranked(candidates, sims, order: str) -> list[int]:
-    if order == "max":
-        return sorted(candidates, key=lambda q: (-sims[q], q))
-    return sorted(candidates, key=lambda q: (sims[q], q))
+def neighbor_set(labels: np.ndarray, u: int, k: int, top_k) -> NeighborSet:
+    """Hits and per-class misses of picked sample ``u``, for either backend.
+
+    In every class c, ``top_k(c, candidates, k)`` returns the chosen nearest
+    of ``candidates``: the class's members other than ``u``, in ascending
+    index order.  k is clamped to their count.  A picked sample that is the
+    only member of its class has no hit, which is an error.
+    """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    u_class = int(labels[u])
+    if np.count_nonzero(labels == u_class) < 2:
+        raise QReliefFError(f"class {u_class} has no sample other than the picked one")
+    hits: list[int] = []
+    misses: dict[int, list[int]] = {}
+    for c in range(int(labels.max()) + 1):
+        candidates = [int(q) for q in np.flatnonzero(labels == c) if q != u]
+        chosen = top_k(c, candidates, min(k, len(candidates)))
+        if c == u_class:
+            hits = chosen
+        else:
+            misses[c] = chosen
+    return NeighborSet(u, hits, misses)
 
 
 def find_neighbors(
@@ -167,29 +192,17 @@ def find_neighbors(
     """Per class, the k most similar samples to ``u`` under ``order``.
 
     ``max`` treats larger similarity as nearer; ``min`` is the inverted
-    reading.  Ties break toward the lower sample index; ``u`` never competes
-    in its own class; k is clamped to the available members.
+    reading.  Ties break toward the lower sample index.
     """
     if order not in ("max", "min"):
         raise ConfigError(f"neighbor order must be 'max' or 'min', got {order!r}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    u_class = int(nd.labels[u_index])
-    if nd.class_size(u_class) < 2:
-        raise QReliefFError(
-            f"class {u_class} has no sample other than the picked one"
-        )
-    sims = {q: similarity(nd.samples[u_index], nd.samples[q]) for q in range(nd.n_samples)}
-    hits = []
-    misses = {}
-    for c in range(nd.n_classes):
-        candidates = [int(q) for q in nd.class_members(c) if q != u_index]
-        chosen = _ranked(candidates, sims, order)[: min(k, len(candidates))]
-        if c == u_class:
-            hits = chosen
-        else:
-            misses[c] = chosen
-    return NeighborSet(u_index, hits, misses)
+    u = nd.samples[u_index]
+    sign = -1.0 if order == "max" else 1.0  # nearest sorts first
+
+    def top_k(c, candidates, k):
+        return sorted(candidates, key=lambda q: (sign * similarity(u, nd.samples[q]), q))[:k]
+
+    return neighbor_set(nd.labels, u_index, k, top_k)
 
 
 def update_weights(
@@ -279,20 +292,29 @@ class ReliefFResult:
         return select_features(self.average_weights, tau)
 
 
-def relieff_run(
-    nd: NormalizedDataset,
-    cfg: RunConfig,
-    rng: RngStream,
-    stats: FeatureStats | None = None,
-) -> ReliefFResult:
-    """T iterations of pick / find neighbors / update, then the 1/T average."""
+def run_iterations(
+    nd: NormalizedDataset, cfg: RunConfig, rng: RngStream, stats: FeatureStats, neighbors
+) -> tuple[np.ndarray, list[IterationRecord]]:
+    """The ReliefF loop of both backends: T iterations of pick / find
+    neighbors / update, then the 1/T average.
+
+    ``neighbors(u, t)`` returns the :class:`NeighborSet` of the t-th picked
+    sample u.  Returns the averaged weights and the per-iteration trace.
+    """
     check_has_miss_class(nd)
-    if stats is None:
-        stats = FeatureStats.from_matrix(nd.samples)
     wt = np.zeros(nd.n_features)
     trace = []
-    for u in pick_sequence(cfg, nd.n_samples, rng):
-        nb = find_neighbors(nd, u, cfg.k, cfg.neighbor_order)
+    for t, u in enumerate(pick_sequence(cfg, nd.n_samples, rng)):
+        nb = neighbors(u, t)
         wt = update_weights(wt, u, nb, nd, stats)
         trace.append(IterationRecord(u, nb, wt.copy()))
-    return ReliefFResult(wt / cfg.T, trace)
+    return wt / cfg.T, trace
+
+
+def relieff_run(
+    nd: NormalizedDataset, cfg: RunConfig, rng: RngStream, stats: FeatureStats
+) -> ReliefFResult:
+    """Classical ReliefF: :func:`run_iterations` with :func:`find_neighbors`."""
+    return ReliefFResult(*run_iterations(
+        nd, cfg, rng, stats, lambda u, t: find_neighbors(nd, u, cfg.k, cfg.neighbor_order)
+    ))

@@ -1,7 +1,7 @@
 """Reference implementations that the simulator's fast paths replaced.
 
-The gate kernel here builds ``np.arange(dim)`` index masks and gathers with
-fancy indexing; amplitude estimation applies the controlled Grover operator
+The gate kernel and the comparator here build ``np.arange(dim)`` index masks
+and gather or scatter with fancy indexing; amplitude estimation applies the controlled Grover operator
 2^j times for readout qubit j on the whole (p+t)-qubit state; the (inverse)
 QFT is a dense DFT matrix.  All are slow but transparent, and the equivalence
 tests hold the package to them.
@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from qrelieff.circuits import Preparation, reduced_preparation, swap_test_gates
+from qrelieff.errors import QReliefFError
 from qrelieff.statevector import GateOp, StateVector, _normalize_controls
 
 
@@ -53,6 +54,23 @@ def apply(state: StateVector, gate: GateOp) -> StateVector:
         amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
         amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
     return StateVector(state.n_qubits, amps, _checked=True)
+
+
+def cmp_flag(state: StateVector, index_register, bound: int, flag: int) -> StateVector:
+    """Set ``flag`` where the register value is >= bound, through O(2^n)
+    int64 index arrays and a scatter."""
+    index_register = [int(q) for q in index_register]
+    idx = np.arange(state.dim)
+    flag_set = ((idx >> flag) & 1) == 1
+    if np.sum(np.abs(state.amplitudes[flag_set]) ** 2) > 1e-12:
+        raise QReliefFError("flag qubit is not clear before comparison")
+    values = np.zeros(state.dim, dtype=np.int64)
+    for j, q in enumerate(index_register):
+        values |= ((idx >> q) & 1) << j
+    dst = np.where(values >= bound, idx ^ (1 << flag), idx)
+    amps = np.zeros_like(state.amplitudes)
+    amps[dst] = state.amplitudes
+    return StateVector(state.n_qubits, amps)
 
 
 def apply_all(state: StateVector, gates) -> StateVector:

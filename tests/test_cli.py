@@ -237,6 +237,76 @@ class TestOneClassInput:
         assert "data error: ReliefF needs at least 2 classes" in capsys.readouterr().err
 
 
+class TestFullCircuitFeatureCount:
+    """The ``full`` circuit encodes by gate list, which needs N a power of two
+    (2 or more); any other N is a data error before any sample is encoded."""
+
+    @pytest.fixture(params=[1, 3, 6], ids=lambda n: f"N={n}")
+    def csv_path(self, request, tmp_path):
+        n = request.param
+        rng = np.random.default_rng(n)
+        header = ",".join(f"f{i}" for i in range(n)) + ",class"
+        rows = [",".join(f"{v:.3f}" for v in rng.random(n) + 0.1) + f",{c}" for c in "AABB"]
+        p = tmp_path / "features.csv"
+        p.write_text("\n".join([header, *rows]) + "\n")
+        return str(p), n
+
+    @pytest.fixture
+    def no_encoding(self, monkeypatch):
+        def prepare_states(nd):
+            raise AssertionError("samples encoded before the feature count was checked")
+
+        monkeypatch.setattr("qrelieff.pipeline.prepare_states", prepare_states)
+
+    @pytest.mark.parametrize("entry", ["library", "quantum", "both"])
+    def test_data_error_names_n(self, csv_path, no_encoding, capsys, entry):
+        path, n = csv_path
+        message = f"power-of-two feature count of 2 or more, got N={n}"
+        if entry == "library":
+            nd, stats = normalize(load_csv(path)[0])
+            with pytest.raises(DataError, match=message):
+                qrelieff_run(nd, PipelineConfig(ae_circuit="full"), RngStream(0), stats)
+            return
+        assert run(["--input", path, "--backend", entry, "--ae-circuit", "full"]) == (3, "")
+        assert f"data error: ae_circuit 'full' needs a {message}" in capsys.readouterr().err
+
+
+class TestSingletonPickedClass:
+    """A picked sample alone in its class has no hit: every path raises the
+    same error (round-robin picks sample 0, the only member of class A)."""
+
+    MESSAGE = "class 0 has no sample other than the picked one"
+
+    @pytest.fixture
+    def csv_path(self, tmp_path):
+        p = tmp_path / "singleton.csv"
+        p.write_text("a,b,class\n1,0,A\n0,1,B\n1,1,B\n")
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "run_fn, cfg",
+        [
+            (relieff_run, RunConfig(pick_policy="round-robin")),
+            (qrelieff_run, PipelineConfig(pick_policy="round-robin")),
+            (qrelieff_run, PipelineConfig(pick_policy="round-robin", mode="sampled")),
+            (qrelieff_run, PipelineConfig(pick_policy="round-robin", ae_circuit="full")),
+        ],
+        ids=["classical", "quantum-exact", "quantum-sampled", "quantum-full"],
+    )
+    def test_library_run(self, csv_path, run_fn, cfg):
+        nd, stats = normalize(load_csv(csv_path)[0])
+        with pytest.raises(QReliefFError) as info:
+            run_fn(nd, cfg, RngStream(0), stats)
+        assert type(info.value) is QReliefFError
+        assert str(info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("backend", ["classical", "quantum", "both"])
+    def test_cli_exit_code(self, csv_path, capsys, backend):
+        flags = ["--input", csv_path, "--backend", backend, "--pick", "round-robin"]
+        assert run(flags) == (3, "")
+        assert f"error: {self.MESSAGE}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def report(fixture_path):
     code, out = run(

@@ -3,8 +3,9 @@ against the index-mask kernel and the controlled-G loop they replaced, the
 in-place gate lists (``apply_all``, the swap test, the Grover iteration and
 orbit) bit for bit against one new state per gate, the orbit by repeated
 squaring against the orbit step by step, the FFT QFT against the dense
-DFT matrix, and the ``full`` circuit's preparation against the same circuit
-padded with a sample-index register."""
+DFT matrix, the ``full`` circuit's preparation against the same circuit
+padded with a sample-index register, and the comparator ``cmp_flag`` bit for
+bit against its index-array scatter."""
 
 import math
 
@@ -20,6 +21,7 @@ from qrelieff.circuits import (
     _grover_orbit,
     _grover_orbit_by_squaring,
     amplitude_estimate,
+    cmp_flag,
     encode_sample,
     encode_sample_gates,
     fold_distribution,
@@ -33,6 +35,7 @@ from qrelieff.circuits import (
     swap_test_gates,
     swap_test_state,
 )
+from qrelieff.errors import QReliefFError
 from qrelieff.pipeline import _full_circuit_preparation
 from qrelieff.program3 import RESULT_QUBIT, final_state
 from qrelieff.relieff import NormalizedDataset
@@ -304,3 +307,30 @@ def test_full_circuit_preparation_matches_padded_preparation(data):
     got, want = amplitude_estimate(narrow, t), amplitude_estimate(padded, t)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
     assert modal_outcome(got, t).y == modal_outcome(want, t).y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cmp_flag_is_bit_identical_to_index_scatter(data):
+    n = data.draw(st.integers(2, 8))
+    order = data.draw(st.permutations(range(n)))
+    flag, register = order[0], order[1:1 + data.draw(st.integers(1, n - 1))]
+    bound = data.draw(st.integers(1, 1 << len(register)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < 0.3] = 0.0
+    flag_set = ((np.arange(1 << n) >> flag) & 1) == 1
+    if data.draw(st.booleans()):  # clear the flag, with zeros of either sign
+        parts = amps.view(float).reshape(-1, 2)
+        parts[flag_set] = rng.choice([-0.0, 0.0], size=(int(flag_set.sum()), 2))
+    if not np.any(amps):
+        amps[0] = 1.0
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    try:
+        want = ref.cmp_flag(state, register, bound, flag)
+    except QReliefFError as exc:
+        with pytest.raises(QReliefFError, match=str(exc)):
+            cmp_flag(state, register, bound, flag)
+        return
+    got = cmp_flag(state, register, bound, flag)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()

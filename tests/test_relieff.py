@@ -18,7 +18,7 @@ from qrelieff import (
     similarity,
     update_weights,
 )
-from qrelieff.relieff import diff_vector, pick_sequence
+from qrelieff.relieff import diff_vector, neighbor_set, pick_sequence
 
 from conftest import EXAMPLE_FEATURES, EXAMPLE_LABELS, EXAMPLE_ROWS
 
@@ -171,6 +171,37 @@ class TestFindNeighbors:
         nd, _ = example_normalized
         with pytest.raises(ConfigError):
             find_neighbors(nd, 0, 1, "middle")
+
+
+class TestNeighborSet:
+    """The per-class walk both backends share; only ``top_k`` differs."""
+
+    LABELS = np.array([0, 0, 1, 1, 1, 2])
+
+    def test_each_class_gets_its_candidates_and_clamped_k(self):
+        calls = []
+
+        def top_k(c, candidates, k):
+            calls.append((c, candidates, k))
+            return candidates[::-1][:k]
+
+        nb = neighbor_set(self.LABELS, 1, 2, top_k)
+        assert calls == [(0, [0], 1), (1, [2, 3, 4], 2), (2, [5], 1)]
+        assert (nb.u_index, nb.hits, nb.misses) == (1, [0], {1: [4, 3], 2: [5]})
+
+    @pytest.mark.parametrize(
+        "u, k, error, message",
+        [
+            (5, 1, QReliefFError, "class 2 has no sample other than the picked one"),
+            (0, 0, ConfigError, "k must be >= 1, got 0"),
+        ],
+    )
+    def test_rejected_before_any_ranking(self, u, k, error, message):
+        def top_k(c, candidates, k):
+            raise AssertionError("ranked a class of a rejected pick")
+
+        with pytest.raises(error, match=message):
+            neighbor_set(self.LABELS, u, k, top_k)
 
 
 class TestUpdateWeights:
