@@ -28,7 +28,7 @@ from .errors import (
     QReliefFError,
     SearchFailedError,
 )
-from .pipeline import PipelineConfig, qrelieff_run
+from .pipeline import PipelineConfig, check_quantum_input, qrelieff_run
 from .program3 import reproduce_program3
 from .relieff import Dataset, normalize, relieff_run
 from .rng import RngStream
@@ -171,6 +171,8 @@ def run_cli(argv, out=None) -> int:
         dataset, class_names = load_csv(args.input, args.label_col)
         nd, stats = normalize(dataset, args.feature_kind)
 
+        if args.backend in ("quantum", "both"):
+            check_quantum_input(nd, cfg)  # before the classical run, so a bad input costs nothing
         timing = {}
         classical = quantum = None
         if args.backend in ("classical", "both"):

@@ -273,6 +273,18 @@ class QReliefFResult(ReliefFResult):
     tables: list[SimilarityTable]
 
 
+def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
+    """Reject, before any work, an input the quantum backend cannot run: one
+    class (no miss class), or the ``full`` circuit on a feature count that is
+    not a power of two of 2 or more."""
+    check_has_miss_class(nd)
+    if cfg.ae_circuit == "full" and not EncodingLayout(nd.n_features).unitary:
+        raise DataError(
+            f"ae_circuit 'full' needs a power-of-two feature count of 2 or more, "
+            f"got N={nd.n_features}"
+        )
+
+
 def qrelieff_run(
     nd: NormalizedDataset, cfg: PipelineConfig, rng: RngStream, stats: FeatureStats
 ) -> QReliefFResult:
@@ -281,12 +293,7 @@ def qrelieff_run(
     neighbor search (substream (2, t)).  The result keeps every table, so the
     trace re-derives the weights offline.
     """
-    check_has_miss_class(nd)  # before any encoding work
-    if cfg.ae_circuit == "full" and not EncodingLayout(nd.n_features).unitary:
-        raise DataError(
-            f"ae_circuit 'full' needs a power-of-two feature count of 2 or more, "
-            f"got N={nd.n_features}"
-        )
+    check_quantum_input(nd, cfg)  # before any encoding work
     states = prepare_states(nd)
     tables: list[SimilarityTable] = []
 

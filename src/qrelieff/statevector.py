@@ -4,10 +4,15 @@ Conventions used throughout the package:
 
 * Qubit ``j`` is the least-significant bit ``j`` of the basis index, i.e.
   basis index of a bitstring ``b`` is ``sum(b_j * 2**j)``.
-* Gate application is functional: every operation returns a new
-  :class:`StateVector`; inputs are never mutated.  :meth:`StateVector.apply_all`
-  copies the amplitudes once and runs the whole gate list in place on that
-  private copy.
+* Gate application never mutates its input: :meth:`StateVector.apply`
+  returns a new :class:`StateVector` unless the caller owns the buffer and
+  asks for in-place work, and :meth:`StateVector.apply_all` copies the
+  amplitudes once and runs the whole gate list in place on that private copy.
+* Each gate kind has its own kernel on :meth:`StateVector._split`'s view:
+  X exchanges the two target halves, H is a two-multiply butterfly, SWAP
+  exchanges the 10 and 01 branches, Phase scales the 1 half, and Ry runs in
+  place.  X and H may flip the sign of an exact zero amplitude relative to
+  the matrix product; values and probabilities are unchanged.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
   through :meth:`StateVector.sample`.
 """
@@ -209,10 +214,25 @@ class StateVector:
             sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
         elif gate.kind == "phase":
             sub[..., 1] *= np.exp(1j * gate.angle)
+        elif gate.kind == "x":
+            sub[..., 0], sub[..., 1] = sub[..., 1], sub[..., 0].copy()
+        elif gate.kind == "h":
+            # butterfly: r a0 + r a1 and r a0 - r a1, one temporary
+            a0, a1, r = sub[..., 0], sub[..., 1], _H[0, 0]
+            t = r * a0
+            np.multiply(r, a1, out=a1)
+            np.add(t, a1, out=a0)
+            np.subtract(t, a1, out=a1)
         else:
+            # u00 a0 + u01 a1 and u11 a1 + u10 a0 in place: the matrix product's
+            # own products (scalar first) and sums, so its bytes too
             u = gate.matrix()
             a0, a1 = sub[..., 0], sub[..., 1]
-            a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
+            t = u[1, 0] * a0
+            np.multiply(u[0, 0], a0, out=a0)
+            a0 += u[0, 1] * a1
+            np.multiply(u[1, 1], a1, out=a1)
+            a1 += t
         if _in_place:
             return self
         # unitary by construction; skip the norm re-check
@@ -246,15 +266,6 @@ class StateVector:
         # targets[0] on the last axis: each row of the block is one register value
         sub = self._split(amps, targets[::-1], _normalize_controls(controls))
         sub[...] = (sub.reshape(-1, 1 << k) @ u.T).reshape(sub.shape)
-        return StateVector(self.n_qubits, amps, _checked=True)
-
-    def phase_on_indices(self, sel: np.ndarray, phi: float) -> "StateVector":
-        """Multiply amplitudes at the selected basis indices by e^{i phi}.
-
-        ``sel`` is a boolean mask over basis indices (a diagonal phase gate).
-        """
-        amps = self.amplitudes.copy()
-        amps[sel] *= np.exp(1j * phi)
         return StateVector(self.n_qubits, amps, _checked=True)
 
     # -- measurement ---------------------------------------------------------

@@ -10,6 +10,9 @@ The swap-test composite, the Grover iteration and the Grover orbit below are
 the same circuits with one new state per gate (``StateVector.apply``) and
 full-length index masks; the package runs them in place on one buffer and must
 match them bit for bit.
+
+``apply_stride`` is the stride-view kernel with one expression for every
+2x2 gate, which the per-kind kernels of ``StateVector.apply`` replaced.
 """
 
 import math
@@ -53,6 +56,30 @@ def apply(state: StateVector, gate: GateOp) -> StateVector:
         a0, a1 = amps[i0], amps[i1].copy()
         amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
         amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+    return StateVector(state.n_qubits, amps, _checked=True)
+
+
+def apply_stride(state: StateVector, gate: GateOp) -> StateVector:
+    """U|state> for one gate on ``StateVector._split``'s view, with four
+    products per 2x2 gate."""
+    amps = state.amplitudes.copy()
+    sub = state._split(amps, gate.targets, gate.controls)
+    if gate.kind == "swap":
+        sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
+    elif gate.kind == "phase":
+        sub[..., 1] *= np.exp(1j * gate.angle)
+    else:
+        u = gate.matrix()
+        a0, a1 = sub[..., 0], sub[..., 1]
+        a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
+    return StateVector(state.n_qubits, amps, _checked=True)
+
+
+def phase_on_indices(state: StateVector, sel: np.ndarray, phi: float) -> StateVector:
+    """Multiply the amplitudes at the basis indices selected by the boolean
+    mask ``sel`` by e^{i phi} (a diagonal phase gate)."""
+    amps = state.amplitudes.copy()
+    amps[sel] *= np.exp(1j * phi)
     return StateVector(state.n_qubits, amps, _checked=True)
 
 
@@ -130,10 +157,10 @@ def _controlled_g(state: StateVector, prep: Preparation, control: int) -> StateV
         inv = g.inverse()
         state = apply(state, GateOp(inv.kind, inv.targets, inv.controls + ctrl, inv.angle))
     prep_bits = (1 << prep.n_qubits) - 1
-    state = state.phase_on_indices(on & ((idx & prep_bits) == 0), math.pi)
+    state = phase_on_indices(state, on & ((idx & prep_bits) == 0), math.pi)
     for g in prep.gates:
         state = apply(state, GateOp(g.kind, g.targets, g.controls + ctrl, g.angle))
-    return state.phase_on_indices(on, math.pi)
+    return phase_on_indices(state, on, math.pi)
 
 
 def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.ndarray:
@@ -183,12 +210,12 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
 
 def grover_iterate(state: StateVector, phi: float, oracle: np.ndarray, w_gates) -> StateVector:
     """G = -W I0 W^-1 O, with I0 as a full-length mask."""
-    state = state.phase_on_indices(oracle, phi)
+    state = phase_on_indices(state, oracle, phi)
     for g in reversed(w_gates):
         state = state.apply(g.inverse())
     zeros = np.zeros(state.dim, dtype=bool)
     zeros[0] = True
-    state = state.phase_on_indices(zeros, phi)
+    state = phase_on_indices(state, zeros, phi)
     for g in w_gates:
         state = state.apply(g)
     return StateVector(state.n_qubits, -state.amplitudes)
@@ -206,10 +233,10 @@ def grover_orbit(prep: Preparation, t: int) -> np.ndarray:
         state = state.apply(g)
     orbit[0] = state.amplitudes
     for y in range(1, 1 << t):
-        state = state.phase_on_indices(flag, math.pi)
+        state = phase_on_indices(state, flag, math.pi)
         for g in reversed(prep.gates):
             state = state.apply(g.inverse())
-        state = state.phase_on_indices(zero, math.pi)
+        state = phase_on_indices(state, zero, math.pi)
         for g in prep.gates:
             state = state.apply(g)
         orbit[y] = -state.amplitudes

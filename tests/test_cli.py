@@ -198,6 +198,22 @@ class TestRunCli:
         assert args.label_col == "class"
 
 
+@pytest.fixture
+def backend_calls(monkeypatch):
+    """Counts the CLI's calls of each backend; the backends still run."""
+    calls = {"classical": 0, "quantum": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("qrelieff.cli.relieff_run", counted("classical", relieff_run))
+    monkeypatch.setattr("qrelieff.cli.qrelieff_run", counted("quantum", qrelieff_run))
+    return calls
+
+
 class TestOneClassInput:
     """ReliefF needs a miss class, so one class is a data error on every path."""
 
@@ -236,6 +252,12 @@ class TestOneClassInput:
         assert run(["--input", one_class_csv, *flags]) == (3, "")
         assert "data error: ReliefF needs at least 2 classes" in capsys.readouterr().err
 
+    def test_cli_rejects_before_either_backend(self, one_class_csv, capsys, backend_calls):
+        flags = ["--backend", "both", "--ae-circuit", "full", "--ae-bits", "10"]
+        assert run(["--input", one_class_csv, *flags]) == (3, "")
+        assert "data error: ReliefF needs at least 2 classes" in capsys.readouterr().err
+        assert backend_calls == {"classical": 0, "quantum": 0}
+
 
 class TestFullCircuitFeatureCount:
     """The ``full`` circuit encodes by gate list, which needs N a power of two
@@ -269,6 +291,15 @@ class TestFullCircuitFeatureCount:
             return
         assert run(["--input", path, "--backend", entry, "--ae-circuit", "full"]) == (3, "")
         assert f"data error: ae_circuit 'full' needs a {message}" in capsys.readouterr().err
+
+    def test_cli_rejects_before_either_backend(self, csv_path, capsys, backend_calls):
+        path, n = csv_path
+        assert run(["--input", path, "--backend", "both", "--ae-circuit", "full"]) == (3, "")
+        assert (
+            f"data error: ae_circuit 'full' needs a power-of-two feature count of 2 or more, "
+            f"got N={n}" in capsys.readouterr().err
+        )
+        assert backend_calls == {"classical": 0, "quantum": 0}
 
 
 class TestSingletonPickedClass:

@@ -1,5 +1,6 @@
 """The stride-view gate kernel and the Grover-orbit amplitude estimation
 against the index-mask kernel and the controlled-G loop they replaced, the
+per-kind gate kernels against the one-expression stride-view kernel, the
 in-place gate lists (``apply_all``, the swap test, the Grover iteration and
 orbit) bit for bit against one new state per gate, the orbit by repeated
 squaring against the orbit step by step, the FFT QFT against the dense
@@ -46,11 +47,15 @@ TOL = 1e-12
 PROGRAM3_EXACT_P1 = 0.49999999999999933
 
 
+GATE_KINDS = ["h", "x", "ry", "phase", "swap"]
+
+
 @st.composite
-def gates(draw, n_qubits: int):
-    """One primitive gate with random kind, targets, controls and polarities."""
-    kinds = ["h", "x", "ry", "phase"] + (["swap"] if n_qubits > 1 else [])
-    kind = draw(st.sampled_from(kinds))
+def gates(draw, n_qubits: int, kind: str | None = None):
+    """One primitive gate with random (or the given) kind, targets, controls
+    and polarities."""
+    if kind is None:
+        kind = draw(st.sampled_from(GATE_KINDS if n_qubits > 1 else GATE_KINDS[:-1]))
     order = draw(st.permutations(range(n_qubits)))
     n_targets = 2 if kind == "swap" else 1
     n_controls = draw(st.integers(0, n_qubits - n_targets))
@@ -70,6 +75,20 @@ def states(draw, n_qubits: int):
 
 
 @st.composite
+def states_with_zeros(draw, n_qubits: int):
+    """A random state whose real and imaginary parts are +0.0 or -0.0 at
+    random positions (none, some or nearly all of them)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.normal(size=(1 << n_qubits, 2))
+    zeros = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.3, 0.7, 0.95]))
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    if not parts.any():
+        parts[rng.integers(1 << n_qubits), 0] = -1.0
+    parts /= math.sqrt(np.sum(parts**2))  # real division keeps each zero's sign
+    return StateVector(n_qubits, parts.view(complex).ravel())
+
+
+@st.composite
 def circuits(draw, max_qubits=10, max_gates=12):
     n = draw(st.integers(1, max_qubits))
     return draw(states(n)), draw(st.lists(gates(n), min_size=1, max_size=max_gates))
@@ -83,6 +102,31 @@ def test_gate_sequences_match_reference(case):
     for gate in sequence:
         fast, slow = fast.apply(gate), ref.apply(slow, gate)
     np.testing.assert_allclose(fast.amplitudes, slow.amplitudes, rtol=0, atol=TOL)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_gate_kernels_match_stride_reference(kind, data):
+    """Equal values and bit-identical probabilities for every kind; bit-identical
+    amplitudes for Ry, Phase and SWAP.  X and H may flip an exact zero's sign."""
+    n = data.draw(st.integers(2 if kind == "swap" else 1, 10))
+    state = data.draw(states_with_zeros(n))
+    gate = data.draw(gates(n, kind))
+    before = state.amplitudes.copy()
+    fast, slow = state.apply(gate), ref.apply_stride(state, gate)
+    assert np.array_equal(_bits(state.amplitudes), _bits(before))  # input untouched
+    assert np.array_equal(fast.amplitudes, slow.amplitudes)
+    assert np.array_equal(_bits(np.abs(fast.amplitudes) ** 2), _bits(np.abs(slow.amplitudes) ** 2))
+    if kind in ("ry", "phase", "swap"):
+        assert np.array_equal(_bits(fast.amplitudes), _bits(slow.amplitudes))
+    own = StateVector(n, before.copy(), _checked=True)
+    assert own.apply(gate, _in_place=True) is own
+    assert np.array_equal(_bits(own.amplitudes), _bits(fast.amplitudes))
 
 
 @settings(max_examples=100, deadline=None)
