@@ -56,6 +56,7 @@ from .statevector import (
     phase,
     ry,
     swap,
+    swap_registers,
     x,
     zero_state,
 )

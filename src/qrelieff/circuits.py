@@ -31,6 +31,7 @@ from .statevector import (
     h,
     ry,
     swap,
+    swap_registers,
     x,
     zero_state,
 )
@@ -210,14 +211,12 @@ def swap_test(a: StateVector, b: StateVector, swap_qubits=None) -> float:
 
 
 def swap_test_gates(m: int, swap_qubits=None) -> list[GateOp]:
-    """Gate list of the swap test on two m-qubit registers plus top ancilla."""
-    if swap_qubits is None:
-        swap_qubits = range(m)
+    """Gate list of the swap test on two m-qubit registers plus top ancilla:
+    H, one controlled register swap of the selected pairs, H."""
+    b_qubits = list(range(m) if swap_qubits is None else swap_qubits)
     anc = 2 * m
-    gates = [h(anc)]
-    gates.extend(swap(m + q, q, controls=[(anc, 1)]) for q in swap_qubits)
-    gates.append(h(anc))
-    return gates
+    cswap = swap_registers([m + q for q in b_qubits], b_qubits, controls=[anc])
+    return [h(anc), cswap, h(anc)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,10 @@ class Dataset:
         if bad.size:
             row, col = bad[0]
             raise QReliefFError(f"non-finite sample value at row {row}, column {col}")
-        present = np.unique(self.labels)
-        if not np.array_equal(present, np.arange(len(present))):
+        # dense: sorted labels start at 0 and never skip a value (np.unique
+        # would import numpy.ma on its first call)
+        ordered = np.sort(self.labels)
+        if ordered[0] != 0 or np.any(np.diff(ordered) > 1):
             raise QReliefFError("labels must be dense class ids 0..P-1")
 
     @property
@@ -104,11 +106,13 @@ class FeatureStats:
         elif kind == "continuous":
             discrete = np.zeros(n, dtype=bool)
         else:
-            discrete = np.empty(n, dtype=bool)
-            for i in range(n):
-                nonzero = np.unique(np.round(matrix[:, i], 12))
-                nonzero = nonzero[np.abs(nonzero) > 1e-12]
-                discrete[i] = len(nonzero) <= 1
+            # at most one distinct rounded nonzero value per column; a column
+            # with none has hi = -inf < lo = +inf
+            rounded = np.round(matrix, 12)
+            nonzero = np.abs(rounded) > 1e-12
+            hi = np.where(nonzero, rounded, -np.inf).max(axis=0)
+            lo = np.where(nonzero, rounded, np.inf).min(axis=0)
+            discrete = hi <= lo
         return cls(mins, maxs, discrete)
 
 

@@ -13,15 +13,17 @@ match them bit for bit.
 
 ``apply_stride`` is the stride-view kernel with one expression for every
 2x2 gate, which the per-kind kernels of ``StateVector.apply`` replaced.
+``swap_test_gates`` is the swap test with one controlled SWAP per qubit pair,
+which the controlled register swap replaced.
 """
 
 import math
 
 import numpy as np
 
-from qrelieff.circuits import Preparation, reduced_preparation, swap_test_gates
+from qrelieff.circuits import Preparation, reduced_preparation
 from qrelieff.errors import QReliefFError
-from qrelieff.statevector import GateOp, StateVector, _normalize_controls
+from qrelieff.statevector import GateOp, StateVector, _normalize_controls, h, swap
 
 
 def _controls_mask(n_qubits: int, controls) -> np.ndarray:
@@ -38,11 +40,11 @@ def apply(state: StateVector, gate: GateOp) -> StateVector:
     amps = state.amplitudes.copy()
     idx = np.arange(state.dim)
     if gate.kind == "swap":
-        a, b = gate.targets
-        sel = mask & (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 0)
-        src = idx[sel]
-        dst = src ^ ((1 << a) | (1 << b))
-        amps[src], amps[dst] = amps[dst], amps[src].copy()
+        for a, b in zip(gate.targets[::2], gate.targets[1::2]):
+            sel = mask & (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 0)
+            src = idx[sel]
+            dst = src ^ ((1 << a) | (1 << b))
+            amps[src], amps[dst] = amps[dst], amps[src].copy()
     elif gate.kind == "phase":
         (t,) = gate.targets
         sel = mask & (((idx >> t) & 1) == 1)
@@ -63,10 +65,13 @@ def apply_stride(state: StateVector, gate: GateOp) -> StateVector:
     """U|state> for one gate on ``StateVector._split``'s view, with four
     products per 2x2 gate."""
     amps = state.amplitudes.copy()
+    if gate.kind == "swap":  # one pair at a time
+        for pair in zip(gate.targets[::2], gate.targets[1::2]):
+            sub = state._split(amps, pair, gate.controls)
+            sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
+        return StateVector(state.n_qubits, amps, _checked=True)
     sub = state._split(amps, gate.targets, gate.controls)
-    if gate.kind == "swap":
-        sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
-    elif gate.kind == "phase":
+    if gate.kind == "phase":
         sub[..., 1] *= np.exp(1j * gate.angle)
     else:
         u = gate.matrix()
@@ -197,6 +202,17 @@ def fold_distribution(dist: np.ndarray) -> np.ndarray:
     for m in range(1, half):
         folded[m] = dist[m] + dist[len(dist) - m]
     return folded
+
+
+def swap_test_gates(m: int, swap_qubits=None) -> list[GateOp]:
+    """H, one controlled SWAP per selected qubit pair, H."""
+    if swap_qubits is None:
+        swap_qubits = range(m)
+    anc = 2 * m
+    gates = [h(anc)]
+    gates.extend(swap(m + q, q, controls=[(anc, 1)]) for q in swap_qubits)
+    gates.append(h(anc))
+    return gates
 
 
 def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVector:

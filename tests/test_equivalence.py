@@ -1,14 +1,16 @@
 """The stride-view gate kernel and the Grover-orbit amplitude estimation
 against the index-mask kernel and the controlled-G loop they replaced, the
 per-kind gate kernels against the one-expression stride-view kernel, the
-in-place gate lists (``apply_all``, the swap test, the Grover iteration and
-orbit) bit for bit against one new state per gate, the orbit by repeated
-squaring against the orbit step by step, the FFT QFT against the dense
-DFT matrix, the ``full`` circuit's preparation against the same circuit
-padded with a sample-index register, and the comparator ``cmp_flag`` bit for
-bit against its index-array scatter."""
+register swap against its pairs swapped one at a time, the in-place gate
+lists (``apply_all``, the swap test, the Grover iteration and orbit) bit for
+bit against one new state per gate, the orbit by repeated squaring against
+the orbit step by step, the FFT QFT against the dense DFT matrix, the
+``full`` circuit's preparation against the same circuit padded with a
+sample-index register and against per-pair swaps, and the comparator
+``cmp_flag`` bit for bit against its index-array scatter."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +38,14 @@ from qrelieff.circuits import (
     swap_test_gates,
     swap_test_state,
 )
+from qrelieff.cli import load_csv
 from qrelieff.errors import QReliefFError
 from qrelieff.pipeline import _full_circuit_preparation
 from qrelieff.program3 import RESULT_QUBIT, final_state
-from qrelieff.relieff import NormalizedDataset
-from qrelieff.statevector import GateOp, StateVector, h, swap, x
+from qrelieff.relieff import NormalizedDataset, normalize
+from qrelieff.statevector import GateOp, StateVector, h, swap, swap_registers, x
+
+DATA = Path(__file__).parent / "data"
 
 TOL = 1e-12
 # Program 3's exact P(1) as computed by the index-mask kernel.
@@ -53,11 +58,11 @@ GATE_KINDS = ["h", "x", "ry", "phase", "swap"]
 @st.composite
 def gates(draw, n_qubits: int, kind: str | None = None):
     """One primitive gate with random (or the given) kind, targets, controls
-    and polarities."""
+    and polarities; a SWAP has 1 to n/2 pairs."""
     if kind is None:
         kind = draw(st.sampled_from(GATE_KINDS if n_qubits > 1 else GATE_KINDS[:-1]))
     order = draw(st.permutations(range(n_qubits)))
-    n_targets = 2 if kind == "swap" else 1
+    n_targets = 2 * draw(st.integers(1, n_qubits // 2)) if kind == "swap" else 1
     n_controls = draw(st.integers(0, n_qubits - n_targets))
     controls = tuple(
         (q, draw(st.integers(0, 1))) for q in order[n_targets:n_targets + n_controls]
@@ -127,6 +132,29 @@ def test_gate_kernels_match_stride_reference(kind, data):
     own = StateVector(n, before.copy(), _checked=True)
     assert own.apply(gate, _in_place=True) is own
     assert np.array_equal(_bits(own.amplitudes), _bits(fast.amplitudes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_register_swap_matches_pairs_one_at_a_time(data):
+    """One transposition gives the bytes of its k pairs swapped in turn."""
+    n = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(1, n // 2))
+    order = data.draw(st.permutations(range(n)))
+    n_controls = data.draw(st.integers(0, n - 2 * k))
+    controls = tuple(
+        (q, data.draw(st.integers(0, 1))) for q in order[2 * k:2 * k + n_controls]
+    )
+    state = data.draw(states_with_zeros(n))
+    gate = swap_registers(order[:k], order[k:2 * k], controls)
+    before = state.amplitudes.copy()
+    want = ref.apply_stride(state, gate)  # one pair at a time
+    got = state.apply(gate)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert state.amplitudes.tobytes() == before.tobytes()  # input untouched
+    own = StateVector(n, before.copy(), _checked=True)
+    assert own.apply(gate, _in_place=True) is own
+    assert own.amplitudes.tobytes() == got.amplitudes.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,6 +379,23 @@ def test_full_circuit_preparation_matches_padded_preparation(data):
     got, want = amplitude_estimate(narrow, t), amplitude_estimate(padded, t)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
     assert modal_outcome(got, t).y == modal_outcome(want, t).y
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_full_circuit_ae_matches_per_qubit_swaps(t):
+    # the full circuit's swap test as one register swap and as one controlled
+    # SWAP per qubit pair: the same estimation distribution, bit for bit
+    nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
+    m = EncodingLayout(nd.n_features).n_qubits
+    for u in range(nd.n_samples):
+        for q in range(nd.n_samples):
+            prep = _full_circuit_preparation(nd, u, q)
+            assert list(prep.gates[-3:]) == swap_test_gates(m)
+            per_qubit = Preparation(
+                prep.gates[:-3] + tuple(ref.swap_test_gates(m)), prep.n_qubits, prep.flag
+            )
+            got, want = amplitude_estimate(prep, t), amplitude_estimate(per_qubit, t)
+            assert got.tobytes() == want.tobytes(), (u, q)
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,6 +13,7 @@ from qrelieff.program3 import (
     final_state,
     reproduce_program3,
 )
+from qrelieff.rng import RngStream
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +61,13 @@ class TestReproduction:
         a = reproduce_program3(shots=64, runs=3, seed=9)
         b = reproduce_program3(shots=64, runs=3, seed=9)
         assert a.run_means == b.run_means
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_means_are_statevector_samples(self, state, seed):
+        # one marginal for all runs; the draws StateVector.sample makes per run
+        rng = RngStream(seed)
+        want = [
+            state.sample([RESULT_QUBIT], 1024, rng.substream(r)).get("1", 0) / 1024
+            for r in range(8)
+        ]
+        assert reproduce_program3(shots=1024, runs=8, seed=seed).run_means == want

@@ -1,7 +1,14 @@
 """Unit tests for the classical feature-selection core."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrelieff import (
     ConfigError,
@@ -55,6 +62,57 @@ class TestDataset:
         assert example_dataset.n_classes == 3
         assert example_dataset.class_size(1) == 2
         np.testing.assert_array_equal(example_dataset.class_members(2), [4, 5])
+
+
+class TestNoMaskedArrays:
+    """``np.unique`` imports numpy.ma on its first call; the data checks avoid it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 6), st.floats(-3.0, 6.0)), min_size=2, max_size=8))
+    def test_dense_label_verdict_matches_unique(self, labels):
+        as_int = np.asarray(labels, dtype=int)
+        dense = np.array_equal(np.unique(as_int), np.arange(len(np.unique(as_int))))
+        try:
+            Dataset(np.ones((len(labels), 1)), labels, ["a"])
+        except QReliefFError:
+            assert not dense
+        else:
+            assert dense
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_discrete_verdict_matches_unique(self, data):
+        values = [0.0, -0.0, 0.5, -0.5, 0.25, 1e-13, -1e-13, 1.4e-12, -1.4e-12, 0.5 + 1e-13, 0.3]
+        m, n = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 5))
+        matrix = np.array(data.draw(st.lists(
+            st.sampled_from(values), min_size=m * n, max_size=m * n
+        ))).reshape(m, n)
+        want = []
+        for i in range(n):
+            nonzero = np.unique(np.round(matrix[:, i], 12))
+            want.append(len(nonzero[np.abs(nonzero) > 1e-12]) <= 1)
+        assert FeatureStats.from_matrix(matrix).discrete.tolist() == want
+
+    def test_both_backends_leave_numpy_ma_unloaded(self):
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "ma = lambda: {m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')}\n"
+            "before = ma()\n"
+            "from qrelieff import PipelineConfig, RngStream, normalize, qrelieff_run, relieff_run\n"
+            "from qrelieff.cli import example_csv_path, load_csv\n"
+            "nd, stats = normalize(load_csv(example_csv_path())[0])\n"
+            "cfg = PipelineConfig(T=2)\n"
+            "relieff_run(nd, cfg, RngStream(0), stats)\n"
+            "qrelieff_run(nd, cfg, RngStream(0), stats)\n"
+            "print(sorted(ma() - before))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestNormalize:

@@ -17,9 +17,11 @@ from qrelieff import (
     phase,
     ry,
     swap,
+    swap_registers,
     x,
     zero_state,
 )
+from qrelieff.statevector import GateOp
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -141,6 +143,49 @@ class TestApply:
         np.testing.assert_allclose(
             via_gate.amplitudes, via_unitary.amplitudes, atol=1e-12
         )
+
+
+class TestRegisterSwap:
+    def test_swaps_every_pair(self):
+        # |q5..q0> = |000 101>: register (0, 1, 2) to (3, 4, 5)
+        state = basis_state(6, 0b000101).apply(swap_registers([0, 1, 2], [3, 4, 5]))
+        assert state.amplitudes[0b101000] == 1.0
+
+    def test_matches_its_matrix(self):
+        rng = np.random.default_rng(9)
+        amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+        state = StateVector(6, amps / np.linalg.norm(amps))
+        gate = swap_registers([4, 0], [1, 3], controls=[(5, 0), 2])
+        np.testing.assert_allclose(
+            state.apply(gate).amplitudes,
+            state.apply_unitary(gate.matrix(), gate.targets, gate.controls).amplitudes,
+            rtol=0, atol=1e-12,
+        )
+
+    def test_inverse_is_itself(self):
+        gate = swap_registers([0, 1], [2, 3], controls=[4])
+        assert gate.inverse() is gate
+
+    @pytest.mark.parametrize("targets, controls", [
+        ((0, 1, 2), ()),             # odd target count
+        ((), ()),                    # zero pairs
+        ((0, 1, 2, 0), ()),          # repeated qubit
+        ((0, 1, 2, 3), ((3, 1),)),   # target also a control
+        ((0, 1, 2, 3), ((4, 1), (4, 0))),  # repeated control
+    ])
+    def test_invalid_swaps_rejected(self, targets, controls):
+        with pytest.raises(QReliefFError):
+            GateOp("swap", targets, controls)
+
+    def test_register_widths_must_match(self):
+        with pytest.raises(QReliefFError):
+            swap_registers([0, 1], [2])
+
+    def test_qubit_out_of_range(self):
+        with pytest.raises(QReliefFError):
+            zero_state(4).apply(swap_registers([0, 1], [2, 4]))
+        with pytest.raises(QReliefFError):
+            zero_state(4).apply(swap_registers([0, 1], [2, 3], controls=[5]))
 
 
 class TestMeasurement:
