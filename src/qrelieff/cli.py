@@ -131,21 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_program3(args, out):
-    result = reproduce_program3(shots=args.shots, seed=args.seed)
-    doc = result.as_dict()
-    text = (
-        f"exact P(1)          = {result.exact_p1:.12f}\n"
-        f"sampled mean (8x{result.shots}) = {result.sampled_mean:.6f}\n"
-        f"published mean      = {result.published_p1} (reference only)\n"
-    )
-    if args.output:
-        Path(args.output).write_text(report_mod.serialize(doc))
+def _write(doc: dict, text: str, output: str | None, out) -> None:
+    """The JSON document to ``output`` with its text on ``out``, or, with no
+    ``output``, the document on ``out`` and the text on standard error."""
+    if output:
+        Path(output).write_text(report_mod.serialize(doc))
         out.write(text)
     else:
         out.write(report_mod.serialize(doc))
         sys.stderr.write(text)
-    return 0
 
 
 def run_cli(argv, out=None) -> int:
@@ -159,7 +153,9 @@ def run_cli(argv, out=None) -> int:
 
     try:
         if args.reproduce_program3:
-            return _run_program3(args, out)
+            doc = reproduce_program3(shots=args.shots, seed=args.seed).as_dict()
+            _write(doc, report_mod.render_program3_text(doc), args.output, out)
+            return 0
         if not args.input:
             raise ConfigError("--input is required")
         cfg = PipelineConfig(
@@ -173,38 +169,16 @@ def run_cli(argv, out=None) -> int:
 
         if args.backend in ("quantum", "both"):
             check_quantum_input(nd, cfg)  # before the classical run, so a bad input costs nothing
-        timing = {}
-        classical = quantum = None
-        if args.backend in ("classical", "both"):
-            t0 = time.perf_counter()
-            classical = relieff_run(nd, cfg, RngStream(args.seed), stats)
-            timing["classical_s"] = time.perf_counter() - t0
-        if args.backend in ("quantum", "both"):
-            t0 = time.perf_counter()
-            quantum = qrelieff_run(nd, cfg, RngStream(args.seed), stats)
-            timing["quantum_s"] = time.perf_counter() - t0
+        runs, timing = {}, {}
+        for name, backend_run in (("classical", relieff_run), ("quantum", qrelieff_run)):
+            if args.backend in (name, "both"):
+                t0 = time.perf_counter()
+                runs[name] = backend_run(nd, cfg, RngStream(args.seed), stats)
+                timing[f"{name}_s"] = time.perf_counter() - t0
 
-        # every flag but --output and --reproduce-program3, which shape no report body
-        config_echo = {
-            k: v for k, v in vars(args).items() if k not in ("output", "reproduce_program3")
-        }
-        dataset_info = {
-            "n_samples": dataset.n_samples,
-            "n_features": dataset.n_features,
-            "n_classes": dataset.n_classes,
-            "feature_names": dataset.feature_names,
-            "class_names": class_names,
-        }
-        doc = report_mod.build_report(
-            config_echo, dataset_info, classical, quantum,
-            args.tau, dataset.feature_names, args.emit_iterations, timing,
-        )
-        if args.output:
-            Path(args.output).write_text(report_mod.serialize(doc))
-            out.write(report_mod.render_text(doc))
-        else:
-            out.write(report_mod.serialize(doc))
-            sys.stderr.write(report_mod.render_text(doc))
+        classical, quantum = runs.get("classical"), runs.get("quantum")
+        doc = report_mod.build_report(vars(args), dataset, class_names, classical, quantum, timing)
+        _write(doc, report_mod.render_text(doc), args.output, out)
         return 0
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")

@@ -41,7 +41,7 @@ from .relieff import (
     run_iterations,
 )
 from .rng import RngStream
-from .statevector import GateOp, StateVector, swap
+from .statevector import GateOp, StateVector, check_width, swap
 
 
 @dataclass
@@ -109,11 +109,16 @@ class SimilarityTable:
         }
 
 
+def _sample_bits(n_samples: int) -> int:
+    """Width of the sample-index register: ceil(log2 M), at least 1."""
+    return max(1, math.ceil(math.log2(n_samples)))
+
+
 def prepare_states(nd: NormalizedDataset) -> list[StateVector]:
     """One encoded state per sample under a ceil(log2 M)-bit register that
     holds the sample's index.  No circuit reads that register; it only widens
     the swap-test composite."""
-    sample_bits = max(1, math.ceil(math.log2(nd.n_samples)))
+    sample_bits = _sample_bits(nd.n_samples)
     basis = np.eye(1 << sample_bits, dtype=complex)
     encoded = [encode_sample(v) for v in nd.samples]
     return [
@@ -275,14 +280,19 @@ class QReliefFResult(ReliefFResult):
 
 def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
     """Reject, before any work, an input the quantum backend cannot run: one
-    class (no miss class), or the ``full`` circuit on a feature count that is
-    not a power of two of 2 or more."""
+    class (no miss class), the ``full`` circuit on a feature count that is
+    not a power of two of 2 or more, or a register over the width cap: the
+    swap-test composite, or the ``full`` circuit's amplitude-estimation state."""
     check_has_miss_class(nd)
-    if cfg.ae_circuit == "full" and not EncodingLayout(nd.n_features).unitary:
+    layout = EncodingLayout(nd.n_features)
+    if cfg.ae_circuit == "full" and not layout.unitary:
         raise DataError(
             f"ae_circuit 'full' needs a power-of-two feature count of 2 or more, "
             f"got N={nd.n_features}"
         )
+    check_width(2 * (layout.n_qubits + _sample_bits(nd.n_samples)) + 1)
+    if cfg.ae_circuit == "full":
+        check_width(2 * layout.n_qubits + 1 + cfg.ae_bits)
 
 
 def qrelieff_run(

@@ -1,6 +1,7 @@
 """Run reports: a machine-readable JSON document plus a plain-text table
-rendering.  The canonical body (everything except the "timing" section) is
-byte-stable for identical inputs and seeds.
+rendering, and the text beside a Program 3 reproduction document.  The
+canonical body (everything except the "timing" section) is byte-stable for
+identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from importlib import resources
 import numpy as np
 
 from .pipeline import QReliefFResult
-from .relieff import ReliefFResult
+from .relieff import Dataset, ReliefFResult
 
 
 def _json_default(obj):
@@ -22,13 +23,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _backend_section(result, feature_names, tau, emit_iterations):
+def _backend_section(result, report):
+    """One backend's results under the report's config and dataset sections."""
+    selected = result.selected(report["config"]["tau"])
+    feature_names = report["dataset"]["feature_names"]
     section = {
         "average_weights": [float(w) for w in result.average_weights],
-        "selected_indices": result.selected(tau),
-        "selected_features": [feature_names[i] for i in result.selected(tau)],
+        "selected_indices": selected,
+        "selected_features": [feature_names[i] for i in selected],
     }
-    if emit_iterations:
+    if report["config"]["emit_iterations"]:
         section["iterations"] = [
             {
                 "picked": rec.picked,
@@ -41,58 +45,58 @@ def _backend_section(result, feature_names, tau, emit_iterations):
 
 
 def neighbor_agreement(classical: ReliefFResult, quantum: ReliefFResult) -> list[bool]:
-    """Per-iteration equality of the two backends' neighbor sets."""
-    out = []
-    for c_rec, q_rec in zip(classical.iterations, quantum.iterations):
-        same = (
-            c_rec.picked == q_rec.picked
-            and list(c_rec.neighbors.hits) == list(q_rec.neighbors.hits)
-            and {k: list(v) for k, v in c_rec.neighbors.misses.items()}
-            == {k: list(v) for k, v in q_rec.neighbors.misses.items()}
-        )
-        out.append(bool(same))
-    return out
+    """Per iteration, whether the two backends picked the same sample and
+    found the same neighbor set."""
+    return [
+        c.picked == q.picked and c.neighbors == q.neighbors
+        for c, q in zip(classical.iterations, quantum.iterations)
+    ]
 
 
 def build_report(
-    config: dict,
-    dataset_info: dict,
+    flags: dict,
+    dataset: Dataset,
+    class_names: list[str],
     classical: ReliefFResult | None,
     quantum: QReliefFResult | None,
-    tau: float,
-    feature_names: list[str],
-    emit_iterations: bool,
     timing: dict,
 ) -> dict:
+    """The run report of the CLI flags ``flags`` (argument name to value) on
+    ``dataset``.  The config section echoes every flag but ``output`` and
+    ``reproduce_program3``, which shape no report body."""
     report = {
-        "config": config,
-        "dataset": dataset_info,
+        "config": {k: v for k, v in flags.items() if k not in ("output", "reproduce_program3")},
+        "dataset": {
+            "n_samples": dataset.n_samples,
+            "n_features": dataset.n_features,
+            "n_classes": dataset.n_classes,
+            "feature_names": dataset.feature_names,
+            "class_names": class_names,
+        },
         "results": {},
         "timing": timing,
     }
+    results = report["results"]
     if classical is not None:
-        report["results"]["classical"] = _backend_section(
-            classical, feature_names, tau, emit_iterations
-        )
+        results["classical"] = _backend_section(classical, report)
     if quantum is not None:
-        section = _backend_section(quantum, feature_names, tau, emit_iterations)
-        if emit_iterations:
-            section["similarity_log"] = [t.as_dict() for t in quantum.tables]
-        report["results"]["quantum"] = section
+        results["quantum"] = _backend_section(quantum, report)
+        if report["config"]["emit_iterations"]:
+            results["quantum"]["similarity_log"] = [t.as_dict() for t in quantum.tables]
     if classical is not None and quantum is not None:
         per_iter = neighbor_agreement(classical, quantum)
+        c_section, q_section = results["classical"], results["quantum"]
         report["agreement"] = {
             "neighbors_per_iteration": per_iter,
             "neighbors_all_equal": all(per_iter),
-            "selected_equal": classical.selected(tau) == quantum.selected(tau),
+            "selected_equal": c_section["selected_indices"] == q_section["selected_indices"],
         }
     return report
 
 
 def canonical_body(report: dict) -> str:
     """The byte-stable serialization: the report minus wall-clock timings."""
-    body = {k: v for k, v in report.items() if k != "timing"}
-    return json.dumps(body, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return serialize({k: v for k, v in report.items() if k != "timing"})
 
 
 def serialize(report: dict) -> str:
@@ -122,6 +126,15 @@ def render_text(report: dict) -> str:
             + ("identical" if agree["selected_equal"] else "DIFFERS")
         )
     return "\n".join(lines) + "\n"
+
+
+def render_program3_text(doc: dict) -> str:
+    """Plain-text summary of a Program 3 reproduction document."""
+    return (
+        f"exact P(1)          = {doc['exact_p1']:.12f}\n"
+        f"sampled mean ({doc['runs']}x{doc['shots']}) = {doc['sampled_mean']:.6f}\n"
+        f"published mean      = {doc['published_p1']} (reference only)\n"
+    )
 
 
 def schema() -> dict:

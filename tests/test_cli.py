@@ -24,7 +24,9 @@ from qrelieff import (
     select_features,
 )
 from qrelieff.cli import build_parser, example_csv_path, load_csv, run_cli
-from qrelieff.report import canonical_body, neighbor_agreement, schema
+from qrelieff.program3 import Program3Result
+from qrelieff.relieff import IterationRecord, NeighborSet, ReliefFResult
+from qrelieff.report import canonical_body, neighbor_agreement, render_program3_text, schema
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -214,6 +216,14 @@ def backend_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def no_encoding(monkeypatch):
+    def prepare_states(nd):
+        raise AssertionError("samples encoded before the input was checked")
+
+    monkeypatch.setattr("qrelieff.pipeline.prepare_states", prepare_states)
+
+
 class TestOneClassInput:
     """ReliefF needs a miss class, so one class is a data error on every path."""
 
@@ -273,13 +283,6 @@ class TestFullCircuitFeatureCount:
         p.write_text("\n".join([header, *rows]) + "\n")
         return str(p), n
 
-    @pytest.fixture
-    def no_encoding(self, monkeypatch):
-        def prepare_states(nd):
-            raise AssertionError("samples encoded before the feature count was checked")
-
-        monkeypatch.setattr("qrelieff.pipeline.prepare_states", prepare_states)
-
     @pytest.mark.parametrize("entry", ["library", "quantum", "both"])
     def test_data_error_names_n(self, csv_path, no_encoding, capsys, entry):
         path, n = csv_path
@@ -300,6 +303,43 @@ class TestFullCircuitFeatureCount:
             f"got N={n}" in capsys.readouterr().err
         )
         assert backend_calls == {"classical": 0, "quantum": 0}
+
+
+class TestCapacityPreflight:
+    """The quantum backend checks its widest registers before it encodes a
+    sample: the swap-test composite, 2(2 + ceil(log2 N) + ceil(log2 M)) + 1
+    qubits, and under ``full`` the amplitude-estimation state,
+    2(2 + ceil(log2 N)) + 1 + t qubits."""
+
+    @staticmethod
+    def write_csv(path, m, n):
+        rng = np.random.default_rng(m + n)
+        header = ",".join(f"f{i}" for i in range(n)) + ",class"
+        rows = [",".join(f"{v:.3f}" for v in rng.random(n) + 0.1) + f",c{r % 2}" for r in range(m)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return str(path)
+
+    def test_library_rejects_wide_composite(self, tmp_path, no_encoding):
+        # M=512, N=16: 2(2 + 4 + 9) + 1 = 31 qubits
+        nd, stats = normalize(load_csv(self.write_csv(tmp_path / "wide.csv", 512, 16))[0])
+        with pytest.raises(CapacityError, match="qubit count 31 outside"):
+            qrelieff_run(nd, PipelineConfig(T=1), RngStream(0), stats)
+
+    def test_cli_rejects_before_classical_run(self, tmp_path, monkeypatch, capsys):
+        def relieff_run(*args, **kwargs):
+            raise AssertionError("classical backend ran before the width was checked")
+
+        monkeypatch.setattr("qrelieff.cli.relieff_run", relieff_run)
+        path = self.write_csv(tmp_path / "wide.csv", 512, 16)
+        assert run(["--input", path, "--backend", "both", "--T", "1"]) == (4, "")
+        assert "capacity error: qubit count 31 outside" in capsys.readouterr().err
+
+    def test_full_circuit_ae_state(self, tmp_path, no_encoding, capsys):
+        # M=4, N=128: a 23-qubit composite, but 2(2 + 7) + 1 + 10 = 29 AE qubits
+        path = self.write_csv(tmp_path / "deep.csv", 4, 128)
+        flags = ["--backend", "quantum", "--ae-circuit", "full", "--ae-bits", "10"]
+        assert run(["--input", path, *flags]) == (4, "")
+        assert "capacity error: qubit count 29 outside" in capsys.readouterr().err
 
 
 class TestSingletonPickedClass:
@@ -379,6 +419,18 @@ class TestReport:
         q = qrelieff_run(nd, PipelineConfig(T=2, pick_policy="round-robin"), RngStream(0), stats)
         assert neighbor_agreement(c, q) == [True, True]
 
+    def test_neighbor_agreement_flags_each_difference(self):
+        def result(*iterations):
+            records = [IterationRecord(u, nb, np.zeros(2)) for u, nb in iterations]
+            return ReliefFResult(np.zeros(2), records)
+
+        same = (0, NeighborSet(0, [1], {1: [2]}))
+        other_miss = (0, NeighborSet(0, [1], {1: [3]}))
+        other_pick = (3, NeighborSet(3, [1], {1: [2]}))
+        c = result(same, same, same)
+        q = result(same, other_miss, other_pick)
+        assert neighbor_agreement(c, q) == [True, False, False]
+
 
 class TestProgram3Flag:
     def test_reproduction_flag(self, tmp_path):
@@ -394,3 +446,15 @@ class TestProgram3Flag:
         assert 0.0 <= doc["exact_p1"] <= 1.0
         assert doc["published_p1"] == 0.435125
         assert "exact P(1)" in out.getvalue()
+
+    def test_reproduction_flag_without_output(self, capsys):
+        code, out = run(["--reproduce-program3", "--shots", "64", "--seed", "3"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["shots"], doc["runs"]) == (64, 8)
+        assert capsys.readouterr().err == render_program3_text(doc)
+        assert f"sampled mean (8x64) = {doc['sampled_mean']:.6f}\n" in render_program3_text(doc)
+
+    def test_text_counts_the_document_runs(self):
+        doc = Program3Result(0.5, [0.5, 0.25, 0.75], 0.5, 16, 3).as_dict()
+        assert "sampled mean (3x16) = 0.500000\n" in render_program3_text(doc)
