@@ -6,7 +6,6 @@ from .circuits import (
     cmp_flag,
     encode_sample,
     fold_distribution,
-    grover_iterate,
     grover_plan,
     grover_search_state,
     inverse_qft,

@@ -254,48 +254,32 @@ def grover_plan(n: int, marked_estimate: int) -> GroverPlan:
 
 
 def _grover_in_place(
-    state: StateVector, oracle: np.ndarray, phi: float, w_gates, w_inverse
+    state: StateVector, oracle: np.ndarray, phi: float, psi: np.ndarray
 ) -> StateVector:
-    """G = -W I0 W^-1 O in place on ``state``, which it returns; O and I0
-    put e^{i phi} on the ``oracle`` branches and the all-zeros branch."""
+    """G = -W I0 W^-1 O in place on ``state``, which it returns: O puts
+    e^{i phi} on the ``oracle`` branches, and W I0 W^-1 =
+    I + (e^{i phi} - 1)|psi><psi| puts it on ``psi`` = W|0>."""
     amps = state.amplitudes
     rotation = np.exp(1j * phi)
     amps[oracle] *= rotation  # O
-    state._run(w_inverse)
-    amps[:1] *= rotation  # I0
-    state._run(w_gates)
+    amps += (rotation - 1) * np.vdot(psi, amps) * psi  # W I0 W^-1
     np.negative(amps, out=amps)
     return state
 
 
-def grover_iterate(
-    state: StateVector, plan: GroverPlan, oracle: np.ndarray, w_gates
-) -> StateVector:
-    """One generalized Grover iteration G = -W I0 W^-1 O.
-
-    ``oracle`` is a boolean mask over basis indices; the marked branches pick
-    up phase e^{i phi}, as does the all-zeros branch after undoing the
-    preparation ``w_gates``.
-    """
+def grover_search_state(plan: GroverPlan, oracle: np.ndarray) -> StateVector:
+    """H^n|0> followed by the plan's J iterations G = -W I0 W^-1 O, W = H^n,
+    whose O puts e^{i phi} on the branches of the boolean mask ``oracle``."""
+    dim = 1 << plan.n
     if not (
-        isinstance(oracle, np.ndarray)
-        and oracle.dtype == bool
-        and oracle.shape == (state.dim,)
+        isinstance(oracle, np.ndarray) and oracle.dtype == bool and oracle.shape == (dim,)
     ):
         raise QReliefFError("oracle must be a boolean mask of the state's length")
-    w_gates = list(w_gates)
-    copy = StateVector(state.n_qubits, state.amplitudes.copy(), _checked=True)
-    return _grover_in_place(
-        copy, oracle, plan.phi, w_gates, [g.inverse() for g in reversed(w_gates)]
-    )
-
-
-def grover_search_state(plan: GroverPlan, oracle: np.ndarray) -> StateVector:
-    """H^n|0> followed by the plan's J iterations."""
-    w_gates = [h(q) for q in range(plan.n)]
-    state = zero_state(plan.n)._run(w_gates)
+    check_width(plan.n)
+    uniform = np.full(dim, dim ** -0.5, dtype=complex)  # H^n|0>
+    state = StateVector(plan.n, uniform.copy(), _checked=True)
     for _ in range(plan.J):
-        state = grover_iterate(state, plan, oracle, w_gates)
+        _grover_in_place(state, oracle, plan.phi, uniform)
     return state
 
 
@@ -367,12 +351,12 @@ class AEOutcome:
 
 
 def _grover_step(prep: Preparation):
-    """G = -A S0 A^-1 S_chi on the preparation register, as a function that
-    runs it in place on a state and returns that state: the Grover iteration
-    with W = A, the flag = 1 branches as the oracle and phi = pi."""
-    inverse = [g.inverse() for g in reversed(prep.gates)]
+    """A|0> and, as a function that runs it in place on a state and returns
+    that state, G = -A S0 A^-1 S_chi: the Grover iteration with W = A, the
+    flag = 1 branches as the oracle and phi = pi."""
+    psi = zero_state(prep.n_qubits)._run(prep.gates).amplitudes
     flag = ((np.arange(1 << prep.n_qubits) >> prep.flag) & 1) == 1
-    return lambda state: _grover_in_place(state, flag, math.pi, prep.gates, inverse)
+    return psi, lambda state: _grover_in_place(state, flag, math.pi, psi)
 
 
 def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
@@ -381,10 +365,10 @@ def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
     G runs uncontrolled on the preparation register alone, in place on one
     working state whose amplitudes are copied into each row.
     """
-    grover = _grover_step(prep)
+    psi, grover = _grover_step(prep)
     orbit = np.empty((1 << t, 1 << prep.n_qubits), dtype=complex)
-    state = zero_state(prep.n_qubits)._run(prep.gates)
-    orbit[0] = state.amplitudes
+    orbit[0] = psi
+    state = StateVector(prep.n_qubits, psi.copy(), _checked=True)
     for y in range(1, 1 << t):
         orbit[y] = grover(state).amplitudes
     return orbit
@@ -397,12 +381,12 @@ def _grover_orbit_by_squaring(prep: Preparation, t: int) -> np.ndarray:
     after each block: 2t - 1 matrix products in place of 2^t - 1 G steps.
     """
     p = prep.n_qubits
-    grover = _grover_step(prep)
+    psi, grover = _grover_step(prep)
     g = np.empty((1 << p, 1 << p), dtype=complex)
     for j in range(1 << p):
         g[:, j] = grover(basis_state(p, j)).amplitudes
     orbit = np.empty((1 << t, 1 << p), dtype=complex)
-    orbit[0] = zero_state(p)._run(prep.gates).amplitudes
+    orbit[0] = psi
     for k in range(t):
         block = 1 << k
         np.matmul(orbit[:block], g.T, out=orbit[block : 2 * block])
@@ -421,13 +405,15 @@ def amplitude_estimate(prep: Preparation, t: int) -> np.ndarray:
     After the readout Hadamards and the controlled powers of G, the circuit's
     state is 2^(-t/2) sum_y |y> G^y A|0>, readout register above the
     preparation register; it is built from the orbit of A|0> under the
-    uncontrolled G rather than by applying 2^t - 1 controlled G's.  When G as
-    a dense matrix has no more entries than the readout has values (4^p <= 2^t
-    for a p-qubit preparation: reduced mode, p = 1, for t >= 2), the orbit
-    comes from t - 1 squarings of that matrix, 8^p multiply-adds each, and t
-    block products.  Otherwise (t = 1, and every ``full`` circuit, where
-    p >= 7) the orbit runs gate by gate and G is never built.  The inverse QFT
-    is an FFT along the readout register.
+    uncontrolled G rather than by applying 2^t - 1 controlled G's.  One G step
+    is a sign flip on the flag branches and a reflection about psi = A|0>,
+    O(2^p) work on a p-qubit preparation; psi is prepared once, so the gates
+    of A run once per estimate.  When G as a dense matrix has no more entries
+    than the readout has values (4^p <= 2^t: reduced mode, p = 1, for t >= 2),
+    the orbit comes from t - 1 squarings of that matrix, 8^p multiply-adds
+    each, and t block products.  Otherwise (t = 1, and every ``full``
+    circuit, where p >= 7) the orbit takes 2^t - 1 G steps and G is never
+    built.  The inverse QFT is an FFT along the readout register.
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")

@@ -135,7 +135,10 @@ def _write(doc: dict, text: str, output: str | None, out) -> None:
     """The JSON document to ``output`` with its text on ``out``, or, with no
     ``output``, the document on ``out`` and the text on standard error."""
     if output:
-        Path(output).write_text(report_mod.serialize(doc))
+        try:
+            Path(output).write_text(report_mod.serialize(doc))
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {output}: {exc.strerror or exc}")
         out.write(text)
     else:
         out.write(report_mod.serialize(doc))
@@ -152,6 +155,11 @@ def run_cli(argv, out=None) -> int:
         return 2 if exc.code else 0
 
     try:
+        # before any backend runs, so a mistyped path costs nothing
+        if args.output and not Path(args.output).parent.is_dir():
+            raise ConfigError(
+                f"--output {args.output}: {Path(args.output).parent} is not a directory"
+            )
         if args.reproduce_program3:
             doc = reproduce_program3(shots=args.shots, seed=args.seed).as_dict()
             _write(doc, report_mod.render_program3_text(doc), args.output, out)

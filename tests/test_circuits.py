@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from qrelieff import (
     cmp_flag,
     encode_sample,
     fold_distribution,
-    grover_iterate,
     grover_plan,
     grover_search_state,
     h,
@@ -42,11 +42,14 @@ from qrelieff.circuits import (
     encode_sample_gates,
     swap_test_state,
 )
-from qrelieff.pipeline import prepare_states
+from qrelieff.cli import load_csv
+from qrelieff.pipeline import _full_circuit_preparation, prepare_states
 from qrelieff.statevector import ry
 
 import reference_kernels as ref
 from conftest import EXAMPLE_ROWS, random_unit_vector
+
+DATA = Path(__file__).parent / "data"
 
 
 def encoded_closed_form(v, sample_index=0, index_bits=0):
@@ -264,6 +267,20 @@ class TestGroverPlan:
                     assert 4 * (plan.J - 1) + 2 < math.pi / plan.eta
 
 
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """The gates passed to StateVector.apply from here on, one per call."""
+    calls = []
+    apply = StateVector.apply
+
+    def counted(self, gate, *args, **kwargs):
+        calls.append(gate)
+        return apply(self, gate, *args, **kwargs)
+
+    monkeypatch.setattr(StateVector, "apply", counted)
+    return calls
+
+
 class TestGroverIterate:
     def test_single_marked_exact(self):
         plan = grover_plan(2, 1)
@@ -275,27 +292,22 @@ class TestGroverIterate:
     def test_phi_pi_matches_textbook_operator(self):
         from qrelieff import GroverPlan
 
-        # phi = pi exactly: the generalized iterate must equal textbook Grover
+        # phi = pi exactly: one generalized iterate must equal textbook Grover
         plan = GroverPlan(2, 4, 1, 1, math.asin(0.5), math.pi)
         mask = np.zeros(4, dtype=bool)
         mask[2] = True
-        w = [h(0), h(1)]
-        state = zero_state(2).apply_all(w)
-        out = grover_iterate(state, plan, mask, w)
+        out = grover_search_state(plan, mask)
         # textbook: oracle sign flip, then inversion about the mean
-        amps = state.amplitudes.copy()
+        amps = zero_state(2).apply_all([h(0), h(1)]).amplitudes
         amps[mask] *= -1
         amps = 2 * amps.mean() - amps
         np.testing.assert_allclose(out.amplitudes, amps, atol=1e-10)
 
     def test_empty_oracle_preserves_distribution(self):
         plan = grover_plan(2, 1)
-        w = [h(0), h(1)]
-        state = zero_state(2).apply_all(w)
-        out = grover_iterate(state, plan, np.zeros(4, dtype=bool), w)
-        np.testing.assert_allclose(
-            np.abs(out.amplitudes) ** 2, np.abs(state.amplitudes) ** 2, atol=1e-10
-        )
+        assert plan.J == 1
+        out = grover_search_state(plan, np.zeros(4, dtype=bool))
+        np.testing.assert_allclose(np.abs(out.amplitudes) ** 2, [0.25] * 4, atol=1e-10)
 
     @pytest.mark.parametrize(
         "oracle",
@@ -304,10 +316,27 @@ class TestGroverIterate:
     )
     def test_oracle_must_be_state_length_mask(self, oracle):
         plan = grover_plan(2, 1)
-        w = [h(0), h(1)]
-        state = zero_state(2).apply_all(w)
         with pytest.raises(QReliefFError, match="boolean mask"):
-            grover_iterate(state, plan, oracle, w)
+            grover_search_state(plan, oracle)
+
+    def test_width_checked_before_search_state(self, monkeypatch):
+        def full(*args, **kwargs):
+            raise AssertionError("state allocated before the width check")
+
+        monkeypatch.setattr(statevector, "MAX_QUBITS", 4)
+        monkeypatch.setattr(circuits.np, "full", full)
+        with pytest.raises(CapacityError):
+            grover_search_state(grover_plan(5, 1), np.zeros(32, dtype=bool))
+
+    def test_search_applies_no_gates(self, apply_calls):
+        # H^n|0> and every iteration are array operations on one buffer
+        plan = grover_plan(6, 1)
+        mask = np.zeros(64, dtype=bool)
+        mask[5] = True
+        state = grover_search_state(plan, mask)
+        assert plan.J > 1
+        assert abs(state.amplitudes[5]) ** 2 > 0.99
+        assert apply_calls == []
 
 
 class TestQft:
@@ -388,6 +417,18 @@ class TestAmplitudeEstimation:
         prep = Preparation((h(0), ry(0.4, 1)), 2, 1)
         with pytest.raises(CapacityError):
             amplitude_estimate(prep, 3)  # p + t = 5 qubits
+
+    def test_full_orbit_runs_the_preparation_once(self, apply_calls):
+        # the gates of A prepare psi = A|0> once; each G step reflects about
+        # psi without running them, so the count does not grow with 2^t
+        nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
+        prep = _full_circuit_preparation(nd, 0, 1)
+        counts = []
+        for t in (1, 4):
+            apply_calls.clear()
+            circuits._grover_orbit(prep, t)
+            counts.append(len(apply_calls))
+        assert counts == [len(prep.gates)] * 2
 
     def test_peak_memory_of_one_call(self):
         # numpy reports its buffers to tracemalloc; a dense 2^10-point DFT

@@ -192,6 +192,36 @@ class TestRunCli:
         assert "classical" in doc["results"]
         assert "selected:" in rendered
 
+    @pytest.mark.parametrize(
+        "flags, entry",
+        [
+            (["--backend", "classical"], "relieff_run"),
+            (["--reproduce-program3"], "reproduce_program3"),
+        ],
+        ids=["classical", "program3"],
+    )
+    def test_output_directory_checked_before_any_run(
+        self, fixture_path, tmp_path, monkeypatch, capsys, flags, entry
+    ):
+        def boom(*args, **kwargs):
+            raise AssertionError("ran before --output was checked")
+
+        monkeypatch.setattr(f"qrelieff.cli.{entry}", boom)
+        target = tmp_path / "missing" / "r.json"
+        code, out = run(["--input", fixture_path, *flags, "--output", str(target)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"configuration error: --output {target}: {target.parent} is not a directory\n"
+        )
+
+    def test_output_write_error_is_one_line(self, tmp_path, capsys):
+        # the parent exists, but the path itself is a directory
+        code, out = run(["--reproduce-program3", "--shots", "8", "--output", str(tmp_path)])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write --output {tmp_path}: ")
+        assert err.count("\n") == 1
+
     def test_defaults_match_documented_values(self):
         args = build_parser().parse_args([])
         assert (args.backend, args.k, args.T, args.tau) == ("both", 1, 4, 0.5)

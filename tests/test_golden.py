@@ -4,9 +4,10 @@
 report minus its wall-clock "timing" section.  A rerun must give the same
 tree: floats within 1e-12, every other value exactly.  The cases are the
 shipped six-sample example (both backends, per-iteration logs, exact and
-sampled mode, random and round-robin picks, seeds 0-1, 6 readout bits) and a
-four-sample, two-feature input through the ``full`` amplitude-estimation
-circuit at 3 readout bits.
+sampled mode, random and round-robin picks, seeds 0-1, 6 readout bits; exact
+mode at 1 and 10 readout bits, which build the estimation orbit step by step
+and by squaring) and a four-sample, two-feature input through the ``full``
+amplitude-estimation circuit at 3 and 4 readout bits.
 
 Re-record only after a deliberate change of results:
 
@@ -37,9 +38,16 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
                     "--backend", "both", "--emit-iterations", "--mode", mode,
                     "--pick", pick, "--seed", str(seed), "--ae-bits", "6",
                 ])
-        cases[f"four_by_two-full-{mode}"] = ("four_by_two.csv", [
-            "--backend", "both", "--emit-iterations", "--mode", mode,
-            "--ae-circuit", "full", "--ae-bits", "3",
+        for t in (3, 4):
+            suffix = "" if t == 3 else f"-t{t}"
+            cases[f"four_by_two-full-{mode}{suffix}"] = ("four_by_two.csv", [
+                "--backend", "both", "--emit-iterations", "--mode", mode,
+                "--ae-circuit", "full", "--ae-bits", str(t),
+            ])
+    for t in (1, 10):
+        cases[f"example6-exact-t{t}"] = ("example6.csv", [
+            "--backend", "both", "--emit-iterations", "--mode", "exact",
+            "--pick", "random", "--seed", "0", "--ae-bits", str(t),
         ])
     return cases
 
