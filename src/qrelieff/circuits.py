@@ -32,7 +32,6 @@ from .statevector import (
     ry,
     swap,
     swap_registers,
-    x,
     zero_state,
 )
 
@@ -120,8 +119,8 @@ class EncodingLayout:
 
     @property
     def unitary(self) -> bool:
-        """Whether a gate list realizes the encoding: N must fill the feature
-        register, i.e. be a power of two, 2 or more."""
+        """Whether the encoding is a unitary circuit, with no postselection:
+        N must fill the feature register, i.e. be a power of two, 2 or more."""
         return self.n_features == 1 << self.n_feature_qubits
 
 
@@ -156,25 +155,6 @@ def encode_sample(v) -> StateVector:
     # local value flag*2 + data = 2, i.e. |flag=1, data=0>
     full = np.kron(feats.amplitudes, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
     return StateVector(layout.n_qubits, full)._run(_multiplexed_ry_gates(v, layout))
-
-
-def encode_sample_gates(v) -> list[GateOp]:
-    """The unitary gate list realizing :func:`encode_sample`.
-
-    Only available when the feature count is a power of two (the bounded
-    superposition otherwise needs postselection, which is not unitary).
-    """
-    v = np.asarray(v, dtype=float)
-    _check_feature_vector(v)
-    layout = EncodingLayout(len(v))
-    if not layout.unitary:
-        raise QReliefFError(
-            "gate-list encoding requires a power-of-two feature count"
-        )
-    gates = [x(layout.flag)]
-    gates.extend(h(q) for q in layout.feature_qubits)
-    gates.extend(_multiplexed_ry_gates(v, layout))
-    return gates
 
 
 def swap_flag(state: StateVector) -> StateVector:
@@ -317,25 +297,12 @@ def inverse_qft(state: StateVector, register) -> StateVector:
 # amplitude estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Preparation:
-    """A unitary preparation circuit with a designated flag qubit.
-
-    The estimated amplitude is the probability of reading 1 on ``flag`` after
-    running ``gates`` on |0...0>.
-    """
-
-    gates: tuple
-    n_qubits: int
-    flag: int
-
-
-def reduced_preparation(a: float) -> Preparation:
-    """Single-qubit preparation Ry(2 asin sqrt(a)) with the same flag amplitude."""
+def reduced_preparation(a: float) -> StateVector:
+    """Ry(2 asin sqrt(a))|0>: one qubit that reads 1 with probability a."""
     if not -1e-12 <= a <= 1.0 + 1e-12:
         raise QReliefFError(f"amplitude {a} outside [0, 1]")
     a = min(max(a, 0.0), 1.0)
-    return Preparation((ry(2.0 * math.asin(math.sqrt(a)), 0),), 1, 0)
+    return zero_state(1).apply(ry(2.0 * math.asin(math.sqrt(a)), 0))
 
 
 @dataclass(frozen=True)
@@ -350,43 +317,43 @@ class AEOutcome:
         return math.sin(math.pi * self.y / (1 << self.t)) ** 2
 
 
-def _grover_step(prep: Preparation):
-    """A|0> and, as a function that runs it in place on a state and returns
-    that state, G = -A S0 A^-1 S_chi: the Grover iteration with W = A, the
-    flag = 1 branches as the oracle and phi = pi."""
-    psi = zero_state(prep.n_qubits)._run(prep.gates).amplitudes
-    flag = ((np.arange(1 << prep.n_qubits) >> prep.flag) & 1) == 1
-    return psi, lambda state: _grover_in_place(state, flag, math.pi, psi)
+def _grover_step(psi: StateVector):
+    """G = -A S0 A^-1 S_chi for ``psi`` = A|0>, as a function that runs it in
+    place on a state and returns that state: the Grover iteration with W = A,
+    the branches with the top qubit set (the upper half) as the oracle and
+    phi = pi."""
+    flag = np.arange(psi.dim) >= psi.dim // 2
+    return lambda state: _grover_in_place(state, flag, math.pi, psi.amplitudes)
 
 
-def _grover_orbit(prep: Preparation, t: int) -> np.ndarray:
+def _grover_orbit(psi: StateVector, t: int) -> np.ndarray:
     """Row y is G^y A|0> for y in [0, 2^t), one G step per row.
 
     G runs uncontrolled on the preparation register alone, in place on one
     working state whose amplitudes are copied into each row.
     """
-    psi, grover = _grover_step(prep)
-    orbit = np.empty((1 << t, 1 << prep.n_qubits), dtype=complex)
-    orbit[0] = psi
-    state = StateVector(prep.n_qubits, psi.copy(), _checked=True)
+    grover = _grover_step(psi)
+    orbit = np.empty((1 << t, psi.dim), dtype=complex)
+    orbit[0] = psi.amplitudes
+    state = StateVector(psi.n_qubits, psi.amplitudes.copy(), _checked=True)
     for y in range(1, 1 << t):
         orbit[y] = grover(state).amplitudes
     return orbit
 
 
-def _grover_orbit_by_squaring(prep: Preparation, t: int) -> np.ndarray:
+def _grover_orbit_by_squaring(psi: StateVector, t: int) -> np.ndarray:
     """The rows of :func:`_grover_orbit` from G as a dense 2^p x 2^p matrix.
 
     Rows [2^k, 2^(k+1)) are rows [0, 2^k) times (G^(2^k))^T, and G is squared
     after each block: 2t - 1 matrix products in place of 2^t - 1 G steps.
     """
-    p = prep.n_qubits
-    psi, grover = _grover_step(prep)
+    p = psi.n_qubits
+    grover = _grover_step(psi)
     g = np.empty((1 << p, 1 << p), dtype=complex)
     for j in range(1 << p):
         g[:, j] = grover(basis_state(p, j)).amplitudes
     orbit = np.empty((1 << t, 1 << p), dtype=complex)
-    orbit[0] = psi
+    orbit[0] = psi.amplitudes
     for k in range(t):
         block = 1 << k
         np.matmul(orbit[:block], g.T, out=orbit[block : 2 * block])
@@ -395,20 +362,23 @@ def _grover_orbit_by_squaring(prep: Preparation, t: int) -> np.ndarray:
     return orbit
 
 
-def amplitude_estimate(prep: Preparation, t: int) -> np.ndarray:
-    """Exact outcome distribution of t-bit amplitude estimation of ``prep``.
+def amplitude_estimate(psi: StateVector, t: int) -> np.ndarray:
+    """Exact outcome distribution of t-bit amplitude estimation of the
+    probability a that the top qubit of ``psi`` = A|0> reads 1.
 
+    ``psi`` is the prepared state, not the circuit A: A enters the estimate
+    only through A|0>, so any unitary preparation is given by its output.
     Returns the probability of each y in [0, 2^t); the estimate for outcome y
     is sin^2(pi y / 2^t).  :func:`reduced_preparation` gives the single-qubit
-    circuit with the same flag amplitude as any larger preparation.
+    state with the same a as any larger preparation.
 
     After the readout Hadamards and the controlled powers of G, the circuit's
     state is 2^(-t/2) sum_y |y> G^y A|0>, readout register above the
     preparation register; it is built from the orbit of A|0> under the
     uncontrolled G rather than by applying 2^t - 1 controlled G's.  One G step
-    is a sign flip on the flag branches and a reflection about psi = A|0>,
-    O(2^p) work on a p-qubit preparation; psi is prepared once, so the gates
-    of A run once per estimate.  When G as a dense matrix has no more entries
+    is a sign flip on the upper half (top qubit 1) and a reflection about
+    psi, since A S0 A^-1 = I - 2|psi><psi|: O(2^p) work on a p-qubit
+    preparation, and no gates.  When G as a dense matrix has no more entries
     than the readout has values (4^p <= 2^t: reduced mode, p = 1, for t >= 2),
     the orbit comes from t - 1 squarings of that matrix, 8^p multiply-adds
     each, and t block products.  Otherwise (t = 1, and every ``full``
@@ -417,11 +387,9 @@ def amplitude_estimate(prep: Preparation, t: int) -> np.ndarray:
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")
-    if not 0 <= prep.flag < prep.n_qubits:
-        raise QReliefFError("preparation has no valid flag qubit")
-    p = prep.n_qubits
+    p = psi.n_qubits
     check_width(p + t)
-    orbit = (_grover_orbit_by_squaring if 2 * p <= t else _grover_orbit)(prep, t)
+    orbit = (_grover_orbit_by_squaring if 2 * p <= t else _grover_orbit)(psi, t)
     orbit /= math.sqrt(1 << t)
     readout = range(p, p + t)
     state = inverse_qft(StateVector(p + t, orbit.reshape(-1), _checked=True), readout)

@@ -156,10 +156,12 @@ def run_cli(argv, out=None) -> int:
 
     try:
         # before any backend runs, so a mistyped path costs nothing
-        if args.output and not Path(args.output).parent.is_dir():
-            raise ConfigError(
-                f"--output {args.output}: {Path(args.output).parent} is not a directory"
-            )
+        if args.output:
+            output = Path(args.output)
+            if output.is_dir():
+                raise ConfigError(f"--output {args.output}: it is a directory")
+            if not output.parent.is_dir():
+                raise ConfigError(f"--output {args.output}: {output.parent} is not a directory")
         if args.reproduce_program3:
             doc = reproduce_program3(shots=args.shots, seed=args.seed).as_dict()
             _write(doc, report_mod.render_program3_text(doc), args.output, out)

@@ -18,15 +18,12 @@ import numpy as np
 from .circuits import (
     AEOutcome,
     EncodingLayout,
-    Preparation,
     ae_distribution_for_amplitude,
     amplitude_estimate,
     encode_sample,
-    encode_sample_gates,
     modal_outcome,
     quantum_extreme_search,
     swap_flag,
-    swap_test_gates,
     swap_test_state,
 )
 from .errors import ConfigError, DataError, QReliefFError
@@ -41,7 +38,7 @@ from .relieff import (
     run_iterations,
 )
 from .rng import RngStream
-from .statevector import GateOp, StateVector, check_width, swap
+from .statevector import StateVector, check_width
 
 
 @dataclass
@@ -151,36 +148,21 @@ def _swap_test_p1(
     return counts.get("1", 0) / cfg.shots
 
 
-def _shift_gates(gates, offset: int):
-    return [
-        GateOp(
-            g.kind,
-            tuple(t + offset for t in g.targets),
-            tuple((q + offset, pol) for q, pol in g.controls),
-            g.angle,
-        )
-        for g in gates
-    ]
-
-
-def _full_circuit_preparation(nd: NormalizedDataset, u: int, q: int) -> Preparation:
-    """The swap-test circuit of samples u and q as a preparation: q encoded
-    on qubits 0..m-1, u (flag and data swapped) on m..2m-1, and the ancilla,
-    the flag, on 2m; 2m + 1 qubits whatever M is.  Needs a power-of-two
-    feature count (the encoding must be unitary)."""
-    m = EncodingLayout(nd.n_features).n_qubits
-    b_gates = encode_sample_gates(nd.samples[q])
-    a_gates = encode_sample_gates(nd.samples[u]) + [swap(0, 1)]
-    gates = b_gates + _shift_gates(a_gates, m) + swap_test_gates(m)
-    return Preparation(tuple(gates), 2 * m + 1, 2 * m)
-
-
 def _full_circuit_outcome(
     nd: NormalizedDataset, u: int, q: int, cfg: PipelineConfig, rng: RngStream | None
 ) -> AEOutcome:
     """The t-bit amplitude-estimation reading of the swap-test ancilla
-    amplitude a = P(1) on :func:`_full_circuit_preparation`."""
-    dist = amplitude_estimate(_full_circuit_preparation(nd, u, q), cfg.ae_bits)
+    amplitude a = P(1) of samples u and q.
+
+    A|0> is the swap-test composite of the two encodings alone: q on qubits
+    0..m-1, u (flag and data swapped) on m..2m-1 and the ancilla on top, at
+    2m; 2m + 1 qubits whatever M is.  A is a unitary circuit only for a
+    power-of-two feature count, which :func:`check_quantum_input` requires.
+    """
+    composite = swap_test_state(
+        swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q])
+    )
+    dist = amplitude_estimate(composite, cfg.ae_bits)
     if cfg.mode == "exact":
         return modal_outcome(dist, cfg.ae_bits)
     y = rng.choice_weighted(dist / dist.sum())

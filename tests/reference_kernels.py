@@ -15,15 +15,52 @@ match them bit for bit.
 2x2 gate, which the per-kind kernels of ``StateVector.apply`` replaced.
 ``swap_test_gates`` is the swap test with one controlled SWAP per qubit pair,
 which the controlled register swap replaced.
+
+Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
+list with a designated flag qubit, and runs its gates inside every controlled
+G; the package takes only the state A|0> and reads its top qubit.
+``encode_sample_gates`` is the encoding as such a gate list: X, H^n and one
+controlled Ry per feature.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from qrelieff.circuits import Preparation, reduced_preparation
 from qrelieff.errors import QReliefFError
-from qrelieff.statevector import GateOp, StateVector, _normalize_controls, h, swap
+from qrelieff.statevector import GateOp, StateVector, _normalize_controls, h, ry, swap, x
+
+
+class Preparation(NamedTuple):
+    """A unitary preparation circuit: P(1) of ``flag`` after ``gates`` run
+    on |0...0> is the estimated amplitude."""
+
+    gates: tuple
+    n_qubits: int
+    flag: int
+
+
+def reduced_preparation(a: float) -> Preparation:
+    """The single-qubit circuit Ry(2 asin sqrt(a)), whose flag reads 1 with
+    probability a."""
+    return Preparation((ry(2.0 * math.asin(math.sqrt(min(max(a, 0.0), 1.0))), 0),), 1, 0)
+
+
+def encode_sample_gates(v) -> list[GateOp]:
+    """The encoding of a feature vector with a power-of-two length N >= 2 as
+    a gate list: X on the flag (qubit 1), H on each feature-index qubit
+    (2..n+1), then Ry(2 asin v_i) on the data qubit (0) controlled on feature
+    index i, one gate per feature."""
+    n = len(v).bit_length() - 1
+    if len(v) < 2 or len(v) != 1 << n:
+        raise QReliefFError("gate-list encoding requires a power-of-two feature count")
+    feature_qubits = range(2, 2 + n)
+    gates = [x(1), *(h(q) for q in feature_qubits)]
+    for i, vi in enumerate(v):
+        controls = [(q, (i >> j) & 1) for j, q in enumerate(feature_qubits)]
+        gates.append(ry(2.0 * math.asin(min(float(vi), 1.0)), 0, controls))
+    return gates
 
 
 def _controls_mask(n_qubits: int, controls) -> np.ndarray:

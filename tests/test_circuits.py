@@ -35,16 +35,10 @@ from qrelieff import (
     zero_state,
 )
 from qrelieff import Dataset, circuits, normalize, statevector
-from qrelieff.circuits import (
-    AEOutcome,
-    EncodingLayout,
-    Preparation,
-    encode_sample_gates,
-    swap_test_state,
-)
+from qrelieff.circuits import AEOutcome, EncodingLayout, swap_test_state
 from qrelieff.cli import load_csv
-from qrelieff.pipeline import _full_circuit_preparation, prepare_states
-from qrelieff.statevector import ry
+from qrelieff.pipeline import prepare_states
+from qrelieff.statevector import ry, x
 
 import reference_kernels as ref
 from conftest import EXAMPLE_ROWS, random_unit_vector
@@ -170,20 +164,17 @@ class TestEncodeSample:
             )
 
     def test_gate_list_matches_nonunitary_path(self):
+        # for a power-of-two N, the postselected bounded superposition of
+        # encode_sample is the unitary circuit X, H^n, one controlled Ry per
+        # feature
         rng = np.random.default_rng(23)
         v = random_unit_vector(rng, 4)
         layout = EncodingLayout(4)
-        gates = encode_sample_gates(v)
-        via_gates = zero_state(layout.n_qubits).apply_all(gates)
+        via_gates = zero_state(layout.n_qubits).apply_all(ref.encode_sample_gates(v))
         direct = encode_sample(v)
         np.testing.assert_allclose(
             via_gates.amplitudes, direct.amplitudes, atol=1e-10
         )
-
-    def test_gate_list_needs_power_of_two(self):
-        v = random_unit_vector(np.random.default_rng(1), 6)
-        with pytest.raises(QReliefFError):
-            encode_sample_gates(v)
 
 
 class TestSwapFlagAndSwapTest:
@@ -389,46 +380,44 @@ class TestAmplitudeEstimation:
         assert folded[lo] + folded[hi] >= 8 / math.pi**2
 
     def test_full_mode_matches_reduced(self):
-        # a two-qubit preparation whose flag P(1) is 0.3 against the
-        # single-qubit rotation with the same flag amplitude
-        from qrelieff.statevector import x as xgate
-
-        prep = Preparation(
-            (ry(2.0 * math.asin(math.sqrt(0.3)), 0), xgate(1, controls=[0])), 2, 1
+        # a two-qubit state whose top qubit reads 1 with probability 0.3
+        # against the single-qubit rotation with the same amplitude
+        psi = zero_state(2).apply_all(
+            (ry(2.0 * math.asin(math.sqrt(0.3)), 0), x(1, controls=[0]))
         )
-        full = amplitude_estimate(prep, 3)
+        full = amplitude_estimate(psi, 3)
         reduced = amplitude_estimate(reduced_preparation(0.3), 3)
         np.testing.assert_allclose(full, reduced, atol=1e-10)
 
     def test_multi_qubit_full_mode(self):
-        # two-qubit preparation whose flag P(1) is 0.5: H then CNOT, flag = 1
-        from qrelieff.statevector import x as xgate
-
-        prep = Preparation((h(0), xgate(1, controls=[0])), 2, 1)
-        dist = amplitude_estimate(prep, 3)
+        # H then CNOT: the top qubit reads 1 with probability 0.5
+        psi = zero_state(2).apply_all((h(0), x(1, controls=[0])))
+        dist = amplitude_estimate(psi, 3)
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
 
     def test_width_checked_before_orbit(self, monkeypatch):
         def empty(*args, **kwargs):
             raise AssertionError("orbit allocated before the width check")
 
+        psi = zero_state(2).apply_all((h(0), ry(0.4, 1)))
         monkeypatch.setattr(statevector, "MAX_QUBITS", 4)
         monkeypatch.setattr(circuits.np, "empty", empty)
-        prep = Preparation((h(0), ry(0.4, 1)), 2, 1)
         with pytest.raises(CapacityError):
-            amplitude_estimate(prep, 3)  # p + t = 5 qubits
+            amplitude_estimate(psi, 3)  # p + t = 5 qubits
 
     def test_full_orbit_runs_the_preparation_once(self, apply_calls):
-        # the gates of A prepare psi = A|0> once; each G step reflects about
-        # psi without running them, so the count does not grow with 2^t
+        # the swap-test composite psi = A|0> is built once, before the orbit;
+        # each G step reflects about psi and applies no gate, at any 2^t
         nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
-        prep = _full_circuit_preparation(nd, 0, 1)
+        psi = swap_test_state(
+            swap_flag(encode_sample(nd.samples[0])), encode_sample(nd.samples[1])
+        )
         counts = []
         for t in (1, 4):
             apply_calls.clear()
-            circuits._grover_orbit(prep, t)
+            circuits._grover_orbit(psi, t)
             counts.append(len(apply_calls))
-        assert counts == [len(prep.gates)] * 2
+        assert counts == [0, 0]
 
     def test_peak_memory_of_one_call(self):
         # numpy reports its buffers to tracemalloc; a dense 2^10-point DFT
@@ -445,16 +434,16 @@ class TestAmplitudeEstimation:
         "p, t, dense", [(1, 1, False), (1, 2, True), (2, 4, True), (2, 3, False), (3, 2, False)]
     )
     def test_dense_grover_only_when_smaller_than_readout(self, monkeypatch, p, t, dense):
-        def refuse(prep, t):
+        def refuse(psi, t):
             raise AssertionError("wrong orbit path")
 
         skipped = "_grover_orbit" if dense else "_grover_orbit_by_squaring"
         monkeypatch.setattr(circuits, skipped, refuse)
-        # flag P(1) = sin^2(0.35), whatever the other qubits hold
-        prep = Preparation((ry(0.7, 0), *(h(q) for q in range(1, p))), p, 0)
-        reduced = reduced_preparation(math.sin(0.35) ** 2)
+        # top-qubit P(1) = sin^2(0.35), whatever the other qubits hold
+        psi = zero_state(p).apply_all((ry(0.7, p - 1), *(h(q) for q in range(p - 1))))
+        reduced = ref.reduced_preparation(math.sin(0.35) ** 2)
         np.testing.assert_allclose(
-            amplitude_estimate(prep, t), ref.amplitude_estimate(reduced, t), atol=1e-12
+            amplitude_estimate(psi, t), ref.amplitude_estimate(reduced, t), atol=1e-12
         )
 
     def test_bad_parameters(self):

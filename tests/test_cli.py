@@ -1,7 +1,9 @@
 """Tests for CSV ingestion, the command-line harness and report emission."""
 
+import errno
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,20 +209,28 @@ class TestRunCli:
             raise AssertionError("ran before --output was checked")
 
         monkeypatch.setattr(f"qrelieff.cli.{entry}", boom)
-        target = tmp_path / "missing" / "r.json"
-        code, out = run(["--input", fixture_path, *flags, "--output", str(target)])
+        missing = tmp_path / "missing" / "r.json"
+        for target, reason in (
+            (missing, f"{missing.parent} is not a directory"),
+            (tmp_path, "it is a directory"),
+        ):
+            code, out = run(["--input", fixture_path, *flags, "--output", str(target)])
+            assert (code, out) == (2, "")
+            assert capsys.readouterr().err == (
+                f"configuration error: --output {target}: {reason}\n"
+            )
+
+    def test_output_write_error_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def full_disk(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        target = tmp_path / "r.json"
+        code, out = run(["--reproduce-program3", "--shots", "8", "--output", str(target)])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == (
-            f"configuration error: --output {target}: {target.parent} is not a directory\n"
+            f"configuration error: cannot write --output {target}: No space left on device\n"
         )
-
-    def test_output_write_error_is_one_line(self, tmp_path, capsys):
-        # the parent exists, but the path itself is a directory
-        code, out = run(["--reproduce-program3", "--shots", "8", "--output", str(tmp_path)])
-        assert (code, out) == (2, "")
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot write --output {tmp_path}: ")
-        assert err.count("\n") == 1
 
     def test_defaults_match_documented_values(self):
         args = build_parser().parse_args([])
@@ -300,8 +310,10 @@ class TestOneClassInput:
 
 
 class TestFullCircuitFeatureCount:
-    """The ``full`` circuit encodes by gate list, which needs N a power of two
-    (2 or more); any other N is a data error before any sample is encoded."""
+    """Amplitude estimation of the ``full`` circuit needs its preparation to be
+    a unitary circuit, and the encoding is one only for N a power of two (2 or
+    more; any other N encodes by postselection).  Any other N is a data error
+    before any sample is encoded."""
 
     @pytest.fixture(params=[1, 3, 6], ids=lambda n: f"N={n}")
     def csv_path(self, request, tmp_path):

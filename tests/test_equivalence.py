@@ -6,9 +6,11 @@ lists (``apply_all``, the swap test) bit for bit against one new state per
 gate, the Grover search state and orbit, which reflect about W|0> in place
 of running W^-1 and W, against per-gate iterations, the orbit by repeated
 squaring against the orbit step by step, the FFT QFT against the dense DFT
-matrix, the ``full`` circuit's preparation against the same circuit padded with a
+matrix, the ``full`` circuit's composite against the one padded with a
 sample-index register and against per-pair swaps, and the comparator
-``cmp_flag`` bit for bit against its index-array scatter."""
+``cmp_flag`` bit for bit against its index-array scatter.  Amplitude
+estimation takes the prepared state A|0> and reads its top qubit; the
+reference takes A's gates with the flag on that qubit."""
 
 import math
 from pathlib import Path
@@ -21,13 +23,11 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from qrelieff.circuits import (
     EncodingLayout,
-    Preparation,
     _grover_orbit,
     _grover_orbit_by_squaring,
     amplitude_estimate,
     cmp_flag,
     encode_sample,
-    encode_sample_gates,
     fold_distribution,
     grover_plan,
     grover_search_state,
@@ -36,15 +36,14 @@ from qrelieff.circuits import (
     qft,
     reduced_preparation,
     swap_flag,
-    swap_test_gates,
     swap_test_state,
 )
 from qrelieff.cli import load_csv
 from qrelieff.errors import QReliefFError
-from qrelieff.pipeline import _full_circuit_preparation
+from qrelieff.pipeline import prepare_states
 from qrelieff.program3 import RESULT_QUBIT, final_state
 from qrelieff.relieff import NormalizedDataset, normalize
-from qrelieff.statevector import GateOp, StateVector, h, swap, swap_registers, x
+from qrelieff.statevector import GateOp, StateVector, h, swap_registers, zero_state
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,11 +198,18 @@ def test_reduced_ae_matches_controlled_grover_loop(t):
     rng = np.random.default_rng(t)
     amplitudes = [0.0, 0.5, 1.0, *rng.random(3 if t <= 8 else 1)]
     for a in amplitudes:
-        prep = reduced_preparation(float(a))
         np.testing.assert_allclose(
-            amplitude_estimate(prep, t), ref.amplitude_estimate(prep, t),
+            amplitude_estimate(reduced_preparation(float(a)), t),
+            ref.amplitude_estimate(ref.reduced_preparation(float(a)), t),
             rtol=0, atol=TOL, err_msg=f"a={a}",
         )
+
+
+def _preparation(data, p: int):
+    """A drawn gate list on p qubits as a reference preparation with its flag
+    on the top qubit, and the state A|0> it prepares."""
+    prep_gates = tuple(data.draw(st.lists(gates(p), min_size=1, max_size=4)))
+    return ref.Preparation(prep_gates, p, p - 1), zero_state(p).apply_all(prep_gates)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,10 +217,9 @@ def test_reduced_ae_matches_controlled_grover_loop(t):
 def test_full_ae_matches_controlled_grover_loop(data):
     p = data.draw(st.integers(1, 3))
     t = data.draw(st.integers(1, 5))
-    prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
-    prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
+    prep, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        amplitude_estimate(prep, t),
+        amplitude_estimate(psi, t),
         ref.amplitude_estimate(prep, t, mode="full"), rtol=0, atol=TOL,
     )
 
@@ -302,10 +307,9 @@ def test_grover_search_state_matches_per_gate_iterations(data):
 def test_grover_orbit_matches_per_gate_orbit(data):
     p = data.draw(st.integers(1, 3))
     t = data.draw(st.integers(1, 6))
-    prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
-    prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
+    prep, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        _grover_orbit(prep, t), ref.grover_orbit(prep, t), rtol=0, atol=TOL
+        _grover_orbit(psi, t), ref.grover_orbit(prep, t), rtol=0, atol=TOL
     )
 
 
@@ -314,10 +318,9 @@ def test_grover_orbit_matches_per_gate_orbit(data):
 def test_grover_orbit_by_squaring_matches_step_by_step_orbit(data):
     p = data.draw(st.integers(1, 3))
     t = data.draw(st.integers(p, 8))
-    prep_gates = data.draw(st.lists(gates(p), min_size=1, max_size=4))
-    prep = Preparation(tuple(prep_gates), p, data.draw(st.integers(0, p - 1)))
+    _, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        _grover_orbit_by_squaring(prep, t), _grover_orbit(prep, t), rtol=0, atol=TOL
+        _grover_orbit_by_squaring(psi, t), _grover_orbit(psi, t), rtol=0, atol=TOL
     )
 
 
@@ -337,20 +340,12 @@ def test_fft_qft_matches_dense_dft(data):
         )
 
 
-def _shifted(gates, offset: int):
-    return [
-        GateOp(g.kind, tuple(q + offset for q in g.targets),
-               tuple((q + offset, pol) for q, pol in g.controls), g.angle)
-        for g in gates
-    ]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_full_circuit_preparation_matches_padded_preparation(data):
-    # the full circuit encodes without a sample-index register; with one above
-    # each encoding (X on the set bits of the sample's index) the estimation
-    # distribution must not move
+    # the full circuit's composite holds no sample-index register; the one
+    # that prepare_states puts above each encoding (and the swap test leaves
+    # out of its swaps) must not move the estimation distribution
     n_features = data.draw(st.sampled_from([2, 4]))
     index_bits = data.draw(st.integers(1, 2))
     t = data.draw(st.integers(1, 5))
@@ -361,20 +356,10 @@ def test_full_circuit_preparation_matches_padded_preparation(data):
     q = data.draw(st.integers(0, n_samples - 1))
 
     m = EncodingLayout(n_features).n_qubits
-    wide = m + index_bits
-
-    def padded_encoding(sample):
-        marks = [x(m + j) for j in range(index_bits) if (sample >> j) & 1]
-        return encode_sample_gates(rows[sample]) + marks
-
-    gates = (
-        padded_encoding(q)
-        + _shifted(padded_encoding(u) + [swap(0, 1)], wide)
-        + swap_test_gates(wide, range(m))
-    )
-    padded = Preparation(tuple(gates), 2 * wide + 1, 2 * wide)
-    narrow = _full_circuit_preparation(nd, u, q)
-    assert narrow.n_qubits == 2 * m + 1
+    states = prepare_states(nd)
+    padded = swap_test_state(swap_flag(states[u]), states[q], range(m))
+    narrow = swap_test_state(swap_flag(encode_sample(rows[u])), encode_sample(rows[q]))
+    assert (narrow.n_qubits, padded.n_qubits) == (2 * m + 1, 2 * (m + index_bits) + 1)
     got, want = amplitude_estimate(narrow, t), amplitude_estimate(padded, t)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
     assert modal_outcome(got, t).y == modal_outcome(want, t).y
@@ -382,19 +367,17 @@ def test_full_circuit_preparation_matches_padded_preparation(data):
 
 @pytest.mark.parametrize("t", [3, 4])
 def test_full_circuit_ae_matches_per_qubit_swaps(t):
-    # the full circuit's swap test as one register swap and as one controlled
-    # SWAP per qubit pair: the same estimation distribution, bit for bit
+    # the full circuit's composite with its swap test as one register swap
+    # and as one controlled SWAP per qubit pair: the same state and the same
+    # estimation distribution, bit for bit
     nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
-    m = EncodingLayout(nd.n_features).n_qubits
     for u in range(nd.n_samples):
         for q in range(nd.n_samples):
-            prep = _full_circuit_preparation(nd, u, q)
-            assert list(prep.gates[-3:]) == swap_test_gates(m)
-            per_qubit = Preparation(
-                prep.gates[:-3] + tuple(ref.swap_test_gates(m)), prep.n_qubits, prep.flag
-            )
-            got, want = amplitude_estimate(prep, t), amplitude_estimate(per_qubit, t)
-            assert got.tobytes() == want.tobytes(), (u, q)
+            a, b = swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q])
+            got, want = swap_test_state(a, b), ref.swap_test_state(a, b)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (u, q)
+            dists = amplitude_estimate(got, t), amplitude_estimate(want, t)
+            assert dists[0].tobytes() == dists[1].tobytes(), (u, q)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,8 +6,10 @@ tree: floats within 1e-12, every other value exactly.  The cases are the
 shipped six-sample example (both backends, per-iteration logs, exact and
 sampled mode, random and round-robin picks, seeds 0-1, 6 readout bits; exact
 mode at 1 and 10 readout bits, which build the estimation orbit step by step
-and by squaring) and a four-sample, two-feature input through the ``full``
-amplitude-estimation circuit at 3 and 4 readout bits.
+and by squaring), a four-sample, two-feature input through the ``full``
+amplitude-estimation circuit at 3 and 4 readout bits (and, exact mode only,
+at 1 and 8), and an eight-sample, four-feature input through the ``full``
+circuit at 6 readout bits and 2 iterations.
 
 Re-record only after a deliberate change of results:
 
@@ -44,10 +46,19 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
                 "--backend", "both", "--emit-iterations", "--mode", mode,
                 "--ae-circuit", "full", "--ae-bits", str(t),
             ])
+        cases[f"eight_by_four-full-{mode}"] = ("eight_by_four.csv", [
+            "--backend", "both", "--emit-iterations", "--mode", mode,
+            "--ae-circuit", "full", "--ae-bits", "6", "--T", "2",
+        ])
     for t in (1, 10):
         cases[f"example6-exact-t{t}"] = ("example6.csv", [
             "--backend", "both", "--emit-iterations", "--mode", "exact",
             "--pick", "random", "--seed", "0", "--ae-bits", str(t),
+        ])
+    for t in (1, 8):
+        cases[f"four_by_two-full-exact-t{t}"] = ("four_by_two.csv", [
+            "--backend", "both", "--emit-iterations", "--mode", "exact",
+            "--ae-circuit", "full", "--ae-bits", str(t),
         ])
     return cases
 
