@@ -13,8 +13,9 @@ match them bit for bit.
 
 ``apply_stride`` is the stride-view kernel with one expression for every
 2x2 gate, which the per-kind kernels of ``StateVector.apply`` replaced.
-``swap_test_gates`` is the swap test with one controlled SWAP per qubit pair,
-which the controlled register swap replaced.
+``apply_unchunked`` is the per-kind kernels run once on the whole view, which
+the chunked kernel replaced.  ``swap_test_gates`` is the swap test with one
+controlled SWAP per qubit pair, which the controlled register swap replaced.
 
 Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled
@@ -115,6 +116,38 @@ def apply_stride(state: StateVector, gate: GateOp) -> StateVector:
         a0, a1 = sub[..., 0], sub[..., 1]
         a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
     return StateVector(state.n_qubits, amps, _checked=True)
+
+
+def apply_unchunked(state: StateVector, gate: GateOp, in_place: bool = False) -> StateVector:
+    """U|state> for one gate by the per-kind kernels on the whole of
+    ``StateVector._split``'s view at once; ``in_place`` overwrites ``state``'s
+    amplitudes and returns ``state``."""
+    amps = state.amplitudes if in_place else state.amplitudes.copy()
+    if len(gate.targets) > 2:  # a register swap
+        state._swap_registers(amps, gate)
+        return state if in_place else StateVector(state.n_qubits, amps, _checked=True)
+    sub = state._split(amps, gate.targets, gate.controls)
+    if gate.kind == "swap":
+        sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
+    elif gate.kind == "phase":
+        sub[..., 1] *= np.exp(1j * gate.angle)
+    elif gate.kind == "x":
+        sub[..., 0], sub[..., 1] = sub[..., 1], sub[..., 0].copy()
+    elif gate.kind == "h":
+        a0, a1, r = sub[..., 0], sub[..., 1], gate.matrix()[0, 0]
+        t = r * a0
+        np.multiply(r, a1, out=a1)
+        np.add(t, a1, out=a0)
+        np.subtract(t, a1, out=a1)
+    else:
+        u = gate.matrix()
+        a0, a1 = sub[..., 0], sub[..., 1]
+        t = u[1, 0] * a0
+        np.multiply(u[0, 0], a0, out=a0)
+        a0 += u[0, 1] * a1
+        np.multiply(u[1, 1], a1, out=a1)
+        a1 += t
+    return state if in_place else StateVector(state.n_qubits, amps, _checked=True)
 
 
 def phase_on_indices(state: StateVector, sel: np.ndarray, phi: float) -> StateVector:

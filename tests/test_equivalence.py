@@ -1,6 +1,7 @@
 """The stride-view gate kernel and the Grover-orbit amplitude estimation
 against the index-mask kernel and the controlled-G loop they replaced, the
 per-kind gate kernels against the one-expression stride-view kernel, the
+chunked kernel bit for bit against the same kernels on the whole view, the
 register swap against its pairs swapped one at a time, the in-place gate
 lists (``apply_all``, the swap test) bit for bit against one new state per
 gate, the Grover search state and orbit, which reflect about W|0> in place
@@ -43,6 +44,7 @@ from qrelieff.errors import QReliefFError
 from qrelieff.pipeline import prepare_states
 from qrelieff.program3 import RESULT_QUBIT, final_state
 from qrelieff.relieff import NormalizedDataset, normalize
+from qrelieff import statevector
 from qrelieff.statevector import GateOp, StateVector, h, swap_registers, zero_state
 
 DATA = Path(__file__).parent / "data"
@@ -132,6 +134,88 @@ def test_gate_kernels_match_stride_reference(kind, data):
     own = StateVector(n, before.copy(), _checked=True)
     assert own.apply(gate, _in_place=True) is own
     assert np.array_equal(_bits(own.amplitudes), _bits(fast.amplitudes))
+
+
+def _assert_chunked_matches_unchunked(state: StateVector, gate: GateOp):
+    """``apply`` out of place and in place against the kernels on the whole
+    view, bit for bit."""
+    before = state.amplitudes.copy()
+    want = ref.apply_unchunked(state, gate)
+    assert np.array_equal(_bits(state.apply(gate).amplitudes), _bits(want.amplitudes))
+    assert np.array_equal(_bits(state.amplitudes), _bits(before))  # input untouched
+    own = StateVector(state.n_qubits, before, _checked=True)
+    assert own.apply(gate, _in_place=True) is own
+    assert np.array_equal(_bits(own.amplitudes), _bits(want.amplitudes))
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chunked_kernel_matches_unchunked(kind, data):
+    """Pieces of 4 amplitudes: the whole-axis loop, the cut axis and the
+    stepped short axes all run on states of up to 10 qubits."""
+    n = data.draw(st.integers(2 if kind == "swap" else 1, 10))
+    order = data.draw(st.permutations(range(n)))
+    n_targets = 2 if kind == "swap" else 1
+    n_controls = data.draw(st.integers(0, min(3, n - n_targets)))
+    controls = tuple(
+        (q, data.draw(st.integers(0, 1))) for q in order[n_targets:n_targets + n_controls]
+    )
+    angle = data.draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind in ("ry", "phase") else 0.0
+    gate = GateOp(kind, tuple(order[:n_targets]), controls, angle)
+    state = data.draw(states_with_zeros(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "CHUNK", 4)
+        _assert_chunked_matches_unchunked(state, gate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pieces_tile_the_view_once(data):
+    """Every amplitude of a gate's view lies in exactly one piece, and no
+    piece holds more than ``CHUNK`` amplitudes."""
+    n = data.draw(st.integers(2, 10))
+    gate = data.draw(gates(n))
+    if len(gate.targets) > 2:
+        gate = GateOp("swap", gate.targets[:2], gate.controls)
+    chunk = data.draw(st.sampled_from([4, 8, 16, 64]))
+    state = StateVector(n, np.zeros(1 << n), _checked=True)
+    seen = np.zeros(1 << n, dtype=np.int64)
+    sub = state._split(seen, gate.targets, gate.controls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "CHUNK", chunk)
+        for piece in statevector._pieces(sub, len(gate.targets)):
+            assert piece.size <= chunk
+            piece += 1
+    assert np.all(sub == 1)
+    assert seen.sum() == sub.size
+
+
+@pytest.fixture(scope="module")
+def wide_states():
+    """One random state each of 15, 19 and 20 qubits."""
+    out = {}
+    for n in (15, 19, 20):
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        out[n] = StateVector(n, amps / np.linalg.norm(amps))
+    return out
+
+
+@pytest.mark.parametrize("n", [15, 19, 20])
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_chunked_kernel_matches_unchunked_on_wide_states(wide_states, n, kind):
+    """Targets 0, 1, 2, 5 and n-1 (a SWAP pairs each with its neighbour), each
+    with no control, one control above the targets and one below them."""
+    state = wide_states[n]
+    for t in (0, 1, 2, 5, n - 1):
+        targets = (t, t + 1 if t < n - 1 else t - 1) if kind == "swap" else (t,)
+        low, high = min(targets), max(targets)
+        for controls in ((), ((high + (n - high) // 2, 1),), ((low // 2, 0),)):
+            if any(q in targets for q, _ in controls):
+                continue  # no qubit below target 0 (or the pair 0, 1)
+            gate = GateOp(kind, targets, controls, 0.7 if kind in ("ry", "phase") else 0.0)
+            _assert_chunked_matches_unchunked(state, gate)
 
 
 @settings(max_examples=150, deadline=None)
@@ -225,7 +309,10 @@ def test_full_ae_matches_controlled_grover_loop(data):
 
 
 def test_program3_exact_p1_unchanged():
-    assert abs(final_state().probability_one(RESULT_QUBIT) - PROGRAM3_EXACT_P1) <= TOL
+    p1 = final_state().probability_one(RESULT_QUBIT)
+    assert abs(p1 - PROGRAM3_EXACT_P1) <= TOL
+    # the stride-view kernels on the whole view gave exactly this float
+    assert p1 == 0.49999999999999933
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,13 @@
 """Tests for the published 20-qubit similarity-circuit reproduction."""
 
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from qrelieff.cli import run_cli
 
 from qrelieff.program3 import (
     N_QUBITS,
@@ -14,6 +18,8 @@ from qrelieff.program3 import (
     reproduce_program3,
 )
 from qrelieff.rng import RngStream
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +67,12 @@ class TestReproduction:
         a = reproduce_program3(shots=64, runs=3, seed=9)
         b = reproduce_program3(shots=64, runs=3, seed=9)
         assert a.run_means == b.run_means
+
+    def test_cli_document_matches_recorded(self):
+        # recorded with the stride-view kernels on the whole view
+        out = io.StringIO()
+        assert run_cli(["--reproduce-program3", "--seed", "0"], out) == 0
+        assert out.getvalue() == (DATA / "program3_seed0.json").read_text()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_run_means_are_statevector_samples(self, state, seed):

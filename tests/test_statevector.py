@@ -1,6 +1,7 @@
 """Unit tests for the statevector simulator layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,34 @@ class TestApply:
         np.testing.assert_allclose(
             via_gate.amplitudes, via_unitary.amplitudes, atol=1e-12
         )
+
+
+def _guard_gates():
+    for t in (0, 1, 5, 10, 19):
+        yield from (h(t), x(t), ry(0.7, t), phase(0.7, t), swap(t, t + 1 if t < 19 else t - 1))
+    yield ry(0.7, 0, controls=[18])
+    yield x(18, controls=[2, 5])
+
+
+class TestKernelMemory:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return StateVector(20, np.full(1 << 20, 2.0**-10, dtype=complex), _checked=True)
+
+    @pytest.mark.parametrize(
+        "gate", list(_guard_gates()),
+        ids=lambda g: "-".join([g.kind, *map(str, g.targets)] + [f"c{q}" for q, _ in g.controls]),
+    )
+    def test_in_place_gate_allocates_under_one_mib(self, wide, gate):
+        """A gate on 20 qubits works piece by piece: its temporaries stay far
+        below the 4-16 MiB of half-state ones."""
+        tracemalloc.start()
+        try:
+            wide.apply(gate, _in_place=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRegisterSwap:
