@@ -190,14 +190,16 @@ def quantum_similarity(
     recovers s, and estimates the algebraically equivalent single-qubit
     amplitude sqrt(s); the ``full`` circuit path amplitude-estimates the
     swap-test ancilla itself and converts that reading back to an s grid
-    point.  Sampling noise can push the raw estimate outside [0, 1]; it is
-    clamped and flagged rather than propagated.  The record of u against
-    itself is marked excluded.
+    point.  The raw estimate is clamped to [0, 1].  In sampled mode shot
+    noise can push it outside, and the record is flagged ``noise_clamped``;
+    in exact mode only rounding can (u against itself lands just above 1),
+    and nothing is flagged.  The record of u against itself is marked
+    excluded.
     """
     n_features, layout = nd.n_features, EncodingLayout(nd.n_features)
     p1 = _swap_test_p1(states[u], states[q], layout, cfg, rng)
     s = (1.0 - 2.0 * p1) * n_features**2
-    clamped = not 0.0 <= s <= 1.0
+    clamped = cfg.mode == "sampled" and not 0.0 <= s <= 1.0
     s = min(max(s, 0.0), 1.0)
     if cfg.ae_circuit == "full":
         ae = _full_circuit_outcome(nd, u, q, cfg, rng)

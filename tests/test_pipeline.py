@@ -188,6 +188,17 @@ class TestQReliefFRun:
             sampled = qrelieff_run(nd, cfg, RngStream(seed), stats).selected(0.5)
             assert sampled == exact, seed
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_noise_clamped_only_in_sampled_mode(self, example_normalized, mode):
+        # in exact mode the picked sample's own s lands just above 1 by
+        # rounding: clamped, not flagged; shot noise flags some sampled records
+        nd, stats = example_normalized
+        cfg = PipelineConfig(T=4, pick_policy="round-robin", mode=mode)
+        tables = qrelieff_run(nd, cfg, RngStream(0), stats).tables
+        records = [r for table in tables for rs in table.records.values() for r in rs]
+        assert all(0.0 <= r.s_raw <= 1.0 for r in records)
+        assert any(r.noise_clamped for r in records) == (mode == "sampled")
+
     def test_trace_rederives_average(self, example_normalized):
         nd, stats = example_normalized
         cfg = PipelineConfig(T=4, pick_policy="round-robin")
