@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from qrelieff import statevector
 from qrelieff.circuits import (
     EncodingLayout,
     _grover_orbit,
@@ -44,13 +45,13 @@ from qrelieff.errors import QReliefFError
 from qrelieff.pipeline import prepare_states
 from qrelieff.program3 import RESULT_QUBIT, final_state
 from qrelieff.relieff import NormalizedDataset, normalize
-from qrelieff import statevector
 from qrelieff.statevector import GateOp, StateVector, h, swap_registers, zero_state
 
 DATA = Path(__file__).parent / "data"
 
 TOL = 1e-12
-# Program 3's exact P(1) as computed by the index-mask kernel.
+# Program 3's exact P(1) as computed by the index-mask kernel and by the
+# stride-view kernels on the whole view: the same float.
 PROGRAM3_EXACT_P1 = 0.49999999999999933
 
 
@@ -309,10 +310,7 @@ def test_full_ae_matches_controlled_grover_loop(data):
 
 
 def test_program3_exact_p1_unchanged():
-    p1 = final_state().probability_one(RESULT_QUBIT)
-    assert abs(p1 - PROGRAM3_EXACT_P1) <= TOL
-    # the stride-view kernels on the whole view gave exactly this float
-    assert p1 == 0.49999999999999933
+    assert final_state().probability_one(RESULT_QUBIT) == PROGRAM3_EXACT_P1
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qrelieff.cli import run_cli
-
 from qrelieff.program3 import (
     N_QUBITS,
     PUBLISHED_P1,
