@@ -25,17 +25,27 @@ Conventions used throughout the package:
   and sums as on the whole view and the bytes do not change; a view of one
   piece or less is one call, as before.  Program 3's 25 gates fell from about
   135 to 85 ms in process, and a cold ``reproduce_program3`` from about 213
-  to 131 ms (2 vCPU, numpy 2.4.6, one BLAS thread).
+  to 131 ms (2 vCPU, numpy 2.4.6, one BLAS thread).  Phase, one in-place
+  multiply with no temporary, runs on the whole view in one call.
 * A register swap (:func:`swap_registers`, k >= 2 qubit pairs under one set
   of controls) is one axis transposition of the ``(2,)*n`` view on the
   controlled branch, where k single SWAPs would make k strided passes: five
   controlled pairs on 19 qubits take 1.14 ms against 4.37 ms as five SWAPs.
   One pair keeps the branch exchange, which measured faster than the
   transposition: 0.60 against 1.09 ms controlled on 19 qubits, 2.6 against
-  4.3 ms uncontrolled on 20.  Amplitudes only move, so the bytes equal those
-  of the pairs swapped one at a time.
+  4.3 ms uncontrolled on 20.  The transposition runs block by block, each
+  block at most ``CHUNK`` amplitudes, through one block-sized temporary
+  (:meth:`StateVector._swap_registers`).  Amplitudes only move, so the bytes
+  equal those of the pairs swapped one at a time.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
-  through :meth:`StateVector.sample`.
+  through :meth:`StateVector.sample`.  The readouts sum |amp|^2 over pieces
+  of at most ``CHUNK`` amplitudes and add the piece sums in numpy's own
+  pairwise order (:func:`_sums_of_squares`).  ``zero_state`` and
+  ``basis_state`` skip the norm check, and the check of any other input is
+  one ``np.vdot``.  So working memory is the state plus under 1 MiB for any
+  gate or readout on 20 qubits, where half-state temporaries took 4-16 MiB;
+  :meth:`StateVector.apply_unitary` and :meth:`StateVector.postselect` still
+  take a whole state of temporaries.
 """
 
 from __future__ import annotations
@@ -228,6 +238,29 @@ def _pieces(sub: np.ndarray, k: int):
     )
 
 
+def _sums_of_squares(view: np.ndarray, k: int) -> np.ndarray:
+    """For each index of the first ``k`` axes of ``view`` (a ``(2,)*m``
+    array), in C order, the sum of |amp|^2 over the other axes.
+
+    Each sum is bit for bit ``np.sum`` of those squares raveled in C order:
+    numpy sums a power-of-two length pairwise, halving it down to blocks of
+    128, so the sums of aligned pieces of at most ``CHUNK`` amplitudes, added
+    pairwise in a balanced tree, are its own partial sums (``CHUNK`` is at
+    least 128).  The leading axes are looped over, one piece each, until a
+    piece fits.
+    """
+    loop = max(view.ndim - (CHUNK.bit_length() - 1), 0)
+    rows = 1 << max(k - loop, 0)  # register values in one piece
+    parts = np.empty((1 << loop) * rows)
+    for j, index in enumerate(itertools.product((0, 1), repeat=loop)):
+        sq = np.abs(view[index]).reshape(rows, -1) ** 2
+        parts[j * rows:(j + 1) * rows] = sq.sum(axis=1)
+    parts = parts.reshape(1 << k, -1)
+    while parts.shape[1] > 1:
+        parts = parts[:, 0::2] + parts[:, 1::2]
+    return parts[:, 0]
+
+
 def check_width(n_qubits: int):
     """Raise :class:`CapacityError` unless 1 <= n_qubits <= MAX_QUBITS.
 
@@ -254,7 +287,7 @@ class StateVector:
                 f"{n_qubits} qubits"
             )
         if not _checked:
-            norm = np.sum(np.abs(amplitudes) ** 2)
+            norm = np.vdot(amplitudes, amplitudes).real  # no whole-state temporary
             if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
                 raise QReliefFError(f"state norm {norm} deviates from 1")
         self.n_qubits = n_qubits
@@ -305,6 +338,21 @@ class StateVector:
         perm = [i for i in range(view.ndim) if i not in kept] + kept
         return view.transpose(perm)
 
+    def _qubit_axes(self, amps: np.ndarray, fixed=None, first=()) -> np.ndarray:
+        """View of ``amps`` as a ``(2,)*n`` array, one axis per qubit: the
+        qubits in ``first`` lead, in that order, then the others from the
+        highest down, and each qubit of ``fixed`` (a dict of qubit to value)
+        is indexed out."""
+        fixed = fixed or {}
+        for q in (*first, *fixed):
+            self._check_qubit(q)
+        if len({*first, *fixed}) < len(first) + len(fixed):
+            raise QReliefFError(f"repeated qubit in {[*first, *fixed]}")
+        n = self.n_qubits
+        order = [*first, *(q for q in range(n - 1, -1, -1) if q not in first)]
+        view = amps.reshape((2,) * n).transpose([n - 1 - q for q in order])
+        return view[tuple(fixed.get(q, slice(None)) for q in order)]
+
     # -- gate application ----------------------------------------------------
 
     def apply(self, gate: GateOp, _in_place: bool = False) -> "StateVector":
@@ -320,7 +368,8 @@ class StateVector:
         sub = self._split(amps, gate.targets, gate.controls)
         kind = gate.kind
         coef = gate.matrix() if kind == "ry" else np.exp(1j * gate.angle)  # once for all pieces
-        for piece in _pieces(sub, len(gate.targets)):
+        # Phase is one in-place multiply with no temporary to keep in cache
+        for piece in (sub,) if kind == "phase" else _pieces(sub, len(gate.targets)):
             _kernel(piece, kind, coef)
         if _in_place:
             return self
@@ -328,19 +377,44 @@ class StateVector:
         return StateVector(self.n_qubits, amps, _checked=True)
 
     def _swap_registers(self, amps: np.ndarray, gate: GateOp):
-        """Swap every target pair of ``gate`` in ``amps`` (C-contiguous) with
-        one transposition of the controlled branch's ``(2,)*n`` view."""
+        """Swap every target pair of ``gate`` in ``amps`` (C-contiguous): a
+        transposition of the controlled branch's ``(2,)*n`` view, block by
+        block.
+
+        The outer axes are taken from the outermost, each with the axis it is
+        paired with, until a block of the other axes holds at most ``CHUNK``
+        amplitudes.  The transposition maps every block onto one block: a
+        block it fixes is transposed in place through one copy of it, and the
+        others trade places with their partners, transposed.
+        """
         ctrl = dict(gate.controls)
-        for q in (*gate.targets, *ctrl):
+        for q in gate.targets:
             self._check_qubit(q)
-        # qubit q owns axis n - 1 - q; the control axes drop out when indexed
-        qubits = range(self.n_qubits - 1, -1, -1)
-        view = amps.reshape((2,) * self.n_qubits)[tuple(ctrl.get(q, slice(None)) for q in qubits)]
-        axis = {q: i for i, q in enumerate(q for q in qubits if q not in ctrl)}
+        view = self._qubit_axes(amps, fixed=ctrl)
+        axis_qubit = [q for q in range(self.n_qubits - 1, -1, -1) if q not in ctrl]
         perm = list(range(view.ndim))
         for a, b in zip(gate.targets[::2], gate.targets[1::2]):
-            perm[axis[a]], perm[axis[b]] = axis[b], axis[a]
-        view[...] = view.transpose(perm).copy()
+            i, j = axis_qubit.index(a), axis_qubit.index(b)
+            perm[i], perm[j] = j, i
+        outer = []
+        for a in range(view.ndim):
+            if view.size >> len(outer) <= CHUNK:
+                break
+            if a not in outer:
+                outer += [a] if perm[a] == a else [a, perm[a]]
+        inner = [a for a in range(view.ndim) if a not in outer]
+        blocks = view.transpose(outer + inner)
+        inner_perm = [inner.index(perm[a]) for a in inner]
+        for s in itertools.product((0, 1), repeat=len(outer)):
+            t = tuple(s[outer.index(perm[a])] for a in outer)  # where block s goes
+            if t == s:
+                block = blocks[(*s, ...)]
+                block[...] = block.transpose(inner_perm).copy()
+            elif s < t:
+                b, c = blocks[(*s, ...)], blocks[(*t, ...)]
+                moved = b.transpose(inner_perm).copy()
+                b[...] = c.transpose(inner_perm)
+                c[...] = moved
 
     def apply_all(self, gates) -> "StateVector":
         """Return the state after ``gates``, run in order on one private copy."""
@@ -376,8 +450,7 @@ class StateVector:
 
     def probability_one(self, qubit: int) -> float:
         """Exact probability of reading 1 on ``qubit``."""
-        ones = self._split(self.amplitudes, [qubit])[..., 1]
-        return float(np.sum(np.abs(ones).ravel() ** 2))
+        return float(_sums_of_squares(self._qubit_axes(self.amplitudes, fixed={qubit: 1}), 0)[0])
 
     def postselect(self, qubit: int, outcome: int) -> "StateVector":
         """Project on ``qubit == outcome`` and renormalize."""
@@ -401,8 +474,7 @@ class StateVector:
         qubits = [int(q) for q in qubits]
         if not qubits:
             raise QReliefFError("empty qubit list")
-        probs = self._split(np.abs(self.amplitudes) ** 2, qubits[::-1])
-        return probs.reshape(-1, 1 << len(qubits)).sum(axis=0)
+        return _sums_of_squares(self._qubit_axes(self.amplitudes, first=qubits[::-1]), len(qubits))
 
     def sample(self, qubits, shots: int, rng: RngStream) -> dict[str, int]:
         """Draw ``shots`` i.i.d. readings of the listed qubits.
@@ -428,7 +500,7 @@ def zero_state(n_qubits: int) -> StateVector:
     check_width(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    return StateVector(n_qubits, amps, _checked=True)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -438,7 +510,7 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
         raise QReliefFError(f"basis index {index} out of range")
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(n_qubits, amps)
+    return StateVector(n_qubits, amps, _checked=True)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -13,9 +13,14 @@ match them bit for bit.
 
 ``apply_stride`` is the stride-view kernel with one expression for every
 2x2 gate, which the per-kind kernels of ``StateVector.apply`` replaced.
-``apply_unchunked`` is the per-kind kernels run once on the whole view, which
-the chunked kernel replaced.  ``swap_test_gates`` is the swap test with one
-controlled SWAP per qubit pair, which the controlled register swap replaced.
+``apply_unchunked`` is the per-kind kernels run once on the whole view, and a
+register swap as one transposition of the whole controlled view through a
+copy of it (``swap_registers_unchunked``), which the chunked kernel and the
+block-by-block register swap replaced.  ``probability_one_unchunked`` and
+``marginal_probabilities_unchunked`` are the readouts as whole-state numpy
+expressions, which the sums over pieces replaced.  ``swap_test_gates`` is the
+swap test with one controlled SWAP per qubit pair, which the controlled
+register swap replaced.
 
 Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled
@@ -124,7 +129,7 @@ def apply_unchunked(state: StateVector, gate: GateOp, in_place: bool = False) ->
     amplitudes and returns ``state``."""
     amps = state.amplitudes if in_place else state.amplitudes.copy()
     if len(gate.targets) > 2:  # a register swap
-        state._swap_registers(amps, gate)
+        swap_registers_unchunked(state, amps, gate)
         return state if in_place else StateVector(state.n_qubits, amps, _checked=True)
     sub = state._split(amps, gate.targets, gate.controls)
     if gate.kind == "swap":
@@ -148,6 +153,21 @@ def apply_unchunked(state: StateVector, gate: GateOp, in_place: bool = False) ->
         np.multiply(u[1, 1], a1, out=a1)
         a1 += t
     return state if in_place else StateVector(state.n_qubits, amps, _checked=True)
+
+
+def swap_registers_unchunked(state: StateVector, amps: np.ndarray, gate: GateOp):
+    """Swap every target pair of ``gate`` in ``amps`` (C-contiguous) with one
+    transposition of the controlled branch's ``(2,)*n`` view, through a copy
+    of that whole view."""
+    ctrl = dict(gate.controls)
+    # qubit q owns axis n - 1 - q; the control axes drop out when indexed
+    qubits = range(state.n_qubits - 1, -1, -1)
+    view = amps.reshape((2,) * state.n_qubits)[tuple(ctrl.get(q, slice(None)) for q in qubits)]
+    axis = {q: i for i, q in enumerate(q for q in qubits if q not in ctrl)}
+    perm = list(range(view.ndim))
+    for a, b in zip(gate.targets[::2], gate.targets[1::2]):
+        perm[axis[a]], perm[axis[b]] = axis[b], axis[a]
+    view[...] = view.transpose(perm).copy()
 
 
 def phase_on_indices(state: StateVector, sel: np.ndarray, phi: float) -> StateVector:
@@ -204,6 +224,19 @@ def probability_one(state: StateVector, qubit: int) -> float:
     idx = np.arange(state.dim)
     sel = ((idx >> qubit) & 1) == 1
     return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+
+
+def probability_one_unchunked(state: StateVector, qubit: int) -> float:
+    """P(qubit = 1) as one numpy sum over the squares of the whole 1 half."""
+    ones = state._split(state.amplitudes, [qubit])[..., 1]
+    return float(np.sum(np.abs(ones).ravel() ** 2))
+
+
+def marginal_probabilities_unchunked(state: StateVector, qubits) -> np.ndarray:
+    """The marginal as one axis-0 numpy sum over the squares of every
+    amplitude, one column per register value."""
+    probs = state._split(np.abs(state.amplitudes) ** 2, list(qubits)[::-1])
+    return probs.reshape(-1, 1 << len(qubits)).sum(axis=0)
 
 
 def postselect(state: StateVector, qubit: int, outcome: int) -> StateVector:

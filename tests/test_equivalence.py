@@ -2,7 +2,9 @@
 against the index-mask kernel and the controlled-G loop they replaced, the
 per-kind gate kernels against the one-expression stride-view kernel, the
 chunked kernel bit for bit against the same kernels on the whole view, the
-register swap against its pairs swapped one at a time, the in-place gate
+register swap against its pairs swapped one at a time and, block by block,
+against one transposition of the whole view, the readouts summed over pieces
+against whole-state numpy sums, the in-place gate
 lists (``apply_all``, the swap test) bit for bit against one new state per
 gate, the Grover search state and orbit, which reflect about W|0> in place
 of running W^-1 and W, against per-gate iterations, the orbit by repeated
@@ -217,6 +219,75 @@ def test_chunked_kernel_matches_unchunked_on_wide_states(wide_states, n, kind):
                 continue  # no qubit below target 0 (or the pair 0, 1)
             gate = GateOp(kind, targets, controls, 0.7 if kind in ("ry", "phase") else 0.0)
             _assert_chunked_matches_unchunked(state, gate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chunked_register_swap_matches_unchunked(data):
+    """Blocks of 1 to 64 amplitudes, fixed ones transposed in place and the
+    others traded with their partners: bit for bit the whole-view
+    transposition, under 0 to 3 controls of either polarity."""
+    n = data.draw(st.integers(4, 12))
+    order = data.draw(st.permutations(range(n)))
+    n_controls = data.draw(st.integers(0, min(3, n - 4)))
+    k = data.draw(st.integers(2, (n - n_controls) // 2))
+    controls = tuple(
+        (q, data.draw(st.integers(0, 1))) for q in order[2 * k:2 * k + n_controls]
+    )
+    gate = swap_registers(order[:k], order[k:2 * k], controls)
+    state = data.draw(states_with_zeros(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "CHUNK", data.draw(st.sampled_from([1, 4, 16, 64])))
+        _assert_chunked_matches_unchunked(state, gate)
+
+
+@pytest.mark.parametrize("n, gate", [
+    (20, swap_registers([0, 1, 2, 4, 5, 6, 7, 8], range(9, 17), controls=[19])),
+    (19, swap_registers(range(9, 14), range(5), controls=[18])),
+    (20, swap_registers(range(10), range(10, 20))),
+    (20, swap_registers([19, 3], [0, 12], controls=[(7, 0)])),
+], ids=["program3", "swap-test-19", "halves-20", "mixed-20"])
+def test_chunked_register_swap_matches_unchunked_on_wide_states(wide_states, n, gate):
+    _assert_chunked_matches_unchunked(wide_states[n], gate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_readouts_in_pieces_match_whole_state_sums(data):
+    """Pieces of 128 to 1024 amplitudes: ``probability_one`` on any qubit
+    and ``marginal_probabilities`` of the top qubits, lowest first (every
+    register the package reads), give the bits of one numpy sum over the
+    whole state.  Any other register sums each value's amplitudes in C order,
+    where numpy's axis-0 sum runs row by row: equal to ``TOL``."""
+    n = data.draw(st.integers(1, 13))
+    state = data.draw(states_with_zeros(n))
+    q = data.draw(st.integers(0, n - 1))
+    top = list(range(n - data.draw(st.integers(1, n)), n))
+    qubits = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "CHUNK", data.draw(st.sampled_from([128, 256, 1024])))
+        assert state.probability_one(q) == ref.probability_one_unchunked(state, q)
+        assert np.array_equal(
+            _bits(state.marginal_probabilities(top)),
+            _bits(ref.marginal_probabilities_unchunked(state, top)),
+        )
+        np.testing.assert_allclose(
+            state.marginal_probabilities(qubits),
+            ref.marginal_probabilities_unchunked(state, qubits), rtol=0, atol=TOL,
+        )
+
+
+@pytest.mark.parametrize("log_n", range(7, 19))
+def test_numpy_sums_a_power_of_two_pairwise(log_n):
+    """The readouts rest on this: ``np.sum`` of 2^m floats halves the length
+    down to blocks of 128, so the sums of aligned pieces of 2^7 or more,
+    added pairwise in a balanced tree, are bit for bit the sum of the whole."""
+    values = np.random.default_rng(log_n).random(1 << log_n)
+    for log_piece in range(7, log_n + 1):
+        sums = [np.sum(piece) for piece in values.reshape(-1, 1 << log_piece)]
+        while len(sums) > 1:
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        assert sums[0] == np.sum(values), f"pieces of 2^{log_piece}"
 
 
 @settings(max_examples=150, deadline=None)

@@ -146,32 +146,78 @@ class TestApply:
         )
 
 
+def _gate_id(gate: GateOp) -> str:
+    return "-".join([gate.kind, *map(str, gate.targets)] + [f"c{q}" for q, _ in gate.controls])
+
+
 def _guard_gates():
+    """(width, gate): one-target gates and one-pair SWAPs on 20 qubits, then
+    Program 3's controlled 8-pair swap, the swap test's 5-pair swap under the
+    top qubit of 19, and an uncontrolled swap of two 10-qubit registers."""
     for t in (0, 1, 5, 10, 19):
-        yield from (h(t), x(t), ry(0.7, t), phase(0.7, t), swap(t, t + 1 if t < 19 else t - 1))
-    yield ry(0.7, 0, controls=[18])
-    yield x(18, controls=[2, 5])
+        pair = swap(t, t + 1 if t < 19 else t - 1)
+        yield from ((20, g) for g in (h(t), x(t), ry(0.7, t), phase(0.7, t), pair))
+    yield 20, ry(0.7, 0, controls=[18])
+    yield 20, x(18, controls=[2, 5])
+    yield 20, swap_registers([0, 1, 2, 4, 5, 6, 7, 8], range(9, 17), controls=[19])
+    yield 19, swap_registers(range(9, 14), range(5), controls=[18])
+    yield 20, swap_registers(range(10), range(10, 20))
+
+
+READOUTS = {
+    "p1-0": lambda s: s.probability_one(0),
+    "p1-10": lambda s: s.probability_one(10),
+    "p1-19": lambda s: s.probability_one(19),
+    "marginal-19": lambda s: s.marginal_probabilities([19]),
+    "marginal-17-18-19": lambda s: s.marginal_probabilities([17, 18, 19]),
+}
+CONSTRUCTORS = {
+    "zero_state": lambda: zero_state(20),
+    "basis_state": lambda: basis_state(20, 0b1011_0110_0101_1001_1101),
+}
+
+
+def _traced(fn):
+    """``fn()`` and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestKernelMemory:
+    """Working memory beyond the state and the result stays under 1 MiB on 19
+    and 20 qubits, where half-state temporaries took 4-16 MiB."""
+
     @pytest.fixture(scope="class")
     def wide(self):
-        return StateVector(20, np.full(1 << 20, 2.0**-10, dtype=complex), _checked=True)
+        return {
+            n: StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), _checked=True)
+            for n in (19, 20)
+        }
 
     @pytest.mark.parametrize(
-        "gate", list(_guard_gates()),
-        ids=lambda g: "-".join([g.kind, *map(str, g.targets)] + [f"c{q}" for q, _ in g.controls]),
+        "n, gate", [pytest.param(n, g, id=_gate_id(g)) for n, g in _guard_gates()],
     )
-    def test_in_place_gate_allocates_under_one_mib(self, wide, gate):
-        """A gate on 20 qubits works piece by piece: its temporaries stay far
-        below the 4-16 MiB of half-state ones."""
-        tracemalloc.start()
-        try:
-            wide.apply(gate, _in_place=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_in_place_gate_allocates_under_one_mib(self, wide, n, gate):
+        """A gate works piece by piece, and a register swap block by block."""
+        _, peak = _traced(lambda: wide[n].apply(gate, _in_place=True))
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("readout", READOUTS.values(), ids=READOUTS.keys())
+    def test_readout_allocates_under_one_mib(self, wide, readout):
+        """Sums of squares over pieces, not over a squared copy of the state."""
+        result, peak = _traced(lambda: readout(wide[20]))
+        assert peak - np.asarray(result).nbytes < 1 << 20
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+    def test_built_state_allocates_under_one_mib_beyond_itself(self, build):
+        """A unit vector by construction skips the norm check."""
+        state, peak = _traced(build)
+        assert peak - state.amplitudes.nbytes < 1 << 20
 
 
 class TestRegisterSwap:
