@@ -8,9 +8,7 @@ from .circuits import (
     fold_distribution,
     grover_plan,
     grover_search_state,
-    inverse_qft,
     modal_outcome,
-    qft,
     quantum_extreme_search,
     reduced_preparation,
     swap_flag,

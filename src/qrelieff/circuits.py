@@ -26,7 +26,6 @@ from .rng import RngStream
 from .statevector import (
     GateOp,
     StateVector,
-    basis_state,
     check_width,
     h,
     ry,
@@ -234,17 +233,16 @@ def grover_plan(n: int, marked_estimate: int) -> GroverPlan:
 
 
 def _grover_in_place(
-    state: StateVector, oracle: np.ndarray, phi: float, psi: np.ndarray
-) -> StateVector:
-    """G = -W I0 W^-1 O in place on ``state``, which it returns: O puts
-    e^{i phi} on the ``oracle`` branches, and W I0 W^-1 =
+    amps: np.ndarray, oracle: np.ndarray, phi: float, psi: np.ndarray
+) -> np.ndarray:
+    """G = -W I0 W^-1 O in place on the amplitudes ``amps``, which it
+    returns: O puts e^{i phi} on the ``oracle`` branches, and W I0 W^-1 =
     I + (e^{i phi} - 1)|psi><psi| puts it on ``psi`` = W|0>."""
-    amps = state.amplitudes
     rotation = np.exp(1j * phi)
     amps[oracle] *= rotation  # O
     amps += (rotation - 1) * np.vdot(psi, amps) * psi  # W I0 W^-1
     np.negative(amps, out=amps)
-    return state
+    return amps
 
 
 def grover_search_state(plan: GroverPlan, oracle: np.ndarray) -> StateVector:
@@ -257,40 +255,10 @@ def grover_search_state(plan: GroverPlan, oracle: np.ndarray) -> StateVector:
         raise QReliefFError("oracle must be a boolean mask of the state's length")
     check_width(plan.n)
     uniform = np.full(dim, dim ** -0.5, dtype=complex)  # H^n|0>
-    state = StateVector(plan.n, uniform.copy(), _checked=True)
+    amps = uniform.copy()
     for _ in range(plan.J):
-        _grover_in_place(state, oracle, plan.phi, uniform)
-    return state
-
-
-# ---------------------------------------------------------------------------
-# quantum Fourier transform
-# ---------------------------------------------------------------------------
-
-def _fourier(state: StateVector, register, transform) -> StateVector:
-    """``transform`` (an orthonormal numpy FFT) on the register's value space,
-    with ``register[0]`` as the least-significant bit of the value."""
-    register = [int(q) for q in register]
-    if not register:
-        raise QReliefFError("empty register")
-    amps = state.amplitudes.copy()
-    # register[0] on the last axis: each row of the block is one register value
-    sub = state._split(amps, register[::-1])
-    rows = sub.reshape(-1, 1 << len(register))
-    sub[...] = transform(rows, axis=1, norm="ortho").reshape(sub.shape)
-    return StateVector(state.n_qubits, amps, _checked=True)
-
-
-def qft(state: StateVector, register) -> StateVector:
-    """Discrete Fourier transform e^{+2 pi i jk/n}/sqrt(n) on the register's
-    value space."""
-    return _fourier(state, register, np.fft.ifft)
-
-
-def inverse_qft(state: StateVector, register) -> StateVector:
-    """Exact inverse discrete Fourier transform e^{-2 pi i jk/n}/sqrt(n) on the
-    register's value space."""
-    return _fourier(state, register, np.fft.fft)
+        _grover_in_place(amps, oracle, plan.phi, uniform)
+    return StateVector(plan.n, amps, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +287,25 @@ class AEOutcome:
 
 def _grover_step(psi: StateVector):
     """G = -A S0 A^-1 S_chi for ``psi`` = A|0>, as a function that runs it in
-    place on a state and returns that state: the Grover iteration with W = A,
-    the branches with the top qubit set (the upper half) as the oracle and
-    phi = pi."""
+    place on an amplitude array and returns that array: the Grover iteration
+    with W = A, the branches with the top qubit set (the upper half) as the
+    oracle and phi = pi."""
     flag = np.arange(psi.dim) >= psi.dim // 2
-    return lambda state: _grover_in_place(state, flag, math.pi, psi.amplitudes)
+    return lambda amps: _grover_in_place(amps, flag, math.pi, psi.amplitudes)
 
 
 def _grover_orbit(psi: StateVector, t: int) -> np.ndarray:
     """Row y is G^y A|0> for y in [0, 2^t), one G step per row.
 
     G runs uncontrolled on the preparation register alone, in place on one
-    working state whose amplitudes are copied into each row.
+    working array that is copied into each row.
     """
     grover = _grover_step(psi)
     orbit = np.empty((1 << t, psi.dim), dtype=complex)
     orbit[0] = psi.amplitudes
-    state = StateVector(psi.n_qubits, psi.amplitudes.copy(), _checked=True)
+    amps = psi.amplitudes.copy()
     for y in range(1, 1 << t):
-        orbit[y] = grover(state).amplitudes
+        orbit[y] = grover(amps)
     return orbit
 
 
@@ -350,8 +318,8 @@ def _grover_orbit_by_squaring(psi: StateVector, t: int) -> np.ndarray:
     p = psi.n_qubits
     grover = _grover_step(psi)
     g = np.empty((1 << p, 1 << p), dtype=complex)
-    for j in range(1 << p):
-        g[:, j] = grover(basis_state(p, j)).amplitudes
+    for j, column in enumerate(np.eye(1 << p, dtype=complex)):
+        g[:, j] = grover(column)
     orbit = np.empty((1 << t, 1 << p), dtype=complex)
     orbit[0] = psi.amplitudes
     for k in range(t):
@@ -383,7 +351,8 @@ def amplitude_estimate(psi: StateVector, t: int) -> np.ndarray:
     the orbit comes from t - 1 squarings of that matrix, 8^p multiply-adds
     each, and t block products.  Otherwise (t = 1, and every ``full``
     circuit, where p >= 7) the orbit takes 2^t - 1 G steps and G is never
-    built.  The inverse QFT is an FFT along the readout register.
+    built.  Row y of the orbit is readout value y, so the inverse QFT on the
+    readout register is one FFT along the orbit's first axis.
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")
@@ -391,9 +360,9 @@ def amplitude_estimate(psi: StateVector, t: int) -> np.ndarray:
     check_width(p + t)
     orbit = (_grover_orbit_by_squaring if 2 * p <= t else _grover_orbit)(psi, t)
     orbit /= math.sqrt(1 << t)
-    readout = range(p, p + t)
-    state = inverse_qft(StateVector(p + t, orbit.reshape(-1), _checked=True), readout)
-    return state.marginal_probabilities(readout)
+    readout = np.fft.fft(orbit, axis=0, norm="ortho")
+    state = StateVector(p + t, readout.reshape(-1), _checked=True)
+    return state.marginal_probabilities(range(p, p + t))
 
 
 @lru_cache(maxsize=4096)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import time
@@ -42,14 +43,22 @@ def example_csv_path() -> Path:
 def load_csv(path, label_column: str = "class") -> tuple[Dataset, list[str]]:
     """Parse a CSV with a header row into a Dataset.
 
-    The label column holds string class names, mapped to dense ids in
-    first-appearance order; all other cells must be numeric.  Returns the
-    dataset and the class names in id order.
+    The file must be UTF-8 text.  The label column holds string class names,
+    mapped to dense ids in first-appearance order; all other cells must be
+    numeric.  Returns the dataset and the class names in id order.  A path
+    that cannot be read as such a file is a :class:`DataError`.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

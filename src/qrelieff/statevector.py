@@ -42,10 +42,11 @@ Conventions used throughout the package:
   of at most ``CHUNK`` amplitudes and add the piece sums in numpy's own
   pairwise order (:func:`_sums_of_squares`).  ``zero_state`` and
   ``basis_state`` skip the norm check, and the check of any other input is
-  one ``np.vdot``.  So working memory is the state plus under 1 MiB for any
-  gate or readout on 20 qubits, where half-state temporaries took 4-16 MiB;
-  :meth:`StateVector.apply_unitary` and :meth:`StateVector.postselect` still
-  take a whole state of temporaries.
+  one ``np.vdot``.  :meth:`StateVector.postselect` sums the norm of its
+  zeroed copy the same way and renormalizes it in place.  So working memory
+  is the state plus under 1 MiB for any gate, readout or postselection on 20
+  qubits, where half-state temporaries took 4-16 MiB; only
+  :meth:`StateVector.apply_unitary` still takes a whole state of temporaries.
 """
 
 from __future__ import annotations
@@ -458,12 +459,13 @@ class StateVector:
             raise QReliefFError(f"outcome must be 0 or 1, got {outcome}")
         amps = self.amplitudes.copy()
         self._split(amps, [qubit])[..., 1 - outcome] = 0.0
-        p = np.sum(np.abs(amps) ** 2)
+        p = _sums_of_squares(self._qubit_axes(amps), 0)[0]
         if p <= 1e-12:
             raise PostselectionError(
                 f"branch qubit {qubit} = {outcome} has probability {p}"
             )
-        return StateVector(self.n_qubits, amps / math.sqrt(p), _checked=True)
+        amps /= math.sqrt(p)
+        return StateVector(self.n_qubits, amps, _checked=True)
 
     def marginal_probabilities(self, qubits) -> np.ndarray:
         """Exact marginal distribution over the listed qubits.

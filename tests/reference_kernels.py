@@ -6,6 +6,12 @@ and gather or scatter with fancy indexing; amplitude estimation applies the cont
 QFT is a dense DFT matrix.  All are slow but transparent, and the equivalence
 tests hold the package to them.
 
+``amplitude_estimate_by_qft`` is the package's amplitude estimation with its
+old readout: the orbit as a (p+t)-qubit state, an inverse QFT on the readout
+register through a transposed copy of that state (``inverse_qft``), and
+the marginal of the register.  One FFT down the orbit's first axis replaced it
+and must match it bit for bit.
+
 The swap-test composite, the Grover iteration and the Grover orbit below are
 the same circuits with one new state per gate (``StateVector.apply``) and
 full-length index masks; the package runs them in place on one buffer and must
@@ -34,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from qrelieff.circuits import _grover_orbit, _grover_orbit_by_squaring
 from qrelieff.errors import QReliefFError
 from qrelieff.statevector import GateOp, StateVector, _normalize_controls, h, ry, swap, x
 
@@ -286,6 +293,31 @@ def amplitude_estimate(prep: Preparation, t: int, mode: str = "reduced") -> np.n
             state = _controlled_g(state, prep, q)
     state = apply_unitary(state, dft_matrix(t, inverse=True), readout)
     return marginal_probabilities(state, readout)
+
+
+def inverse_qft(state: StateVector, register) -> StateVector:
+    """The inverse DFT e^{-2 pi i jk/n}/sqrt(n) on the register's value space,
+    ``register[0]`` lowest, as an orthonormal FFT through a copy of the state
+    and a reshaped transposed view of it."""
+    register = [int(q) for q in register]
+    amps = state.amplitudes.copy()
+    # register[0] on the last axis: each row of the block is one register value
+    sub = state._split(amps, register[::-1])
+    rows = sub.reshape(-1, 1 << len(register))
+    sub[...] = np.fft.fft(rows, axis=1, norm="ortho").reshape(sub.shape)
+    return StateVector(state.n_qubits, amps, _checked=True)
+
+
+def amplitude_estimate_by_qft(psi: StateVector, t: int) -> np.ndarray:
+    """The package's amplitude estimation of ``psi`` = A|0>, read out by
+    :func:`inverse_qft` on the readout register of the (p+t)-qubit state and
+    that register's marginal."""
+    p = psi.n_qubits
+    orbit = (_grover_orbit_by_squaring if 2 * p <= t else _grover_orbit)(psi, t)
+    orbit /= math.sqrt(1 << t)
+    readout = range(p, p + t)
+    state = inverse_qft(StateVector(p + t, orbit.reshape(-1), _checked=True), readout)
+    return state.marginal_probabilities(readout)
 
 
 def dft_matrix(t: int, inverse: bool) -> np.ndarray:

@@ -24,9 +24,7 @@ from qrelieff import (
     grover_search_state,
     h,
     inner_product,
-    inverse_qft,
     modal_outcome,
-    qft,
     quantum_extreme_search,
     reduced_preparation,
     swap_flag,
@@ -328,36 +326,6 @@ class TestGroverIterate:
         assert plan.J > 1
         assert abs(state.amplitudes[5]) ** 2 > 0.99
         assert apply_calls == []
-
-
-class TestQft:
-    def test_inverse_pair(self):
-        rng = np.random.default_rng(2)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(3, amps)
-        back = inverse_qft(qft(state, [0, 1, 2]), [0, 1, 2])
-        np.testing.assert_allclose(back.amplitudes, amps, atol=1e-10)
-
-    def test_uniform_to_zero(self):
-        state = zero_state(3).apply_all(h(q) for q in range(3))
-        out = inverse_qft(state, [0, 1, 2])
-        np.testing.assert_allclose(out.amplitudes, [1] + [0] * 7, atol=1e-10)
-
-    def test_fourier_eigenrelation(self):
-        t = 3
-        for y in range(1 << t):
-            amps = np.exp(2j * math.pi * y * np.arange(1 << t) / (1 << t))
-            amps /= np.linalg.norm(amps)
-            state = StateVector(t, amps)
-            out = inverse_qft(state, range(t))
-            expected = np.zeros(1 << t)
-            expected[y] = 1.0
-            np.testing.assert_allclose(np.abs(out.amplitudes) ** 2, expected, atol=1e-10)
-
-    def test_empty_register(self):
-        with pytest.raises(QReliefFError):
-            qft(zero_state(1), [])
 
 
 class TestAmplitudeEstimation:

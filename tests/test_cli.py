@@ -137,6 +137,18 @@ class TestRunCli:
         code, _ = run(["--input", str(p)])
         assert code == 3
 
+    @pytest.mark.parametrize("target, reason", [
+        ("", "cannot read: Is a directory"),
+        ("binary.csv", "not UTF-8 text: invalid start byte at byte 8"),
+    ])
+    def test_unreadable_input_is_one_data_error_line(self, tmp_path, capsys, target, reason):
+        path = tmp_path / target
+        if target:
+            path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\n")
+        code, out = run(["--input", str(path), "--backend", "classical"])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == f"data error: {path}: {reason}\n"
+
     def test_capacity_error_exit_code(self, fixture_path, monkeypatch):
         def boom(*args, **kwargs):
             raise CapacityError("register too wide")

@@ -8,8 +8,9 @@ against whole-state numpy sums, the in-place gate
 lists (``apply_all``, the swap test) bit for bit against one new state per
 gate, the Grover search state and orbit, which reflect about W|0> in place
 of running W^-1 and W, against per-gate iterations, the orbit by repeated
-squaring against the orbit step by step, the FFT QFT against the dense DFT
-matrix, the ``full`` circuit's composite against the one padded with a
+squaring against the orbit step by step, the readout's one FFT down the
+orbit bit for bit against the QFT on the (p+t)-qubit state it replaced, the
+``full`` circuit's composite against the one padded with a
 sample-index register and against per-pair swaps, and the comparator
 ``cmp_flag`` bit for bit against its index-array scatter.  Amplitude
 estimation takes the prepared state A|0> and reads its top qubit; the
@@ -35,9 +36,7 @@ from qrelieff.circuits import (
     fold_distribution,
     grover_plan,
     grover_search_state,
-    inverse_qft,
     modal_outcome,
-    qft,
     reduced_preparation,
     swap_flag,
     swap_test_state,
@@ -480,20 +479,25 @@ def test_grover_orbit_by_squaring_matches_step_by_step_orbit(data):
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_fft_qft_matches_dense_dft(data):
+def test_reduced_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
+    # t = 1 takes the step-by-step orbit, t >= 2 the orbit by squaring
+    psi = reduced_preparation(data.draw(st.floats(0.0, 1.0)))
     t = data.draw(st.integers(1, 10))
-    n = data.draw(st.integers(t, min(t + 2, 11)))
-    state = data.draw(states(n))
-    # any t of the n qubits, in any order
-    register = data.draw(st.permutations(range(n)))[:t]
-    for transform, inverse in ((qft, False), (inverse_qft, True)):
-        np.testing.assert_allclose(
-            transform(state, register).amplitudes,
-            ref.apply_unitary(state, ref.dft_matrix(t, inverse), register).amplitudes,
-            rtol=0, atol=TOL, err_msg=f"inverse={inverse} register={register}",
-        )
+    got, want = amplitude_estimate(psi, t), ref.amplitude_estimate_by_qft(psi, t)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_full_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
+    n_features = data.draw(st.sampled_from([2, 4, 8]))
+    a, b = (encode_sample(data.draw(unit_vectors(n_features))) for _ in range(2))
+    psi = swap_test_state(swap_flag(a), b)
+    t = data.draw(st.integers(1, 6))
+    got, want = amplitude_estimate(psi, t), ref.amplitude_estimate_by_qft(psi, t)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

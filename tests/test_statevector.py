@@ -213,6 +213,13 @@ class TestKernelMemory:
         result, peak = _traced(lambda: readout(wide[20]))
         assert peak - np.asarray(result).nbytes < 1 << 20
 
+    @pytest.mark.parametrize("qubit, outcome", [(19, 1), (0, 0)])
+    def test_postselect_allocates_under_one_mib(self, wide, qubit, outcome):
+        """The zeroed copy is the result: its norm is summed over pieces and
+        it is renormalized in place."""
+        result, peak = _traced(lambda: wide[20].postselect(qubit, outcome))
+        assert peak - result.amplitudes.nbytes < 1 << 20
+
     @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
     def test_built_state_allocates_under_one_mib_beyond_itself(self, build):
         """A unit vector by construction skips the norm check."""
