@@ -152,7 +152,7 @@ def encode_sample(v) -> StateVector:
     layout = EncodingLayout(len(v))
     feats = uniform_mod_n(layout.n_feature_qubits, len(v))
     # local value flag*2 + data = 2, i.e. |flag=1, data=0>
-    full = np.kron(feats.amplitudes, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
+    full = np.kron(feats.amplitudes, np.array([0.0, 0.0, 1.0, 0.0]))
     return StateVector(layout.n_qubits, full)._run(_multiplexed_ry_gates(v, layout))
 
 
@@ -176,7 +176,7 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
         raise QReliefFError("swap test requires equal register widths")
     m = a.n_qubits
     check_width(2 * m + 1)
-    amps = np.zeros(2 << 2 * m, dtype=complex)
+    amps = np.zeros(2 << 2 * m, dtype=np.result_type(a.amplitudes, b.amplitudes))
     # ancilla |0>: A (x) B fills the lower half
     np.multiply.outer(a.amplitudes, b.amplitudes, out=amps[: 1 << 2 * m].reshape(a.dim, b.dim))
     # a product of two unit vectors; skip the norm re-check
@@ -303,7 +303,7 @@ def _grover_orbit(psi: StateVector, t: int) -> np.ndarray:
     grover = _grover_step(psi)
     orbit = np.empty((1 << t, psi.dim), dtype=complex)
     orbit[0] = psi.amplitudes
-    amps = psi.amplitudes.copy()
+    amps = psi.amplitudes.astype(complex)  # G reflects with e^{i pi}
     for y in range(1, 1 << t):
         orbit[y] = grover(amps)
     return orbit

@@ -116,7 +116,7 @@ def prepare_states(nd: NormalizedDataset) -> list[StateVector]:
     holds the sample's index.  No circuit reads that register; it only widens
     the swap-test composite."""
     sample_bits = _sample_bits(nd.n_samples)
-    basis = np.eye(1 << sample_bits, dtype=complex)
+    basis = np.eye(1 << sample_bits)
     encoded = [encode_sample(v) for v in nd.samples]
     return [
         StateVector(e.n_qubits + sample_bits, np.kron(basis[q], e.amplitudes))

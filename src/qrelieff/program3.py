@@ -70,10 +70,10 @@ def reproduce_program3(
     """Exact ancilla P(1) plus ``runs`` sampled means of ``shots`` each."""
     if shots < 1 or runs < 1:
         raise ConfigError(f"shots and runs must be >= 1, got {shots} and {runs}")
-    state = final_state()
-    exact = state.probability_one(RESULT_QUBIT)
-    # StateVector.sample's draws, with the 2^20-amplitude marginal taken once
-    probs = state.marginal_probabilities([RESULT_QUBIT])
+    # one pass over the 2^20 amplitudes: the marginal's entry 1 is the exact
+    # P(1), and StateVector.sample's draws use the marginal taken once
+    probs = final_state().marginal_probabilities([RESULT_QUBIT])
+    exact = float(probs[1])
     probs = probs / probs.sum()
     rng = RngStream(seed)
     means = [int(rng.substream(r).multinomial(shots, probs)[1]) / shots for r in range(runs)]

