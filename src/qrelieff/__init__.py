@@ -47,10 +47,7 @@ from .relieff import (
 from .rng import RngStream
 from .statevector import (
     StateVector,
-    basis_state,
     h,
-    inner_product,
-    phase,
     ry,
     swap,
     swap_registers,

@@ -32,7 +32,22 @@ class Dataset:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        if self.samples.ndim != 2:
+            raise QReliefFError(
+                f"samples must be a 2-D array (samples by features), got shape {self.samples.shape}"
+            )
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1:
+            raise QReliefFError(f"labels must be a 1-D array, got shape {labels.shape}")
+        if labels.dtype.kind == "f":
+            bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.floor(labels))))
+            if bad.size:
+                raise QReliefFError(
+                    f"label at row {bad[0]} is not an integer class id: {labels[bad[0]]}"
+                )
+        elif labels.dtype.kind not in "biu":
+            raise QReliefFError(f"labels must be integer class ids, got dtype {labels.dtype}")
+        self.labels = labels.astype(int)
         m, n = self.samples.shape
         if m < 2:
             raise QReliefFError(f"need at least 2 samples, got {m}")
@@ -259,9 +274,11 @@ class RunConfig:
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must lie in [0, 1], got {self.tau}")
         if self.neighbor_order not in ("max", "min"):
-            raise ConfigError(f"neighbor order must be 'max' or 'min'")
+            raise ConfigError(f"neighbor order must be 'max' or 'min', got {self.neighbor_order!r}")
         if self.pick_policy not in ("random", "round-robin"):
-            raise ConfigError(f"pick policy must be 'random' or 'round-robin'")
+            raise ConfigError(
+                f"pick policy must be 'random' or 'round-robin', got {self.pick_policy!r}"
+            )
 
 
 def check_has_miss_class(nd: Dataset):

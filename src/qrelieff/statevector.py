@@ -7,9 +7,9 @@ Conventions used throughout the package:
   swap have real matrices, so they keep a real state real, and every
   circuit of the pipeline and of Program 3 is real: its states, the
   swap-test composites included, take half the bytes, and each gate and
-  readout moves half of them.  A Phase gate and :meth:`StateVector.apply_unitary`
-  turn a real state into a complex one; Grover search and amplitude
-  estimation work on complex arrays.  The gate matrices are float arrays,
+  readout moves half of them.  Only :meth:`StateVector.apply_unitary` turns
+  a real state into a complex one; Grover search and amplitude estimation
+  work on complex arrays.  The gate matrices are float arrays,
   and numpy multiplies a complex amplitude by a float as by the float plus
   0j, so complex states get the bits they got from complex matrices.  On a
   real state every amplitude equals the real part of its complex twin, bit
@@ -26,8 +26,8 @@ Conventions used throughout the package:
   amplitudes once and runs the whole gate list in place on that private copy.
 * Each gate kind has its own kernel (:func:`_kernel`) on
   :meth:`StateVector._split`'s view: X exchanges the two target halves, H is
-  a two-multiply butterfly, SWAP exchanges the 10 and 01 branches, Phase
-  scales the 1 half, and Ry runs in place.  X and H may flip the sign of an
+  a two-multiply butterfly, SWAP exchanges the 10 and 01 branches, and Ry
+  runs in place.  X and H may flip the sign of an
   exact zero amplitude relative to the matrix product; values and
   probabilities are unchanged.
 * The kernel runs on the view piece by piece (:func:`_pieces`), each piece at
@@ -42,8 +42,7 @@ Conventions used throughout the package:
   and sums as on the whole view and the bytes do not change; a view of one
   piece or less is one call, as before.  Program 3's 25 gates fell from about
   135 to 85 ms in process, and a cold ``reproduce_program3`` from about 213
-  to 131 ms (2 vCPU, numpy 2.4.6, one BLAS thread).  Phase, one in-place
-  multiply with no temporary, runs on the whole view in one call.
+  to 131 ms (2 vCPU, numpy 2.4.6, one BLAS thread).
 * A register swap (:func:`swap_registers`, k >= 2 qubit pairs under one set
   of controls) is one axis transposition of the ``(2,)*n`` view on the
   controlled branch, where k single SWAPs would make k strided passes: five
@@ -57,17 +56,16 @@ Conventions used throughout the package:
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
   through :meth:`StateVector.sample`.  The readouts sum |amp|^2 over pieces
   of at most ``CHUNK`` amplitudes and add the piece sums in numpy's own
-  pairwise order (:func:`_sums_of_squares`).  ``zero_state`` and
-  ``basis_state`` skip the norm check, and the check of any other input is
-  one ``np.vdot``.  :meth:`StateVector.postselect` sums the norm of its
-  zeroed copy the same way and renormalizes it in place, as a product with
+  pairwise order (:func:`_sums_of_squares`).  ``zero_state`` skips the norm
+  check, and the check of any other input is one ``np.vdot``.
+  :meth:`StateVector.postselect` sums the norm of its zeroed copy the same
+  way and renormalizes it in place, as a product with
   1/sqrt(p), which numpy's complex division by a real also computes.  So
   working memory is the state (8 bytes per amplitude real, 16 complex) plus
   under 1 MiB for any gate, readout or postselection on 20 qubits, where
   half-state temporaries took 4-16 MiB; only
   :meth:`StateVector.apply_unitary`, which returns a complex copy, still
-  takes a whole state of temporaries, and a Phase gate makes a complex copy
-  of a real state.
+  takes a whole state of temporaries.
 """
 
 from __future__ import annotations
@@ -95,10 +93,6 @@ def _ry_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _phase_matrix(phi: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
-
-
 def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
     """Accept ints (control on one) or (qubit, polarity) pairs."""
     out = []
@@ -115,7 +109,7 @@ def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One primitive gate: H, X, Ry(theta), Phase(phi) or SWAP.
+    """One primitive gate: H, X, Ry(theta) or SWAP, each with a real matrix.
 
     ``controls`` is a tuple of ``(qubit, polarity)`` pairs; polarity 1 means
     the gate acts when the control is |1>, polarity 0 when it is |0>.  A SWAP
@@ -129,7 +123,7 @@ class GateOp:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("h", "x", "ry", "phase", "swap"):
+        if self.kind not in ("h", "x", "ry", "swap"):
             raise QReliefFError(f"unknown gate kind {self.kind!r}")
         if self.kind == "swap":
             if not self.targets or len(self.targets) % 2:
@@ -144,11 +138,6 @@ class GateOp:
         if len(set(self.targets)) != len(self.targets):
             raise QReliefFError("duplicate target qubits")
 
-    def inverse(self) -> "GateOp":
-        if self.kind in ("ry", "phase"):
-            return GateOp(self.kind, self.targets, self.controls, -self.angle)
-        return self  # H, X and SWAP are involutions
-
     def matrix(self) -> np.ndarray:
         """The uncontrolled matrix on the targets, ``targets[0]`` lowest."""
         if self.kind == "h":
@@ -157,8 +146,6 @@ class GateOp:
             return _X
         if self.kind == "ry":
             return _ry_matrix(self.angle)
-        if self.kind == "phase":
-            return _phase_matrix(self.angle)
         # swap: bit 2i of the register value trades places with bit 2i + 1
         k = len(self.targets)
         perm = [sum(((v >> (j ^ 1)) & 1) << j for j in range(k)) for v in range(1 << k)]
@@ -177,10 +164,6 @@ def ry(theta: float, target: int, controls=()) -> GateOp:
     return GateOp("ry", (target,), _normalize_controls(controls), float(theta))
 
 
-def phase(phi: float, target: int, controls=()) -> GateOp:
-    return GateOp("phase", (target,), _normalize_controls(controls), float(phi))
-
-
 def swap(a: int, b: int, controls=()) -> GateOp:
     return GateOp("swap", (a, b), _normalize_controls(controls))
 
@@ -193,15 +176,13 @@ def swap_registers(a_qubits, b_qubits, controls=()) -> GateOp:
     return GateOp("swap", pairs, _normalize_controls(controls))
 
 
-def _kernel(sub: np.ndarray, kind: str, coef):
+def _kernel(sub: np.ndarray, kind: str, u):
     """Apply a one-target gate, or a one-pair SWAP, to ``sub``: a view with
     the target axes last, as :meth:`StateVector._split` makes it or any piece
-    of that view.  ``coef`` is the matrix of an Ry gate and the phase
-    factor of a Phase gate.  Every operation is elementwise."""
+    of that view.  ``u`` is the matrix of an Ry gate.  Every operation is
+    elementwise."""
     if kind == "swap":
         sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
-    elif kind == "phase":
-        sub[..., 1] *= coef
     elif kind == "x":
         sub[..., 0], sub[..., 1] = sub[..., 1], sub[..., 0].copy()
     elif kind == "h":
@@ -214,7 +195,6 @@ def _kernel(sub: np.ndarray, kind: str, coef):
     else:
         # u00 a0 + u01 a1 and u11 a1 + u10 a0 in place: the matrix product's
         # own products (scalar first) and sums, so its bytes too
-        u = coef
         a0, a1 = sub[..., 0], sub[..., 1]
         t = u[1, 0] * a0
         np.multiply(u[0, 0], a0, out=a0)
@@ -299,8 +279,8 @@ class StateVector:
     """2**n_qubits amplitudes; the simulator's single source of truth.
 
     Bool, integer or float amplitudes are held as float64, any others as
-    complex128.  Gates with a real matrix keep a real state real; a Phase
-    gate and :meth:`apply_unitary` make it complex.
+    complex128.  Every gate kind has a real matrix and keeps a real state
+    real; only :meth:`apply_unitary` makes it complex.
     """
 
     __slots__ = ("n_qubits", "amplitudes")
@@ -391,19 +371,13 @@ class StateVector:
         only for states whose C-contiguous buffer no caller holds.
         """
         amps = self.amplitudes if _in_place else self.amplitudes.copy()
-        if gate.kind == "phase" and amps.dtype != complex:
-            amps = amps.astype(complex)  # e^{i phi} leaves the reals
-            if _in_place:
-                self.amplitudes = amps
         if len(gate.targets) > 2:  # a register swap
             self._swap_registers(amps, gate)
-            return self if _in_place else StateVector(self.n_qubits, amps, _checked=True)
-        sub = self._split(amps, gate.targets, gate.controls)
-        kind = gate.kind
-        coef = gate.matrix() if kind == "ry" else np.exp(1j * gate.angle)  # once for all pieces
-        # Phase is one in-place multiply with no temporary to keep in cache
-        for piece in (sub,) if kind == "phase" else _pieces(sub, len(gate.targets)):
-            _kernel(piece, kind, coef)
+        else:
+            sub = self._split(amps, gate.targets, gate.controls)
+            u = gate.matrix() if gate.kind == "ry" else None  # once for all pieces
+            for piece in _pieces(sub, len(gate.targets)):
+                _kernel(piece, gate.kind, u)
         if _in_place:
             return self
         # unitary by construction; skip the norm re-check
@@ -466,7 +440,9 @@ class StateVector:
         """Apply an arbitrary unitary on the subspace spanned by ``targets``.
 
         ``targets[0]`` is the least-significant bit of the sub-register value,
-        consistent with the global bit order.
+        consistent with the global bit order.  No package path calls it; it
+        stays because the benchmark's tracer (``perfbench/child.py``) wraps
+        it by name.
         """
         targets = [int(t) for t in targets]
         k = len(targets)
@@ -538,21 +514,3 @@ def zero_state(n_qubits: int) -> StateVector:
     amps[0] = 1.0
     return StateVector(n_qubits, amps, _checked=True)
 
-
-def basis_state(n_qubits: int, index: int) -> StateVector:
-    """|index> on ``n_qubits`` qubits."""
-    check_width(n_qubits)
-    if not 0 <= index < (1 << n_qubits):
-        raise QReliefFError(f"basis index {index} out of range")
-    amps = np.zeros(1 << n_qubits)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps, _checked=True)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>."""
-    if a.n_qubits != b.n_qubits:
-        raise QReliefFError(
-            f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

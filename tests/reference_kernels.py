@@ -33,6 +33,11 @@ list with a designated flag qubit, and runs its gates inside every controlled
 G; the package takes only the state A|0> and reads its top qubit.
 ``encode_sample_gates`` is the encoding as such a gate list: X, H^n and one
 controlled Ry per feature.
+
+``inverse`` and ``basis_state`` are small helpers the package no longer
+needs: the inverse of a gate, for running a gate list backwards, and a
+computational basis state.  A phase is applied through ``phase_on_indices``:
+the package has no Phase gate.
 """
 
 import math
@@ -76,6 +81,20 @@ def encode_sample_gates(v) -> list[GateOp]:
     return gates
 
 
+def inverse(gate: GateOp) -> GateOp:
+    """The inverse gate: Ry(-theta); H, X and SWAP are their own inverses."""
+    if gate.kind == "ry":
+        return GateOp("ry", gate.targets, gate.controls, -gate.angle)
+    return gate
+
+
+def basis_state(n_qubits: int, index: int) -> StateVector:
+    """|index> on ``n_qubits`` qubits, as float64 amplitudes."""
+    amps = np.zeros(1 << n_qubits)
+    amps[index] = 1.0
+    return StateVector(n_qubits, amps, _checked=True)
+
+
 def _controls_mask(n_qubits: int, controls) -> np.ndarray:
     idx = np.arange(1 << n_qubits)
     mask = np.ones(1 << n_qubits, dtype=bool)
@@ -95,10 +114,6 @@ def apply(state: StateVector, gate: GateOp) -> StateVector:
             src = idx[sel]
             dst = src ^ ((1 << a) | (1 << b))
             amps[src], amps[dst] = amps[dst], amps[src].copy()
-    elif gate.kind == "phase":
-        (t,) = gate.targets
-        sel = mask & (((idx >> t) & 1) == 1)
-        amps[sel] *= np.exp(1j * gate.angle)
     else:
         (t,) = gate.targets
         u = gate.matrix()
@@ -121,12 +136,9 @@ def apply_stride(state: StateVector, gate: GateOp) -> StateVector:
             sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
         return StateVector(state.n_qubits, amps, _checked=True)
     sub = state._split(amps, gate.targets, gate.controls)
-    if gate.kind == "phase":
-        sub[..., 1] *= np.exp(1j * gate.angle)
-    else:
-        u = gate.matrix()
-        a0, a1 = sub[..., 0], sub[..., 1]
-        a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
+    u = gate.matrix()
+    a0, a1 = sub[..., 0], sub[..., 1]
+    a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
     return StateVector(state.n_qubits, amps, _checked=True)
 
 
@@ -141,8 +153,6 @@ def apply_unchunked(state: StateVector, gate: GateOp, in_place: bool = False) ->
     sub = state._split(amps, gate.targets, gate.controls)
     if gate.kind == "swap":
         sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
-    elif gate.kind == "phase":
-        sub[..., 1] *= np.exp(1j * gate.angle)
     elif gate.kind == "x":
         sub[..., 0], sub[..., 1] = sub[..., 1], sub[..., 0].copy()
     elif gate.kind == "h":
@@ -267,9 +277,9 @@ def _controlled_g(state: StateVector, prep: Preparation, control: int) -> StateV
     ctrl = ((control, 1),)
     idx = np.arange(state.dim)
     on = ((idx >> control) & 1) == 1
-    state = apply(state, GateOp("phase", (prep.flag,), ctrl, math.pi))
+    state = phase_on_indices(state, on & (((idx >> prep.flag) & 1) == 1), math.pi)
     for g in reversed(prep.gates):
-        inv = g.inverse()
+        inv = inverse(g)
         state = apply(state, GateOp(inv.kind, inv.targets, inv.controls + ctrl, inv.angle))
     prep_bits = (1 << prep.n_qubits) - 1
     state = phase_on_indices(state, on & ((idx & prep_bits) == 0), math.pi)
@@ -363,7 +373,7 @@ def grover_iterate(state: StateVector, phi: float, oracle: np.ndarray, w_gates) 
     """G = -W I0 W^-1 O, with I0 as a full-length mask."""
     state = phase_on_indices(state, oracle, phi)
     for g in reversed(w_gates):
-        state = state.apply(g.inverse())
+        state = state.apply(inverse(g))
     zeros = np.zeros(state.dim, dtype=bool)
     zeros[0] = True
     state = phase_on_indices(state, zeros, phi)
@@ -386,7 +396,7 @@ def grover_orbit(prep: Preparation, t: int) -> np.ndarray:
     for y in range(1, 1 << t):
         state = phase_on_indices(state, flag, math.pi)
         for g in reversed(prep.gates):
-            state = state.apply(g.inverse())
+            state = state.apply(inverse(g))
         state = phase_on_indices(state, zero, math.pi)
         for g in prep.gates:
             state = state.apply(g)

@@ -18,7 +18,6 @@ from qrelieff import (
     RngStream,
     RunConfig,
     amplitude_estimate,
-    basis_state,
     cmp_flag,
     encode_sample,
     fold_distribution,
@@ -37,6 +36,7 @@ from qrelieff.program3 import reproduce_program3
 from qrelieff.report import canonical_body
 
 from conftest import random_binary_dataset, random_unit_vector
+from reference_kernels import basis_state
 from test_circuits import encoded_closed_form
 
 

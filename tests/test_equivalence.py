@@ -56,7 +56,7 @@ TOL = 1e-12
 PROGRAM3_EXACT_P1 = 0.49999999999999933
 
 
-GATE_KINDS = ["h", "x", "ry", "phase", "swap"]
+GATE_KINDS = ["h", "x", "ry", "swap"]
 
 
 @st.composite
@@ -71,7 +71,7 @@ def gates(draw, n_qubits: int, kind: str | None = None):
     controls = tuple(
         (q, draw(st.integers(0, 1))) for q in order[n_targets:n_targets + n_controls]
     )
-    angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind in ("ry", "phase") else 0.0
+    angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind == "ry" else 0.0
     return GateOp(kind, tuple(order[:n_targets]), controls, angle)
 
 
@@ -122,7 +122,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 @given(st.data())
 def test_gate_kernels_match_stride_reference(kind, data):
     """Equal values and bit-identical probabilities for every kind; bit-identical
-    amplitudes for Ry, Phase and SWAP.  X and H may flip an exact zero's sign."""
+    amplitudes for Ry and SWAP.  X and H may flip an exact zero's sign."""
     n = data.draw(st.integers(2 if kind == "swap" else 1, 10))
     state = data.draw(states_with_zeros(n))
     gate = data.draw(gates(n, kind))
@@ -131,7 +131,7 @@ def test_gate_kernels_match_stride_reference(kind, data):
     assert np.array_equal(_bits(state.amplitudes), _bits(before))  # input untouched
     assert np.array_equal(fast.amplitudes, slow.amplitudes)
     assert np.array_equal(_bits(np.abs(fast.amplitudes) ** 2), _bits(np.abs(slow.amplitudes) ** 2))
-    if kind in ("ry", "phase", "swap"):
+    if kind in ("ry", "swap"):
         assert np.array_equal(_bits(fast.amplitudes), _bits(slow.amplitudes))
     own = StateVector(n, before.copy(), _checked=True)
     assert own.apply(gate, _in_place=True) is own
@@ -163,7 +163,7 @@ def test_chunked_kernel_matches_unchunked(kind, data):
     controls = tuple(
         (q, data.draw(st.integers(0, 1))) for q in order[n_targets:n_targets + n_controls]
     )
-    angle = data.draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind in ("ry", "phase") else 0.0
+    angle = data.draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind == "ry" else 0.0
     gate = GateOp(kind, tuple(order[:n_targets]), controls, angle)
     state = data.draw(states_with_zeros(n))
     with pytest.MonkeyPatch.context() as mp:
@@ -216,7 +216,7 @@ def test_chunked_kernel_matches_unchunked_on_wide_states(wide_states, n, kind):
         for controls in ((), ((high + (n - high) // 2, 1),), ((low // 2, 0),)):
             if any(q in targets for q, _ in controls):
                 continue  # no qubit below target 0 (or the pair 0, 1)
-            gate = GateOp(kind, targets, controls, 0.7 if kind in ("ry", "phase") else 0.0)
+            gate = GateOp(kind, targets, controls, 0.7 if kind == "ry" else 0.0)
             _assert_chunked_matches_unchunked(state, gate)
 
 

@@ -1,5 +1,7 @@
 """Integration tests for the quantum feature-selection pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from qrelieff import (
     quantum_similarity,
     relieff_run,
 )
-from qrelieff.pipeline import build_similarity_table, prepare_states
+from qrelieff.circuits import EncodingLayout
+from qrelieff.pipeline import _swap_test_p1, build_similarity_table, prepare_states
 
 from conftest import random_binary_dataset
 from test_relieff import GOLDEN_AVERAGE, GOLDEN_NEIGHBORS
@@ -107,6 +110,21 @@ class TestQuantumSimilarity:
         cfg = PipelineConfig(mode="sampled", shots=64)
         with pytest.raises(QReliefFError):
             quantum_similarity(example_states, nd, 0, 1, cfg)
+
+    def test_sampled_p1_mean_within_5_sigma_of_exact(self):
+        """Sampled P(1) is unbiased: over R = 1000 substreams of RngStream(0),
+        4 shots each, the mean reading of the pair (1, 0), (0.6, 0.8) lies
+        within 5 sigma of the exact P(1) = 0.455, sigma = sqrt(p (1 - p) /
+        (R shots)) = 0.0079.  The mean reads z = -1.37; dividing the
+        counts by shots + 1 moves it to z = -12.6."""
+        nd, _ = normalize(Dataset(np.array([[1.0, 0.0], [0.6, 0.8]]), np.array([0, 1]), ["a", "b"]))
+        u, v = prepare_states(nd)
+        layout, r_streams, shots, seed = EncodingLayout(2), 1000, 4, 0
+        p = _swap_test_p1(u, v, layout, PipelineConfig(), None)
+        cfg, rng = PipelineConfig(mode="sampled", shots=shots), RngStream(seed)
+        mean = np.mean([_swap_test_p1(u, v, layout, cfg, rng.substream(r)) for r in range(r_streams)])
+        sigma = math.sqrt(p * (1.0 - p) / (r_streams * shots))
+        assert abs(mean - p) <= 5.0 * sigma, (mean - p) / sigma
 
     def test_full_circuit_small(self):
         # orthogonal rows: the swap-test ancilla amplitude is exactly 0.5,

@@ -56,6 +56,24 @@ class TestDataset:
         with pytest.raises(QReliefFError):
             Dataset(np.ones((2, 2)), np.array([0, 2]), ["a", "b"])
 
+    @pytest.mark.parametrize("samples, labels, match", [
+        (np.ones(2), [0, 1], "samples must be a 2-D array"),
+        (np.ones((2, 1, 1)), [0, 1], "samples must be a 2-D array"),
+        (np.ones((2, 1)), [[0], [1]], "labels must be a 1-D array"),
+        (np.ones((2, 1)), [0, 1.7], "label at row 1 is not an integer class id: 1.7"),
+        (np.ones((2, 1)), [np.nan, 0], "label at row 0 is not an integer class id: nan"),
+        (np.ones((2, 1)), [0, np.inf], "label at row 1 is not an integer class id: inf"),
+        (np.ones((2, 1)), ["0", "1"], "labels must be integer class ids, got dtype <U1"),
+    ], ids=["1-D samples", "3-D samples", "2-D labels", "fractional label", "nan label",
+            "inf label", "string labels"])
+    def test_malformed_input_named(self, samples, labels, match):
+        with pytest.raises(QReliefFError, match=match):
+            Dataset(samples, labels, ["a"])
+
+    def test_integral_float_labels_accepted(self):
+        ds = Dataset(np.eye(2), np.array([1.0, 0.0]), ["a", "b"])
+        assert ds.labels.dtype == int and ds.labels.tolist() == [1, 0]
+
     def test_class_helpers(self, example_dataset):
         assert example_dataset.n_samples == 6
         assert example_dataset.n_features == 6
@@ -70,14 +88,17 @@ class TestNoMaskedArrays:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.integers(-3, 6), st.floats(-3.0, 6.0)), min_size=2, max_size=8))
     def test_dense_label_verdict_matches_unique(self, labels):
+        """Accepted exactly when every label is a whole number and the
+        labels are dense."""
         as_int = np.asarray(labels, dtype=int)
+        whole = all(float(v).is_integer() for v in labels)
         dense = np.array_equal(np.unique(as_int), np.arange(len(np.unique(as_int))))
         try:
             Dataset(np.ones((len(labels), 1)), labels, ["a"])
         except QReliefFError:
-            assert not dense
+            assert not (whole and dense)
         else:
-            assert dense
+            assert whole and dense
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -319,6 +340,11 @@ class TestRunConfig:
             RunConfig(neighbor_order="sideways")
         with pytest.raises(ConfigError):
             RunConfig(pick_policy="never")
+
+    @pytest.mark.parametrize("field", ["neighbor_order", "pick_policy"])
+    def test_bad_choice_named(self, field):
+        with pytest.raises(ConfigError, match="got 'x'"):
+            RunConfig(**{field: "x"})
 
     def test_pick_sequences(self):
         cfg = RunConfig(T=5, pick_policy="round-robin")

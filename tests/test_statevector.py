@@ -12,10 +12,7 @@ from qrelieff import (
     QReliefFError,
     RngStream,
     StateVector,
-    basis_state,
     h,
-    inner_product,
-    phase,
     ry,
     swap,
     swap_registers,
@@ -23,6 +20,7 @@ from qrelieff import (
     zero_state,
 )
 from qrelieff.statevector import GateOp
+from reference_kernels import basis_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -50,11 +48,6 @@ class TestZeroState:
             zero_state(4)
         assert zero_state(3).n_qubits == 3
 
-    def test_basis_state(self):
-        np.testing.assert_allclose(basis_state(2, 2).amplitudes, [0, 0, 1, 0])
-        with pytest.raises(QReliefFError):
-            basis_state(2, 4)
-
 
 class TestApply:
     def test_hadamard(self):
@@ -69,6 +62,11 @@ class TestApply:
         # |10> means qubit 1 set: basis index 2
         state = basis_state(2, 2).apply(swap(0, 1))
         np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0])
+
+    def test_phase_kind_rejected(self):
+        """Every gate kind has a real matrix; there is no Phase gate."""
+        with pytest.raises(QReliefFError, match="unknown gate kind 'phase'"):
+            GateOp("phase", (0,))
 
     def test_index_out_of_range(self):
         with pytest.raises(QReliefFError):
@@ -111,15 +109,11 @@ class TestApply:
             (h(1), h(1)),
             (x(2), x(2)),
             (ry(theta, 0), ry(-theta, 0)),
-            (phase(theta, 1), phase(-theta, 1)),
             (swap(0, 2), swap(0, 2)),
         ]
         for gate, inverse in pairs:
             back = state.apply(gate).apply(inverse)
             np.testing.assert_allclose(back.amplitudes, amps, atol=1e-10)
-            inv = gate.inverse()
-            back2 = state.apply(gate).apply(inv)
-            np.testing.assert_allclose(back2.amplitudes, amps, atol=1e-10)
 
     def test_control_polarity_exhaustive(self):
         """On-zero control == X on the control, on-one control, X again."""
@@ -156,12 +150,15 @@ def _guard_gates():
     top qubit of 19, and an uncontrolled swap of two 10-qubit registers."""
     for t in (0, 1, 5, 10, 19):
         pair = swap(t, t + 1 if t < 19 else t - 1)
-        yield from ((20, g) for g in (h(t), x(t), ry(0.7, t), phase(0.7, t), pair))
+        yield from ((20, g) for g in (h(t), x(t), ry(0.7, t), pair))
     yield 20, ry(0.7, 0, controls=[18])
     yield 20, x(18, controls=[2, 5])
     yield 20, swap_registers([0, 1, 2, 4, 5, 6, 7, 8], range(9, 17), controls=[19])
     yield 19, swap_registers(range(9, 14), range(5), controls=[18])
     yield 20, swap_registers(range(10), range(10, 20))
+
+
+GUARD_GATES = [pytest.param(n, g, id=_gate_id(g)) for n, g in _guard_gates()]
 
 
 READOUTS = {
@@ -173,7 +170,6 @@ READOUTS = {
 }
 CONSTRUCTORS = {
     "zero_state": lambda: zero_state(20),
-    "basis_state": lambda: basis_state(20, 0b1011_0110_0101_1001_1101),
 }
 
 
@@ -199,9 +195,7 @@ class TestKernelMemory:
             for n in (19, 20)
         }
 
-    @pytest.mark.parametrize(
-        "n, gate", [pytest.param(n, g, id=_gate_id(g)) for n, g in _guard_gates()],
-    )
+    @pytest.mark.parametrize("n, gate", GUARD_GATES)
     def test_in_place_gate_allocates_under_one_mib(self, wide, n, gate):
         """A gate works piece by piece, and a register swap block by block."""
         _, peak = _traced(lambda: wide[n].apply(gate, _in_place=True))
@@ -228,16 +222,13 @@ class TestKernelMemory:
 
 
 class TestRealKernelMemory(TestKernelMemory):
-    """The same bounds on float64 states, whose pieces take half the bytes.
-    Phase is left out: it makes a real state complex, a new whole state."""
+    """The same bounds on float64 states, whose pieces take half the bytes."""
 
     @pytest.fixture(scope="class")
     def wide(self):
         return {n: StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)), _checked=True) for n in (19, 20)}
 
-    @pytest.mark.parametrize("n, gate", [
-        pytest.param(n, g, id=_gate_id(g)) for n, g in _guard_gates() if g.kind != "phase"
-    ])
+    @pytest.mark.parametrize("n, gate", GUARD_GATES)
     def test_in_place_gate_allocates_under_one_mib(self, wide, n, gate):
         super().test_in_place_gate_allocates_under_one_mib(wide, n, gate)
         assert wide[n].amplitudes.dtype == np.float64
@@ -259,10 +250,6 @@ class TestRegisterSwap:
             state.apply_unitary(gate.matrix(), gate.targets, gate.controls).amplitudes,
             rtol=0, atol=1e-12,
         )
-
-    def test_inverse_is_itself(self):
-        gate = swap_registers([0, 1], [2, 3], controls=[4])
-        assert gate.inverse() is gate
 
     @pytest.mark.parametrize("targets, controls", [
         ((0, 1, 2), ()),             # odd target count
@@ -336,6 +323,24 @@ class TestSample:
         sigma = math.sqrt(0.25 / 1024)
         assert abs(counts.get("1", 0) / 1024 - 0.5) < 3 * sigma
 
+    def test_counts_pass_chi_square(self):
+        """Counts follow ``marginal_probabilities``: 20000 shots of qubits
+        (2, 0, 3) of a random 4-qubit state (amplitudes from
+        ``default_rng(0)``) on RngStream(0) give chi-square 4.84 over 8
+        outcomes, each expected at least 42 times.  The bound, 40.52, is the
+        1 - 1e-6 quantile of chi-square with 7 degrees of freedom
+        (scipy.stats.chi2.ppf).  Bitstrings written with their bits
+        reversed give 3710."""
+        amps = np.random.default_rng(0).normal(size=16)
+        state, qubits, shots = StateVector(4, amps / np.linalg.norm(amps)), [2, 0, 3], 20000
+        expected = shots * state.marginal_probabilities(qubits)
+        observed = np.zeros(len(expected))
+        for bits, count in state.sample(qubits, shots, RngStream(0)).items():
+            observed[int(bits[::-1], 2)] = count  # string position i is qubits[i]
+        assert expected.min() >= 5.0
+        chi_square = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi_square <= 40.52, chi_square
+
     def test_empty_qubit_list(self):
         with pytest.raises(QReliefFError):
             zero_state(1).sample([], 10, RngStream(0))
@@ -350,19 +355,6 @@ class TestSample:
         # qubit 1 is set; with qubits=[1, 0] it lands at string position 0
         counts = basis_state(2, 2).sample([1, 0], 10, RngStream(1))
         assert counts == {"10": 10}
-
-
-class TestInnerProduct:
-    def test_orthogonal(self):
-        assert inner_product(basis_state(1, 0), basis_state(1, 1)) == 0
-
-    def test_self(self):
-        state = zero_state(2).apply(h(0)).apply(ry(0.3, 1))
-        assert inner_product(state, state) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(QReliefFError):
-            inner_product(zero_state(1), zero_state(2))
 
 
 class TestStateVectorInvariants:
