@@ -11,6 +11,16 @@ The width depends on the feature count N alone.
 ``swap_flag`` exchanges bits 0 and 1, turning the encoded layout
 ``...|flag>|data>`` into ``...|data>|flag>`` so a subsequent swap test
 overlaps the data of one sample with the flag of another.
+
+The swap test is the textbook one (Buhrman, Cleve, Watrous and de Wolf,
+quant-ph/0102001): the ancilla starts in |+>, controls the register swap,
+and is read in the X basis.  :func:`swap_test_state` writes |+> (x) A (x) B
+directly and runs the controlled swap as a gate; the readout
+(:meth:`StateVector.x_basis_probabilities`) folds the final H into its sums
+without a pass that writes the state.  Each test makes three passes over
+its composite (the build, the swap and the readout) where the H, swap, H
+circuit and its computational-basis readout made six, and reads the same
+bits.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import numpy as np
 from .errors import ConfigError, NoSolutionError, QReliefFError, SearchFailedError
 from .rng import RngStream
 from .statevector import (
+    _H,
     GateOp,
     StateVector,
     check_width,
@@ -166,36 +177,35 @@ def swap_flag(state: StateVector) -> StateVector:
 # ---------------------------------------------------------------------------
 
 def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVector:
-    """Composite state after the swap-test circuit; ancilla is the top qubit.
+    """Composite state of the swap test before its X-basis readout: the
+    ancilla (the top qubit) in |+>, then the register swap controlled on it.
 
     Register B occupies bits 0..m-1, register A bits m..2m-1, the ancilla bit
     2m.  ``swap_qubits`` selects which qubit pairs are exchanged (default all);
     excluding a pair is only meaningful when the excluded registers factor out.
+    :meth:`StateVector.x_basis_probabilities` reads the ancilla; an H on it
+    gives the state after the whole circuit (H, controlled swap, H).
     """
     if a.n_qubits != b.n_qubits:
         raise QReliefFError("swap test requires equal register widths")
     m = a.n_qubits
     check_width(2 * m + 1)
-    amps = np.zeros(2 << 2 * m, dtype=np.result_type(a.amplitudes, b.amplitudes))
-    # ancilla |0>: A (x) B fills the lower half
-    np.multiply.outer(a.amplitudes, b.amplitudes, out=amps[: 1 << 2 * m].reshape(a.dim, b.dim))
-    # a product of two unit vectors; skip the norm re-check
-    return StateVector(2 * m + 1, amps, _checked=True)._run(swap_test_gates(m, swap_qubits))
+    amps = np.empty(2 << 2 * m, dtype=np.result_type(a.amplitudes, b.amplitudes))
+    # |+> (x) A (x) B: r (A (x) B) in both halves, the outer product first and
+    # r second, as the H kernel multiplies the ancilla-|0> half
+    lower = amps[: 1 << 2 * m]
+    np.multiply.outer(a.amplitudes, b.amplitudes, out=lower.reshape(a.dim, b.dim))
+    np.multiply(_H[0, 0], lower, out=lower)
+    amps[1 << 2 * m:] = lower
+    b_qubits = list(range(m) if swap_qubits is None else swap_qubits)
+    cswap = swap_registers([m + q for q in b_qubits], b_qubits, controls=[2 * m])
+    # a product of unit vectors; skip the norm re-check
+    return StateVector(2 * m + 1, amps, _checked=True).apply(cswap, _in_place=True)
 
 
 def swap_test(a: StateVector, b: StateVector, swap_qubits=None) -> float:
     """Exact P(ancilla = 1) = 1/2 - |<A|B>|^2 / 2 of the swap-test circuit."""
-    state = swap_test_state(a, b, swap_qubits)
-    return state.probability_one(2 * a.n_qubits)
-
-
-def swap_test_gates(m: int, swap_qubits=None) -> list[GateOp]:
-    """Gate list of the swap test on two m-qubit registers plus top ancilla:
-    H, one controlled register swap of the selected pairs, H."""
-    b_qubits = list(range(m) if swap_qubits is None else swap_qubits)
-    anc = 2 * m
-    cswap = swap_registers([m + q for q in b_qubits], b_qubits, controls=[anc])
-    return [h(anc), cswap, h(anc)]
+    return swap_test_state(a, b, swap_qubits).x_basis_probability_one()
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .relieff import (
     run_iterations,
 )
 from .rng import RngStream
-from .statevector import StateVector, check_width
+from .statevector import StateVector, check_width, h
 
 
 @dataclass
@@ -125,27 +125,27 @@ def prepare_states(nd: NormalizedDataset) -> list[StateVector]:
 
 
 def _swap_test_p1(
-    u_state: StateVector,
+    flagged_u: StateVector,
     v_state: StateVector,
     layout: EncodingLayout,
     cfg: PipelineConfig,
     rng: RngStream | None,
 ) -> float:
-    """P(ancilla=1) of the swap test over the encoding's data, flag and
-    feature-index qubits.
+    """P(ancilla=1) of the swap test of ``flagged_u`` (a sample state after
+    :func:`swap_flag`) against ``v_state`` over the encoding's data, flag and
+    feature-index qubits, the ancilla read in the X basis.
 
     Qubits above the encoding stay out of the controlled swaps; they factor
     out of the overlap.  In sampled mode the probability is estimated from
     finite ancilla shots.
     """
-    state = swap_test_state(swap_flag(u_state), v_state, range(layout.n_qubits))
-    ancilla = 2 * u_state.n_qubits
+    state = swap_test_state(flagged_u, v_state, range(layout.n_qubits))
     if cfg.mode == "exact":
-        return state.probability_one(ancilla)
+        return state.x_basis_probability_one()
     if rng is None:
         raise QReliefFError("sampled mode needs an rng stream")
-    counts = state.sample([ancilla], cfg.shots, rng)
-    return counts.get("1", 0) / cfg.shots
+    p = state.x_basis_probabilities()
+    return int(rng.multinomial(cfg.shots, p / p.sum())[1]) / cfg.shots
 
 
 def _full_circuit_outcome(
@@ -154,7 +154,8 @@ def _full_circuit_outcome(
     """The t-bit amplitude-estimation reading of the swap-test ancilla
     amplitude a = P(1) of samples u and q.
 
-    A|0> is the swap-test composite of the two encodings alone: q on qubits
+    A|0> is the whole swap-test circuit, its readout H included, on the two
+    encodings alone: q on qubits
     0..m-1, u (flag and data swapped) on m..2m-1 and the ancilla on top, at
     2m; 2m + 1 qubits whatever M is.  A is a unitary circuit only for a
     power-of-two feature count, which :func:`check_quantum_input` requires.
@@ -162,6 +163,8 @@ def _full_circuit_outcome(
     composite = swap_test_state(
         swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q])
     )
+    # the readout H: amplitude estimation reads the top qubit in the Z basis
+    composite.apply(h(composite.n_qubits - 1), _in_place=True)
     dist = amplitude_estimate(composite, cfg.ae_bits)
     if cfg.mode == "exact":
         return modal_outcome(dist, cfg.ae_bits)
@@ -173,6 +176,31 @@ def _quantize_similarity(s: float, t: int) -> AEOutcome:
     """Nearest t-bit estimation grid point to a known similarity."""
     m = round((1 << t) * math.asin(math.sqrt(s)) / math.pi)
     return AEOutcome(min(max(m, 0), 1 << (t - 1)), t)
+
+
+def _similarity_to(
+    states: list[StateVector], nd: NormalizedDataset, u: int, cfg: PipelineConfig
+):
+    """:func:`quantum_similarity` of the picked sample u as a function of
+    (q, rng), with u's flagged state and the encoding layout made once."""
+    n_features, layout = nd.n_features, EncodingLayout(nd.n_features)
+    flagged_u = swap_flag(states[u])
+
+    def record(q: int, rng: RngStream | None) -> SimilarityRecord:
+        p1 = _swap_test_p1(flagged_u, states[q], layout, cfg, rng)
+        s = (1.0 - 2.0 * p1) * n_features**2
+        clamped = cfg.mode == "sampled" and not 0.0 <= s <= 1.0
+        s = min(max(s, 0.0), 1.0)
+        if cfg.ae_circuit == "full":
+            ae = _full_circuit_outcome(nd, u, q, cfg, rng)
+            s_full = min(max((1.0 - 2.0 * ae.a_hat) * n_features**2, 0.0), 1.0)
+            outcome = _quantize_similarity(s_full, cfg.ae_bits)
+        else:
+            dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
+            outcome = modal_outcome(dist, cfg.ae_bits)
+        return SimilarityRecord(q, s, outcome, excluded=q == u, noise_clamped=clamped)
+
+    return record
 
 
 def quantum_similarity(
@@ -196,19 +224,7 @@ def quantum_similarity(
     and nothing is flagged.  The record of u against itself is marked
     excluded.
     """
-    n_features, layout = nd.n_features, EncodingLayout(nd.n_features)
-    p1 = _swap_test_p1(states[u], states[q], layout, cfg, rng)
-    s = (1.0 - 2.0 * p1) * n_features**2
-    clamped = cfg.mode == "sampled" and not 0.0 <= s <= 1.0
-    s = min(max(s, 0.0), 1.0)
-    if cfg.ae_circuit == "full":
-        ae = _full_circuit_outcome(nd, u, q, cfg, rng)
-        s_full = min(max((1.0 - 2.0 * ae.a_hat) * n_features**2, 0.0), 1.0)
-        outcome = _quantize_similarity(s_full, cfg.ae_bits)
-    else:
-        dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
-        outcome = modal_outcome(dist, cfg.ae_bits)
-    return SimilarityRecord(q, s, outcome, excluded=q == u, noise_clamped=clamped)
+    return _similarity_to(states, nd, u, cfg)(q, rng)
 
 
 def build_similarity_table(
@@ -224,11 +240,10 @@ def build_similarity_table(
     complete.  Each pair owns an rng substream keyed by its sample index.
     """
     table = SimilarityTable(u)
+    similarity = _similarity_to(states, nd, u, cfg)
     for c in range(nd.n_classes):
         table.records[c] = [
-            quantum_similarity(
-                states, nd, u, q, cfg, rng.substream(q) if rng is not None else None
-            )
+            similarity(q, rng.substream(q) if rng is not None else None)
             for q in nd.class_members(c).tolist()
         ]
     return table

@@ -56,7 +56,13 @@ Conventions used throughout the package:
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
   through :meth:`StateVector.sample`.  The readouts sum |amp|^2 over pieces
   of at most ``CHUNK`` amplitudes and add the piece sums in numpy's own
-  pairwise order (:func:`_sums_of_squares`).  ``zero_state`` skips the norm
+  pairwise order (:func:`_sums_of_squares`); a real piece is squared as
+  ``x * x``, with no ``np.abs`` copy.  :meth:`StateVector.x_basis_probabilities`
+  reads the top qubit in the X basis, the swap test's readout: it forms the
+  H kernel's r lo + r hi and r lo - r hi piece by piece into its own
+  buffers and sums them the same way, so its bits are those of an H
+  followed by :meth:`StateVector.marginal_probabilities`, and the state is
+  only read.  ``zero_state`` skips the norm
   check, and the check of any other input is one ``np.vdot``.
   :meth:`StateVector.postselect` sums the norm of its zeroed copy the same
   way and renormalizes it in place, as a product with
@@ -240,6 +246,32 @@ def _pieces(sub: np.ndarray, k: int):
     )
 
 
+def _squares(piece: np.ndarray, out=None) -> np.ndarray:
+    """|amp|^2 of every amplitude of ``piece``, into ``out`` if given (a
+    float64 array of the piece's shape, or a real piece itself): ``x * x`` on
+    a real piece, bit for bit ``np.abs(x) ** 2`` since |x| |x| = x x exactly,
+    and ``np.abs(x) ** 2`` on a complex one."""
+    if piece.dtype.kind == "c":
+        if out is None:
+            return np.abs(piece) ** 2
+        piece = np.abs(piece, out=out)
+    return np.multiply(piece, piece, out=out)
+
+
+def _loop_axes(n_qubits: int) -> int:
+    """Leading axes of a ``(2,)*n`` view looped over so that one piece of
+    the rest holds at most ``CHUNK`` amplitudes."""
+    return max(n_qubits - (CHUNK.bit_length() - 1), 0)
+
+
+def _pairwise(parts: np.ndarray) -> np.ndarray:
+    """Each row of ``parts`` (a power-of-two count of piece sums) added
+    pairwise in a balanced tree."""
+    while parts.shape[1] > 1:
+        parts = parts[:, 0::2] + parts[:, 1::2]
+    return parts[:, 0]
+
+
 def _sums_of_squares(view: np.ndarray, k: int) -> np.ndarray:
     """For each index of the first ``k`` axes of ``view`` (a ``(2,)*m``
     array), in C order, the sum of |amp|^2 over the other axes.
@@ -251,16 +283,41 @@ def _sums_of_squares(view: np.ndarray, k: int) -> np.ndarray:
     least 128).  The leading axes are looped over, one piece each, until a
     piece fits.
     """
-    loop = max(view.ndim - (CHUNK.bit_length() - 1), 0)
+    loop = _loop_axes(view.ndim)
     rows = 1 << max(k - loop, 0)  # register values in one piece
     parts = np.empty((1 << loop) * rows)
     for j, index in enumerate(itertools.product((0, 1), repeat=loop)):
-        sq = np.abs(view[index]).reshape(rows, -1) ** 2
+        sq = _squares(view[index]).reshape(rows, -1)
         parts[j * rows:(j + 1) * rows] = sq.sum(axis=1)
-    parts = parts.reshape(1 << k, -1)
-    while parts.shape[1] > 1:
-        parts = parts[:, 0::2] + parts[:, 1::2]
-    return parts[:, 0]
+    return _pairwise(parts.reshape(1 << k, -1))
+
+
+def _x_basis_sums(amps: np.ndarray, outcomes) -> np.ndarray:
+    """Sums of squares of the top qubit's two halves after an H on it, the
+    sum for outcome 0 over r lo + r hi and for outcome 1 over r lo - r hi
+    (lo and hi the halves with the top qubit clear and set, r = 1/sqrt 2);
+    an outcome not in ``outcomes`` reads 0.
+
+    These are the H kernel's own products and sums, summed over
+    :func:`_sums_of_squares`'s pieces and tree, so each sum is bit for bit
+    that of the state after the H.  ``amps`` is only read: the products and
+    sums of one piece of each half go through three piece-sized buffers,
+    and a complex piece's moduli through a fourth, of floats.
+    """
+    per = 1 << max(_loop_axes(amps.size.bit_length() - 1) - 1, 0)  # pieces per half
+    halves = amps.reshape(2, per, -1)
+    t, u, s = (np.empty_like(halves[0, 0]) for _ in range(3))
+    sq = np.empty(s.shape) if s.dtype.kind == "c" else s
+    r = _H[0, 0]
+    parts = np.zeros((2, per))
+    for j in range(per):
+        np.multiply(r, halves[0, j], out=t)
+        np.multiply(r, halves[1, j], out=u)
+        if 0 in outcomes:
+            parts[0, j] = _squares(np.add(t, u, out=s), out=sq).sum()
+        if 1 in outcomes:
+            parts[1, j] = _squares(np.subtract(t, u, out=s), out=sq).sum()
+    return _pairwise(parts)
 
 
 def check_width(n_qubits: int):
@@ -487,6 +544,16 @@ class StateVector:
         if not qubits:
             raise QReliefFError("empty qubit list")
         return _sums_of_squares(self._qubit_axes(self.amplitudes, first=qubits[::-1]), len(qubits))
+
+    def x_basis_probabilities(self) -> np.ndarray:
+        """Exact distribution of the top qubit read in the X basis: bit for
+        bit ``apply(h(top)).marginal_probabilities([top])``, without the H
+        pass or a copy of the state."""
+        return _x_basis_sums(self.amplitudes, (0, 1))
+
+    def x_basis_probability_one(self) -> float:
+        """Entry 1 of :meth:`x_basis_probabilities`, summed alone."""
+        return float(_x_basis_sums(self.amplitudes, (1,))[1])
 
     def sample(self, qubits, shots: int, rng: RngStream) -> dict[str, int]:
         """Draw ``shots`` i.i.d. readings of the listed qubits.

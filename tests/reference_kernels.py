@@ -26,7 +26,10 @@ block-by-block register swap replaced.  ``probability_one_unchunked`` and
 ``marginal_probabilities_unchunked`` are the readouts as whole-state numpy
 expressions, which the sums over pieces replaced.  ``swap_test_gates`` is the
 swap test with one controlled SWAP per qubit pair, which the controlled
-register swap replaced.
+register swap replaced.  ``swap_test_p1`` is the pipeline's swap-test reading
+as it ran on the whole circuit: the ancilla prepared by an H, the register
+swap, the readout H as a gate and a computational-basis readout, which the
+|+> composite and the X-basis readout replaced.
 
 Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled
@@ -47,7 +50,16 @@ import numpy as np
 
 from qrelieff.circuits import _grover_orbit, _grover_orbit_by_squaring
 from qrelieff.errors import QReliefFError
-from qrelieff.statevector import GateOp, StateVector, _normalize_controls, h, ry, swap, x
+from qrelieff.statevector import (
+    GateOp,
+    StateVector,
+    _normalize_controls,
+    h,
+    ry,
+    swap,
+    swap_registers,
+    x,
+)
 
 
 class Preparation(NamedTuple):
@@ -367,6 +379,28 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
     for g in swap_test_gates(a.n_qubits, swap_qubits):
         state = state.apply(g)
     return state
+
+
+def swap_test_p1(flagged_u: StateVector, v_state: StateVector, swap_qubits, shots=None, rng=None) -> float:
+    """P(ancilla = 1) of the swap test of ``flagged_u`` against ``v_state``
+    over the ``swap_qubits`` pairs: the composite with the ancilla |0> (a
+    zero-filled upper half), then H, the controlled register swap and H, each
+    through ``StateVector.apply``, and ``probability_one`` of the ancilla, or
+    the fraction of ``shots`` readings of it that ``StateVector.sample`` draws
+    on ``rng``."""
+    m = flagged_u.n_qubits
+    anc, swap_qubits = 2 * m, list(swap_qubits)
+    amps = np.zeros(2 << 2 * m, dtype=np.result_type(flagged_u.amplitudes, v_state.amplitudes))
+    np.multiply.outer(
+        flagged_u.amplitudes, v_state.amplitudes, out=amps[: 1 << 2 * m].reshape(flagged_u.dim, -1)
+    )
+    state = StateVector(anc + 1, amps, _checked=True)
+    cswap = swap_registers([m + q for q in swap_qubits], swap_qubits, controls=[anc])
+    for g in (h(anc), cswap, h(anc)):
+        state = state.apply(g)
+    if shots is None:
+        return state.probability_one(anc)
+    return state.sample([anc], shots, rng).get("1", 0) / shots
 
 
 def grover_iterate(state: StateVector, phi: float, oracle: np.ndarray, w_gates) -> StateVector:

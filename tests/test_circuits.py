@@ -378,6 +378,7 @@ class TestAmplitudeEstimation:
         psi = swap_test_state(
             swap_flag(encode_sample(nd.samples[0])), encode_sample(nd.samples[1])
         )
+        psi = psi.apply(h(psi.n_qubits - 1))  # the readout H: the whole circuit
         counts = []
         for t in (1, 4):
             apply_calls.clear()

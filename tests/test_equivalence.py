@@ -4,7 +4,9 @@ per-kind gate kernels against the one-expression stride-view kernel, the
 chunked kernel bit for bit against the same kernels on the whole view, the
 register swap against its pairs swapped one at a time and, block by block,
 against one transposition of the whole view, the readouts summed over pieces
-against whole-state numpy sums, the in-place gate
+against whole-state numpy sums, the swap test's X-basis readout and
+``_swap_test_p1`` bit for bit against the H, register swap, H circuit read
+in the computational basis, the in-place gate
 lists (``apply_all``, the swap test) bit for bit against one new state per
 gate, the Grover search state and orbit, which reflect about W|0> in place
 of running W^-1 and W, against per-gate iterations, the orbit by repeated
@@ -43,9 +45,10 @@ from qrelieff.circuits import (
 )
 from qrelieff.cli import load_csv
 from qrelieff.errors import QReliefFError
-from qrelieff.pipeline import prepare_states
+from qrelieff.pipeline import PipelineConfig, _swap_test_p1, prepare_states
 from qrelieff.program3 import RESULT_QUBIT, final_state
 from qrelieff.relieff import NormalizedDataset, normalize
+from qrelieff.rng import RngStream
 from qrelieff.statevector import GateOp, StateVector, h, swap_registers, zero_state
 
 DATA = Path(__file__).parent / "data"
@@ -428,6 +431,13 @@ def encoded_samples(draw, n_features: int, index_bits: int):
     return StateVector(encoded.n_qubits + index_bits, np.kron(register, encoded.amplitudes))
 
 
+def swap_test_circuit(a: StateVector, b: StateVector, swap_qubits=None) -> StateVector:
+    """The state after the whole swap test, its readout H on the ancilla
+    included: :func:`swap_test_state` stops before that H."""
+    state = swap_test_state(a, b, swap_qubits)
+    return state.apply(h(state.n_qubits - 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_swap_test_state_is_bit_identical_to_kron(data):
@@ -436,8 +446,49 @@ def test_swap_test_state_is_bit_identical_to_kron(data):
     a = data.draw(encoded_samples(n_features, index_bits))
     b = swap_flag(data.draw(encoded_samples(n_features, index_bits)))
     before = (a.amplitudes.copy(), b.amplitudes.copy())
-    assert np.array_equal(swap_test_state(a, b).amplitudes, ref.swap_test_state(a, b).amplitudes)
+    assert np.array_equal(swap_test_circuit(a, b).amplitudes, ref.swap_test_state(a, b).amplitudes)
     assert np.array_equal(a.amplitudes, before[0]) and np.array_equal(b.amplitudes, before[1])
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+@settings(max_examples=3, deadline=None)
+@given(real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_x_basis_readout_is_bit_identical_to_h_then_marginal(n, real, seed):
+    """The swap test's readout folds the H on the top qubit into its sums:
+    the bits of that H followed by ``marginal_probabilities``, on real and
+    complex states with exact zeros, below and above ``CHUNK``."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) if real else rng.normal(size=(1 << n, 2)).view(complex).ravel()
+    amps[rng.random(1 << n) < 0.3] = 0.0
+    if not amps.any():
+        amps[0] = 1.0
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    before = state.amplitudes.copy()
+    want = state.apply(h(n - 1)).marginal_probabilities([n - 1])
+    assert state.x_basis_probabilities().tobytes() == want.tobytes()
+    assert state.x_basis_probability_one() == want[1]
+    assert state.amplitudes.tobytes() == before.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_swap_test_p1_is_bit_identical_to_the_whole_circuit(data):
+    """``_swap_test_p1``, exact and sampled, against H, register swap and H
+    as three gates and a computational-basis readout, on encodings padded by
+    a sample-index register, as complex or real states."""
+    n_features = data.draw(st.integers(1, 8))
+    index_bits = data.draw(st.integers(0, 2))
+    u, v = (data.draw(encoded_samples(n_features, index_bits)) for _ in range(2))
+    if data.draw(st.booleans()):
+        u, v = (StateVector(s.n_qubits, s.amplitudes.real) for s in (u, v))
+    u = swap_flag(u)
+    layout = EncodingLayout(n_features)
+    swapped = range(layout.n_qubits)
+    exact = _swap_test_p1(u, v, layout, PipelineConfig(), None)
+    assert exact == ref.swap_test_p1(u, v, swapped)
+    shots, seed = data.draw(st.integers(1, 4096)), data.draw(st.integers(0, 2**32 - 1))
+    sampled = _swap_test_p1(u, v, layout, PipelineConfig(mode="sampled", shots=shots), RngStream(seed))
+    assert sampled == ref.swap_test_p1(u, v, swapped, shots, RngStream(seed))
 
 
 @settings(max_examples=60, deadline=None)
@@ -494,7 +545,7 @@ def test_reduced_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
 def test_full_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
     n_features = data.draw(st.sampled_from([2, 4, 8]))
     a, b = (encode_sample(data.draw(unit_vectors(n_features))) for _ in range(2))
-    psi = swap_test_state(swap_flag(a), b)
+    psi = swap_test_circuit(swap_flag(a), b)
     t = data.draw(st.integers(1, 6))
     got, want = amplitude_estimate(psi, t), ref.amplitude_estimate_by_qft(psi, t)
     assert got.tobytes() == want.tobytes()
@@ -517,8 +568,8 @@ def test_full_circuit_preparation_matches_padded_preparation(data):
 
     m = EncodingLayout(n_features).n_qubits
     states = prepare_states(nd)
-    padded = swap_test_state(swap_flag(states[u]), states[q], range(m))
-    narrow = swap_test_state(swap_flag(encode_sample(rows[u])), encode_sample(rows[q]))
+    padded = swap_test_circuit(swap_flag(states[u]), states[q], range(m))
+    narrow = swap_test_circuit(swap_flag(encode_sample(rows[u])), encode_sample(rows[q]))
     assert (narrow.n_qubits, padded.n_qubits) == (2 * m + 1, 2 * (m + index_bits) + 1)
     got, want = amplitude_estimate(narrow, t), amplitude_estimate(padded, t)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
@@ -535,7 +586,7 @@ def test_full_circuit_ae_matches_per_qubit_swaps(t):
     for u in range(nd.n_samples):
         for q in range(nd.n_samples):
             a, b = swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q])
-            got, want = swap_test_state(a, b), ref.swap_test_state(a, b)
+            got, want = swap_test_circuit(a, b), ref.swap_test_state(a, b)
             assert np.asarray(got.amplitudes, complex).tobytes() == want.amplitudes.tobytes(), (u, q)
             dists = amplitude_estimate(got, t), amplitude_estimate(want, t)
             assert dists[0].tobytes() == dists[1].tobytes(), (u, q)

@@ -18,10 +18,25 @@ from qrelieff import (
     quantum_similarity,
     relieff_run,
 )
-from qrelieff.circuits import EncodingLayout
-from qrelieff.pipeline import _swap_test_p1, build_similarity_table, prepare_states
+from qrelieff.circuits import (
+    EncodingLayout,
+    amplitude_estimate,
+    encode_sample,
+    fold_distribution,
+    swap_flag,
+    swap_test_state,
+)
+from qrelieff.cli import load_csv
+from qrelieff.pipeline import (
+    _full_circuit_outcome,
+    _swap_test_p1,
+    build_similarity_table,
+    prepare_states,
+)
+from qrelieff.statevector import h
 
 from conftest import random_binary_dataset
+from test_equivalence import DATA
 from test_relieff import GOLDEN_AVERAGE, GOLDEN_NEIGHBORS
 
 
@@ -119,12 +134,33 @@ class TestQuantumSimilarity:
         counts by shots + 1 moves it to z = -12.6."""
         nd, _ = normalize(Dataset(np.array([[1.0, 0.0], [0.6, 0.8]]), np.array([0, 1]), ["a", "b"]))
         u, v = prepare_states(nd)
+        u = swap_flag(u)
         layout, r_streams, shots, seed = EncodingLayout(2), 1000, 4, 0
         p = _swap_test_p1(u, v, layout, PipelineConfig(), None)
         cfg, rng = PipelineConfig(mode="sampled", shots=shots), RngStream(seed)
         mean = np.mean([_swap_test_p1(u, v, layout, cfg, rng.substream(r)) for r in range(r_streams)])
         sigma = math.sqrt(p * (1.0 - p) / (r_streams * shots))
         assert abs(mean - p) <= 5.0 * sigma, (mean - p) / sigma
+
+    def test_full_sampled_draws_pass_chi_square(self):
+        """Sampled ``full`` readings follow the folded estimation
+        distribution of their pair: 1000 readings of the pair (0, 1) of
+        four_by_two at t = 3, one per substream of RngStream(0), give
+        chi-square 5.14 over the 5 folded bins, each expected at least 15
+        times.  The bound, 33.38, is the 1 - 1e-6 quantile of chi-square with
+        4 degrees of freedom (scipy.stats.chi2.ppf).  Readings drawn from the
+        unfolded distribution, without min(y, 2^t - y), give 224."""
+        nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
+        (u, q), t, draws, seed = (0, 1), 3, 1000, 0
+        circuit = swap_test_state(swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q]))
+        circuit = circuit.apply(h(circuit.n_qubits - 1))  # the readout H
+        expected = draws * fold_distribution(amplitude_estimate(circuit, t))
+        cfg, rng = PipelineConfig(mode="sampled", ae_circuit="full", ae_bits=t), RngStream(seed)
+        readings = [_full_circuit_outcome(nd, u, q, cfg, rng.substream(r)).y for r in range(draws)]
+        observed = np.bincount(readings, minlength=1 << t)[: len(expected)]
+        assert expected.min() >= 5.0
+        chi_square = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi_square <= 33.38, chi_square
 
     def test_full_circuit_small(self):
         # orthogonal rows: the swap-test ancilla amplitude is exactly 0.5,

@@ -124,6 +124,15 @@ def test_postselect_renormalizes_complex_states_as_the_division_did(data):
     assert (np.abs(got) ** 2).tobytes() == (np.abs(want) ** 2).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_x_basis_readout_matches_the_complex_twin(data):
+    state = data.draw(real_states(data.draw(st.integers(1, 10))))
+    twin = _twin(state)
+    assert state.x_basis_probabilities().tobytes() == twin.x_basis_probabilities().tobytes()
+    assert state.x_basis_probability_one() == twin.x_basis_probability_one()
+
+
 def _encode_sample_complex(v: np.ndarray) -> StateVector:
     """:func:`encode_sample` as it ran on complex128 amplitudes throughout."""
     layout = EncodingLayout(len(v))

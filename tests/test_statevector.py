@@ -207,6 +207,15 @@ class TestKernelMemory:
         result, peak = _traced(lambda: readout(wide[20]))
         assert peak - np.asarray(result).nbytes < 1 << 20
 
+    @pytest.mark.parametrize("n", [19, 20])
+    @pytest.mark.parametrize("both", [True, False], ids=["both", "p1"])
+    def test_x_basis_readout_allocates_under_one_mib(self, wide, n, both):
+        """The swap test's readout folds its H into sums over pieces and
+        leaves the state as it is."""
+        readout = wide[n].x_basis_probabilities if both else wide[n].x_basis_probability_one
+        result, peak = _traced(readout)
+        assert peak - np.asarray(result).nbytes < 1 << 20
+
     @pytest.mark.parametrize("qubit, outcome", [(19, 1), (0, 0)])
     def test_postselect_allocates_under_one_mib(self, wide, qubit, outcome):
         """The zeroed copy is the result: its norm is summed over pieces and
