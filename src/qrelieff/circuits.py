@@ -20,7 +20,8 @@ directly and runs the controlled swap as a gate; the readout
 without a pass that writes the state.  Each test makes three passes over
 its composite (the build, the swap and the readout) where the H, swap, H
 circuit and its computational-basis readout made six, and reads the same
-bits.
+bits.  Amplitude estimation runs on one qubit: its distribution depends
+only on the probability it estimates (:func:`amplitude_estimate`).
 """
 
 from __future__ import annotations
@@ -304,23 +305,8 @@ def _grover_step(psi: StateVector):
     return lambda amps: _grover_in_place(amps, flag, math.pi, psi.amplitudes)
 
 
-def _grover_orbit(psi: StateVector, t: int) -> np.ndarray:
-    """Row y is G^y A|0> for y in [0, 2^t), one G step per row.
-
-    G runs uncontrolled on the preparation register alone, in place on one
-    working array that is copied into each row.
-    """
-    grover = _grover_step(psi)
-    orbit = np.empty((1 << t, psi.dim), dtype=complex)
-    orbit[0] = psi.amplitudes
-    amps = psi.amplitudes.astype(complex)  # G reflects with e^{i pi}
-    for y in range(1, 1 << t):
-        orbit[y] = grover(amps)
-    return orbit
-
-
 def _grover_orbit_by_squaring(psi: StateVector, t: int) -> np.ndarray:
-    """The rows of :func:`_grover_orbit` from G as a dense 2^p x 2^p matrix.
+    """Row y is G^y A|0> for y in [0, 2^t), from G as a dense 2^p x 2^p matrix.
 
     Rows [2^k, 2^(k+1)) are rows [0, 2^k) times (G^(2^k))^T, and G is squared
     after each block: 2t - 1 matrix products in place of 2^t - 1 G steps.
@@ -342,37 +328,35 @@ def _grover_orbit_by_squaring(psi: StateVector, t: int) -> np.ndarray:
 
 def amplitude_estimate(psi: StateVector, t: int) -> np.ndarray:
     """Exact outcome distribution of t-bit amplitude estimation of the
-    probability a that the top qubit of ``psi`` = A|0> reads 1.
+    probability a that the one-qubit state ``psi`` = A|0> reads 1.
 
-    ``psi`` is the prepared state, not the circuit A: A enters the estimate
-    only through A|0>, so any unitary preparation is given by its output.
-    Returns the probability of each y in [0, 2^t); the estimate for outcome y
-    is sin^2(pi y / 2^t).  :func:`reduced_preparation` gives the single-qubit
-    state with the same a as any larger preparation.
+    The distribution depends on a alone, not on the circuit that prepares
+    it: G keeps A|0> in the plane of its good and bad parts and rotates it
+    there by 2 asin sqrt(a) (Brassard, Hoyer, Mosca and Tapp,
+    quant-ph/0005055).  So ``psi`` is :func:`reduced_preparation` (a), and a
+    wider preparation is refused: pass the probability that its top qubit
+    reads 1 to :func:`reduced_preparation` instead.  Returns the probability
+    of each y in [0, 2^t); the estimate for outcome y is sin^2(pi y / 2^t).
 
     After the readout Hadamards and the controlled powers of G, the circuit's
     state is 2^(-t/2) sum_y |y> G^y A|0>, readout register above the
-    preparation register; it is built from the orbit of A|0> under the
-    uncontrolled G rather than by applying 2^t - 1 controlled G's.  One G step
-    is a sign flip on the upper half (top qubit 1) and a reflection about
-    psi, since A S0 A^-1 = I - 2|psi><psi|: O(2^p) work on a p-qubit
-    preparation, and no gates.  When G as a dense matrix has no more entries
-    than the readout has values (4^p <= 2^t: reduced mode, p = 1, for t >= 2),
-    the orbit comes from t - 1 squarings of that matrix, 8^p multiply-adds
-    each, and t block products.  Otherwise (t = 1, and every ``full``
-    circuit, where p >= 7) the orbit takes 2^t - 1 G steps and G is never
-    built.  Row y of the orbit is readout value y, so the inverse QFT on the
-    readout register is one FFT along the orbit's first axis.
+    preparation qubit.  It is built from the orbit of A|0> under the
+    uncontrolled G, G a 2 x 2 matrix squared t - 1 times, rather than by
+    applying 2^t - 1 controlled G's.  Row y of the orbit is readout value y,
+    so the inverse QFT on the readout register is one FFT along the orbit's
+    first axis.
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")
-    p = psi.n_qubits
-    check_width(p + t)
-    orbit = (_grover_orbit_by_squaring if 2 * p <= t else _grover_orbit)(psi, t)
+    if psi.n_qubits != 1:
+        raise QReliefFError(f"amplitude estimation takes one qubit, got {psi.n_qubits}; "
+                            "reduced_preparation(a) gives the one with the same a")
+    check_width(1 + t)
+    orbit = _grover_orbit_by_squaring(psi, t)
     orbit /= math.sqrt(1 << t)
     readout = np.fft.fft(orbit, axis=0, norm="ortho")
-    state = StateVector(p + t, readout.reshape(-1), _checked=True)
-    return state.marginal_probabilities(range(p, p + t))
+    state = StateVector(1 + t, readout.reshape(-1), _checked=True)
+    return state.marginal_probabilities(range(1, 1 + t))
 
 
 @lru_cache(maxsize=4096)

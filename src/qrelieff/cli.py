@@ -43,7 +43,7 @@ def example_csv_path() -> Path:
 def load_csv(path, label_column: str = "class") -> tuple[Dataset, list[str]]:
     """Parse a CSV with a header row into a Dataset.
 
-    The file must be UTF-8 text.  The label column holds string class names,
+    The file must be UTF-8 text; a leading byte-order mark is dropped.  The label column holds string class names,
     mapped to dense ids in first-appearance order; all other cells must be
     numeric.  Returns the dataset and the class names in id order.  A path
     that cannot be read as such a file is a :class:`DataError`.
@@ -52,7 +52,7 @@ def load_csv(path, label_column: str = "class") -> tuple[Dataset, list[str]]:
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}")

@@ -23,6 +23,7 @@ from .circuits import (
     encode_sample,
     modal_outcome,
     quantum_extreme_search,
+    reduced_preparation,
     swap_flag,
     swap_test_state,
 )
@@ -38,7 +39,7 @@ from .relieff import (
     run_iterations,
 )
 from .rng import RngStream
-from .statevector import StateVector, check_width, h
+from .statevector import StateVector, check_width
 
 
 @dataclass
@@ -130,46 +131,49 @@ def _swap_test_p1(
     layout: EncodingLayout,
     cfg: PipelineConfig,
     rng: RngStream | None,
-) -> float:
+) -> tuple[float, float]:
     """P(ancilla=1) of the swap test of ``flagged_u`` (a sample state after
     :func:`swap_flag`) against ``v_state`` over the encoding's data, flag and
-    feature-index qubits, the ancilla read in the X basis.
+    feature-index qubits, the ancilla read in the X basis: the exact
+    probability and its reading, which sampled mode estimates from finite
+    ancilla shots.
 
     Qubits above the encoding stay out of the controlled swaps; they factor
-    out of the overlap.  In sampled mode the probability is estimated from
-    finite ancilla shots.
+    out of the overlap.
     """
     state = swap_test_state(flagged_u, v_state, range(layout.n_qubits))
     if cfg.mode == "exact":
-        return state.x_basis_probability_one()
+        p1 = state.x_basis_probability_one()
+        return p1, p1
     if rng is None:
         raise QReliefFError("sampled mode needs an rng stream")
     p = state.x_basis_probabilities()
-    return int(rng.multinomial(cfg.shots, p / p.sum())[1]) / cfg.shots
+    return float(p[1]), int(rng.multinomial(cfg.shots, p / p.sum())[1]) / cfg.shots
+
+
+def _full_readout_bits(layout: EncodingLayout, t: int) -> int:
+    """t_f = t + 2 ceil(log2 N) + 4 readout bits for P(1) = 1/2 - s/(2 N^2):
+    2 ceil(log2 N) undo the factor N^2, and 4 more round s to the t-bit grid
+    point that ``reduced`` reads in nearly every case."""
+    return t + 2 * layout.n_feature_qubits + 4
 
 
 def _full_circuit_outcome(
-    nd: NormalizedDataset, u: int, q: int, cfg: PipelineConfig, rng: RngStream | None
+    p1: float, layout: EncodingLayout, cfg: PipelineConfig, rng: RngStream | None
 ) -> AEOutcome:
-    """The t-bit amplitude-estimation reading of the swap-test ancilla
-    amplitude a = P(1) of samples u and q.
-
-    A|0> is the whole swap-test circuit, its readout H included, on the two
-    encodings alone: q on qubits
-    0..m-1, u (flag and data swapped) on m..2m-1 and the ancilla on top, at
-    2m; 2m + 1 qubits whatever M is.  A is a unitary circuit only for a
-    power-of-two feature count, which :func:`check_quantum_input` requires.
-    """
-    composite = swap_test_state(
-        swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q])
-    )
-    # the readout H: amplitude estimation reads the top qubit in the Z basis
-    composite.apply(h(composite.n_qubits - 1), _in_place=True)
-    dist = amplitude_estimate(composite, cfg.ae_bits)
+    """The t-bit similarity reading from t_f-bit amplitude estimation
+    (:func:`_full_readout_bits`) of the swap-test composite's P(1) ``p1``, on
+    one qubit with that P(1): its modal reading (exact mode) or one drawn
+    (sampled), turned into s = (1 - 2 a) N^2, clamped and put on the grid."""
+    t_f = _full_readout_bits(layout, cfg.ae_bits)
+    dist = amplitude_estimate(reduced_preparation(p1), t_f)
     if cfg.mode == "exact":
-        return modal_outcome(dist, cfg.ae_bits)
-    y = rng.choice_weighted(dist / dist.sum())
-    return AEOutcome(min(y, (1 << cfg.ae_bits) - y), cfg.ae_bits)
+        ae = modal_outcome(dist, t_f)
+    else:
+        y = rng.choice_weighted(dist / dist.sum())
+        ae = AEOutcome(min(y, (1 << t_f) - y), t_f)
+    s = min(max((1.0 - 2.0 * ae.a_hat) * layout.n_features**2, 0.0), 1.0)
+    return _quantize_similarity(s, cfg.ae_bits)
 
 
 def _quantize_similarity(s: float, t: int) -> AEOutcome:
@@ -187,14 +191,12 @@ def _similarity_to(
     flagged_u = swap_flag(states[u])
 
     def record(q: int, rng: RngStream | None) -> SimilarityRecord:
-        p1 = _swap_test_p1(flagged_u, states[q], layout, cfg, rng)
-        s = (1.0 - 2.0 * p1) * n_features**2
+        p1, reading = _swap_test_p1(flagged_u, states[q], layout, cfg, rng)
+        s = (1.0 - 2.0 * reading) * n_features**2
         clamped = cfg.mode == "sampled" and not 0.0 <= s <= 1.0
         s = min(max(s, 0.0), 1.0)
         if cfg.ae_circuit == "full":
-            ae = _full_circuit_outcome(nd, u, q, cfg, rng)
-            s_full = min(max((1.0 - 2.0 * ae.a_hat) * n_features**2, 0.0), 1.0)
-            outcome = _quantize_similarity(s_full, cfg.ae_bits)
+            outcome = _full_circuit_outcome(p1, layout, cfg, rng)
         else:
             dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
             outcome = modal_outcome(dist, cfg.ae_bits)
@@ -217,8 +219,9 @@ def quantum_similarity(
     The default path runs the swap test (exact or shots-estimated ancilla),
     recovers s, and estimates the algebraically equivalent single-qubit
     amplitude sqrt(s); the ``full`` circuit path amplitude-estimates the
-    swap-test ancilla itself and converts that reading back to an s grid
-    point.  The raw estimate is clamped to [0, 1].  In sampled mode shot
+    swap-test ancilla's exact P(1) (:func:`_full_circuit_outcome`) and
+    converts that reading back to an s grid point.  The raw estimate is
+    clamped to [0, 1].  In sampled mode shot
     noise can push it outside, and the record is flagged ``noise_clamped``;
     in exact mode only rounding can (u against itself lands just above 1),
     and nothing is flagged.  The record of u against itself is marked
@@ -291,7 +294,7 @@ def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
         )
     check_width(2 * (layout.n_qubits + _sample_bits(nd.n_samples)) + 1)
     if cfg.ae_circuit == "full":
-        check_width(2 * layout.n_qubits + 1 + cfg.ae_bits)
+        check_width(1 + _full_readout_bits(layout, cfg.ae_bits))
 
 
 def qrelieff_run(

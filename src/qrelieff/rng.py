@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class RngStream:
     """A seeded random stream.
@@ -21,6 +23,8 @@ class RngStream:
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         self.key = tuple(int(k) for k in key)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.key))

@@ -7,10 +7,16 @@ QFT is a dense DFT matrix.  All are slow but transparent, and the equivalence
 tests hold the package to them.
 
 ``amplitude_estimate_by_qft`` is the package's amplitude estimation with its
-old readout: the orbit as a (p+t)-qubit state, an inverse QFT on the readout
+old readout: the orbit as a (1+t)-qubit state, an inverse QFT on the readout
 register through a transposed copy of that state (``inverse_qft``), and
 the marginal of the register.  One FFT down the orbit's first axis replaced it
 and must match it bit for bit.
+
+``composite_amplitude_estimate`` is amplitude estimation on a preparation of
+any width, its orbit ``composite_orbit`` one in-place G step per row: the
+paper's circuit, with the whole swap-test composite as A.  The package
+estimates only one qubit, Ry(2 asin sqrt a)|0> with the composite's P(1) = a,
+and the tests hold that estimate to this one.
 
 The swap-test composite, the Grover iteration and the Grover orbit below are
 the same circuits with one new state per gate (``StateVector.apply``) and
@@ -48,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qrelieff.circuits import _grover_orbit, _grover_orbit_by_squaring
+from qrelieff.circuits import _grover_orbit_by_squaring, _grover_step
 from qrelieff.errors import QReliefFError
 from qrelieff.statevector import (
     GateOp,
@@ -331,15 +337,42 @@ def inverse_qft(state: StateVector, register) -> StateVector:
 
 
 def amplitude_estimate_by_qft(psi: StateVector, t: int) -> np.ndarray:
-    """The package's amplitude estimation of ``psi`` = A|0>, read out by
-    :func:`inverse_qft` on the readout register of the (p+t)-qubit state and
-    that register's marginal."""
-    p = psi.n_qubits
-    orbit = (_grover_orbit_by_squaring if 2 * p <= t else _grover_orbit)(psi, t)
+    """The package's amplitude estimation of the one-qubit ``psi`` = A|0>,
+    read out by :func:`inverse_qft` on the readout register of the
+    (1+t)-qubit state and that register's marginal."""
+    orbit = _grover_orbit_by_squaring(psi, t)
     orbit /= math.sqrt(1 << t)
-    readout = range(p, p + t)
-    state = inverse_qft(StateVector(p + t, orbit.reshape(-1), _checked=True), readout)
+    readout = range(1, 1 + t)
+    state = inverse_qft(StateVector(1 + t, orbit.reshape(-1), _checked=True), readout)
     return state.marginal_probabilities(readout)
+
+
+def composite_orbit(psi: StateVector, t: int) -> np.ndarray:
+    """Row y is G^y A|0> for y in [0, 2^t), one G step per row, for ``psi``
+    = A|0> on any number p of qubits.
+
+    G runs uncontrolled on the preparation register alone, in place on one
+    working array that is copied into each row: O(2^p) work per step.
+    """
+    grover = _grover_step(psi)
+    orbit = np.empty((1 << t, psi.dim), dtype=complex)
+    orbit[0] = psi.amplitudes
+    amps = psi.amplitudes.astype(complex)  # G reflects with e^{i pi}
+    for y in range(1, 1 << t):
+        orbit[y] = grover(amps)
+    return orbit
+
+
+def composite_amplitude_estimate(psi: StateVector, t: int) -> np.ndarray:
+    """t-bit amplitude estimation of P(top qubit = 1) run on the whole
+    p-qubit ``psi`` = A|0>, the paper's circuit when A is the swap test: the
+    orbit of :func:`composite_orbit` as the (p+t)-qubit state, one FFT down
+    its first axis, and the readout register's marginal."""
+    p = psi.n_qubits
+    orbit = composite_orbit(psi, t) / math.sqrt(1 << t)
+    readout = np.fft.fft(orbit, axis=0, norm="ortho")
+    state = StateVector(p + t, readout.reshape(-1), _checked=True)
+    return state.marginal_probabilities(range(p, p + t))
 
 
 def dft_matrix(t: int, inverse: bool) -> np.ndarray:

@@ -33,7 +33,7 @@ from qrelieff import (
 from qrelieff import Dataset, circuits, normalize, statevector
 from qrelieff.circuits import AEOutcome, EncodingLayout, swap_test_state
 from qrelieff.cli import load_csv
-from qrelieff.pipeline import prepare_states
+from qrelieff.pipeline import PipelineConfig, _full_circuit_outcome, _swap_test_p1, prepare_states
 from qrelieff.statevector import ry, x
 
 import reference_kernels as ref
@@ -346,45 +346,51 @@ class TestAmplitudeEstimation:
         assert folded[lo] + folded[hi] >= 8 / math.pi**2
 
     def test_full_mode_matches_reduced(self):
-        # a two-qubit state whose top qubit reads 1 with probability 0.3
-        # against the single-qubit rotation with the same amplitude
+        # a two-qubit state whose top qubit reads 1 with probability 0.3,
+        # estimated whole by the paper's circuit, against the single-qubit
+        # rotation with the same amplitude
         psi = zero_state(2).apply_all(
             (ry(2.0 * math.asin(math.sqrt(0.3)), 0), x(1, controls=[0]))
         )
-        full = amplitude_estimate(psi, 3)
+        full = ref.composite_amplitude_estimate(psi, 3)
         reduced = amplitude_estimate(reduced_preparation(0.3), 3)
         np.testing.assert_allclose(full, reduced, atol=1e-10)
 
     def test_multi_qubit_full_mode(self):
-        # H then CNOT: the top qubit reads 1 with probability 0.5
+        # H then CNOT: the top qubit reads 1 with probability 0.5, estimated
+        # on one qubit with that probability
         psi = zero_state(2).apply_all((h(0), x(1, controls=[0])))
-        dist = amplitude_estimate(psi, 3)
+        dist = amplitude_estimate(reduced_preparation(psi.probability_one(1)), 3)
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_wider_preparation_is_refused(self, p):
+        psi = zero_state(p).apply_all((h(0), x(p - 1, controls=[0])))
+        with pytest.raises(QReliefFError, match="reduced_preparation"):
+            amplitude_estimate(psi, 3)
 
     def test_width_checked_before_orbit(self, monkeypatch):
         def empty(*args, **kwargs):
             raise AssertionError("orbit allocated before the width check")
 
-        psi = zero_state(2).apply_all((h(0), ry(0.4, 1)))
+        psi = reduced_preparation(0.3)
         monkeypatch.setattr(statevector, "MAX_QUBITS", 4)
         monkeypatch.setattr(circuits.np, "empty", empty)
         with pytest.raises(CapacityError):
-            amplitude_estimate(psi, 3)  # p + t = 5 qubits
+            amplitude_estimate(psi, 4)  # 1 + t = 5 qubits
 
     def test_full_orbit_runs_the_preparation_once(self, apply_calls):
-        # the swap-test composite psi = A|0> is built once, before the orbit;
-        # each G step reflects about psi and applies no gate, at any 2^t
+        # full estimates the swap test's P(1) on one qubit: the one gate is
+        # that qubit's Ry, and each G step applies none, at any 2^t
         nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
-        psi = swap_test_state(
-            swap_flag(encode_sample(nd.samples[0])), encode_sample(nd.samples[1])
-        )
-        psi = psi.apply(h(psi.n_qubits - 1))  # the readout H: the whole circuit
-        counts = []
+        states, layout = prepare_states(nd), EncodingLayout(nd.n_features)
+        p1, _ = _swap_test_p1(swap_flag(states[0]), states[1], layout, PipelineConfig(), None)
+        kinds = []
         for t in (1, 4):
             apply_calls.clear()
-            circuits._grover_orbit(psi, t)
-            counts.append(len(apply_calls))
-        assert counts == [0, 0]
+            _full_circuit_outcome(p1, layout, PipelineConfig(ae_circuit="full", ae_bits=t), None)
+            kinds.append([gate.kind for gate in apply_calls])
+        assert kinds == [["ry"], ["ry"]]
 
     def test_peak_memory_of_one_call(self):
         # numpy reports its buffers to tracemalloc; a dense 2^10-point DFT
@@ -396,22 +402,6 @@ class TestAmplitudeEstimation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-    @pytest.mark.parametrize(
-        "p, t, dense", [(1, 1, False), (1, 2, True), (2, 4, True), (2, 3, False), (3, 2, False)]
-    )
-    def test_dense_grover_only_when_smaller_than_readout(self, monkeypatch, p, t, dense):
-        def refuse(psi, t):
-            raise AssertionError("wrong orbit path")
-
-        skipped = "_grover_orbit" if dense else "_grover_orbit_by_squaring"
-        monkeypatch.setattr(circuits, skipped, refuse)
-        # top-qubit P(1) = sin^2(0.35), whatever the other qubits hold
-        psi = zero_state(p).apply_all((ry(0.7, p - 1), *(h(q) for q in range(p - 1))))
-        reduced = ref.reduced_preparation(math.sin(0.35) ** 2)
-        np.testing.assert_allclose(
-            amplitude_estimate(psi, t), ref.amplitude_estimate(reduced, t), atol=1e-12
-        )
 
     def test_bad_parameters(self):
         with pytest.raises(ConfigError):

@@ -88,6 +88,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(p)
 
+    @pytest.mark.parametrize("header, row, names", [
+        ("class,a,b", "A,1,2", ["a", "b"]),
+        ("a,class,b", "1,A,2", ["a", "b"]),
+    ])
+    def test_byte_order_mark_dropped(self, tmp_path, header, row, names):
+        # a UTF-8 byte-order mark before the first header cell, label first
+        # or a feature first
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + f"{header}\n{row}\n{row.replace('A', 'B')}\n".encode())
+        ds, class_names = load_csv(p)
+        assert ds.feature_names == names
+        assert class_names == ["A", "B"]
+        assert ds.samples.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+
 
 class TestRunCli:
     def test_worked_example_selection(self, fixture_path):
@@ -186,6 +200,20 @@ class TestRunCli:
         monkeypatch.setattr("qrelieff.statevector.MAX_QUBITS", 16)
         code, _ = run(["--input", fixture_path, "--backend", "quantum"])
         assert code == 4
+
+    @pytest.mark.parametrize("flags", [
+        ["--backend", "classical"],
+        ["--backend", "quantum"],
+        ["--reproduce-program3", "--shots", "8"],
+    ])
+    def test_negative_seed_is_config_error(self, fixture_path, capsys, flags):
+        code, out = run(["--input", fixture_path, "--seed", "-1", *flags])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "configuration error: seed must be a nonnegative integer, got -1\n"
+        )
+        with pytest.raises(ConfigError, match="got -3"):
+            RngStream(-3)
 
     def test_program3_zero_shots_is_config_error(self, monkeypatch):
         def final_state():
@@ -362,8 +390,9 @@ class TestFullCircuitFeatureCount:
 class TestCapacityPreflight:
     """The quantum backend checks its widest registers before it encodes a
     sample: the swap-test composite, 2(2 + ceil(log2 N) + ceil(log2 M)) + 1
-    qubits, and under ``full`` the amplitude-estimation state,
-    2(2 + ceil(log2 N)) + 1 + t qubits."""
+    qubits, and under ``full`` the one-qubit amplitude-estimation state with
+    its t_f = t + 2 ceil(log2 N) + 4 readout qubits,
+    1 + t_f = 2(2 + ceil(log2 N)) + 1 + t qubits."""
 
     @staticmethod
     def write_csv(path, m, n):
@@ -389,7 +418,7 @@ class TestCapacityPreflight:
         assert "capacity error: qubit count 31 outside" in capsys.readouterr().err
 
     def test_full_circuit_ae_state(self, tmp_path, no_encoding, capsys):
-        # M=4, N=128: a 23-qubit composite, but 2(2 + 7) + 1 + 10 = 29 AE qubits
+        # M=4, N=128: a 23-qubit composite, but 1 + (10 + 2*7 + 4) = 29 AE qubits
         path = self.write_csv(tmp_path / "deep.csv", 4, 128)
         flags = ["--backend", "quantum", "--ae-circuit", "full", "--ae-bits", "10"]
         assert run(["--input", path, *flags]) == (4, "")

@@ -11,12 +11,12 @@ lists (``apply_all``, the swap test) bit for bit against one new state per
 gate, the Grover search state and orbit, which reflect about W|0> in place
 of running W^-1 and W, against per-gate iterations, the orbit by repeated
 squaring against the orbit step by step, the readout's one FFT down the
-orbit bit for bit against the QFT on the (p+t)-qubit state it replaced, the
-``full`` circuit's composite against the one padded with a
-sample-index register and against per-pair swaps, and the comparator
-``cmp_flag`` bit for bit against its index-array scatter.  Amplitude
-estimation takes the prepared state A|0> and reads its top qubit; the
-reference takes A's gates with the flag on that qubit."""
+orbit bit for bit against the QFT on the (1+t)-qubit state it replaced, the
+one-qubit estimate of a composite's P(1) against amplitude estimation of the
+whole composite (with and without a sample-index register, and with per-pair
+swaps), and the comparator ``cmp_flag`` bit for bit against its index-array
+scatter.  Amplitude estimation takes the prepared one-qubit state A|0>; the
+reference takes A's gates, on any width, with the flag on the top qubit."""
 
 import math
 from pathlib import Path
@@ -30,7 +30,6 @@ import reference_kernels as ref
 from qrelieff import statevector
 from qrelieff.circuits import (
     EncodingLayout,
-    _grover_orbit,
     _grover_orbit_by_squaring,
     amplitude_estimate,
     cmp_flag,
@@ -373,11 +372,14 @@ def _preparation(data, p: int):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_full_ae_matches_controlled_grover_loop(data):
+    """The one-qubit estimate of the top qubit's P(1) of a p-qubit
+    preparation against the controlled-G loop run on the whole preparation:
+    the distribution depends on P(1) alone."""
     p = data.draw(st.integers(1, 3))
     t = data.draw(st.integers(1, 5))
     prep, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        amplitude_estimate(psi, t),
+        amplitude_estimate(reduced_preparation(psi.probability_one(p - 1)), t),
         ref.amplitude_estimate(prep, t, mode="full"), rtol=0, atol=TOL,
     )
 
@@ -475,7 +477,8 @@ def test_x_basis_readout_is_bit_identical_to_h_then_marginal(n, real, seed):
 def test_swap_test_p1_is_bit_identical_to_the_whole_circuit(data):
     """``_swap_test_p1``, exact and sampled, against H, register swap and H
     as three gates and a computational-basis readout, on encodings padded by
-    a sample-index register, as complex or real states."""
+    a sample-index register, as complex or real states.  Sampled mode also
+    returns the exact P(1), bit for bit."""
     n_features = data.draw(st.integers(1, 8))
     index_bits = data.draw(st.integers(0, 2))
     u, v = (data.draw(encoded_samples(n_features, index_bits)) for _ in range(2))
@@ -484,10 +487,11 @@ def test_swap_test_p1_is_bit_identical_to_the_whole_circuit(data):
     u = swap_flag(u)
     layout = EncodingLayout(n_features)
     swapped = range(layout.n_qubits)
-    exact = _swap_test_p1(u, v, layout, PipelineConfig(), None)
-    assert exact == ref.swap_test_p1(u, v, swapped)
+    exact, reading = _swap_test_p1(u, v, layout, PipelineConfig(), None)
+    assert exact == reading == ref.swap_test_p1(u, v, swapped)
     shots, seed = data.draw(st.integers(1, 4096)), data.draw(st.integers(0, 2**32 - 1))
-    sampled = _swap_test_p1(u, v, layout, PipelineConfig(mode="sampled", shots=shots), RngStream(seed))
+    p1, sampled = _swap_test_p1(u, v, layout, PipelineConfig(mode="sampled", shots=shots), RngStream(seed))
+    assert p1 == exact
     assert sampled == ref.swap_test_p1(u, v, swapped, shots, RngStream(seed))
 
 
@@ -515,7 +519,7 @@ def test_grover_orbit_matches_per_gate_orbit(data):
     t = data.draw(st.integers(1, 6))
     prep, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        _grover_orbit(psi, t), ref.grover_orbit(prep, t), rtol=0, atol=TOL
+        ref.composite_orbit(psi, t), ref.grover_orbit(prep, t), rtol=0, atol=TOL
     )
 
 
@@ -523,17 +527,16 @@ def test_grover_orbit_matches_per_gate_orbit(data):
 @given(st.data())
 def test_grover_orbit_by_squaring_matches_step_by_step_orbit(data):
     p = data.draw(st.integers(1, 3))
-    t = data.draw(st.integers(p, 8))
+    t = data.draw(st.integers(1, 8))
     _, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        _grover_orbit_by_squaring(psi, t), _grover_orbit(psi, t), rtol=0, atol=TOL
+        _grover_orbit_by_squaring(psi, t), ref.composite_orbit(psi, t), rtol=0, atol=TOL
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_reduced_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
-    # t = 1 takes the step-by-step orbit, t >= 2 the orbit by squaring
     psi = reduced_preparation(data.draw(st.floats(0.0, 1.0)))
     t = data.draw(st.integers(1, 10))
     got, want = amplitude_estimate(psi, t), ref.amplitude_estimate_by_qft(psi, t)
@@ -542,21 +545,28 @@ def test_reduced_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_full_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
+def test_one_qubit_estimate_matches_composite_orbit(data):
+    """``full`` estimates the exact P(1) of the swap test on one qubit; the
+    paper's circuit runs amplitude estimation on the whole composite (its
+    readout H included).  Their distributions agree to ``TOL`` for N = 2, 4
+    and 8 and t up to 9, and their modal readings are equal."""
     n_features = data.draw(st.sampled_from([2, 4, 8]))
     a, b = (encode_sample(data.draw(unit_vectors(n_features))) for _ in range(2))
-    psi = swap_test_circuit(swap_flag(a), b)
-    t = data.draw(st.integers(1, 6))
-    got, want = amplitude_estimate(psi, t), ref.amplitude_estimate_by_qft(psi, t)
-    assert got.tobytes() == want.tobytes()
+    t = data.draw(st.integers(1, 9))
+    p1, _ = _swap_test_p1(swap_flag(a), b, EncodingLayout(n_features), PipelineConfig(), None)
+    got = amplitude_estimate(reduced_preparation(p1), t)
+    want = ref.composite_amplitude_estimate(swap_test_circuit(swap_flag(a), b), t)
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+    assert modal_outcome(got, t).y == modal_outcome(want, t).y
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_full_circuit_preparation_matches_padded_preparation(data):
-    # the full circuit's composite holds no sample-index register; the one
-    # that prepare_states puts above each encoding (and the swap test leaves
-    # out of its swaps) must not move the estimation distribution
+    # the paper's circuit estimates the composite of the two encodings
+    # alone; the package estimates, on one qubit, the P(1) of the composite
+    # that prepare_states pads with a sample-index register (which the swap
+    # test leaves out of its swaps), and must give the same distribution
     n_features = data.draw(st.sampled_from([2, 4]))
     index_bits = data.draw(st.integers(1, 2))
     t = data.draw(st.integers(1, 5))
@@ -568,27 +578,33 @@ def test_full_circuit_preparation_matches_padded_preparation(data):
 
     m = EncodingLayout(n_features).n_qubits
     states = prepare_states(nd)
-    padded = swap_test_circuit(swap_flag(states[u]), states[q], range(m))
+    padded = swap_test_state(swap_flag(states[u]), states[q], range(m))
     narrow = swap_test_circuit(swap_flag(encode_sample(rows[u])), encode_sample(rows[q]))
     assert (narrow.n_qubits, padded.n_qubits) == (2 * m + 1, 2 * (m + index_bits) + 1)
-    got, want = amplitude_estimate(narrow, t), amplitude_estimate(padded, t)
+    p1, _ = _swap_test_p1(swap_flag(states[u]), states[q], EncodingLayout(n_features), PipelineConfig(), None)
+    assert p1 == padded.x_basis_probability_one()
+    got = amplitude_estimate(reduced_preparation(p1), t)
+    want = ref.composite_amplitude_estimate(narrow, t)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
     assert modal_outcome(got, t).y == modal_outcome(want, t).y
 
 
 @pytest.mark.parametrize("t", [3, 4])
 def test_full_circuit_ae_matches_per_qubit_swaps(t):
-    # the full circuit's composite with its swap test as one register swap
-    # and as one controlled SWAP per qubit pair: the same state and the same
-    # estimation distribution, bit for bit (the real composite cast to the
-    # reference's complex128)
+    # the swap-test composite of two encodings with its swap as one register
+    # swap and as one controlled SWAP per qubit pair: the same state, the
+    # same P(1) and the same one-qubit estimation distribution, bit for bit
+    # (the real composite cast to the reference's complex128)
     nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
     for u in range(nd.n_samples):
         for q in range(nd.n_samples):
             a, b = swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q])
             got, want = swap_test_circuit(a, b), ref.swap_test_state(a, b)
             assert np.asarray(got.amplitudes, complex).tobytes() == want.amplitudes.tobytes(), (u, q)
-            dists = amplitude_estimate(got, t), amplitude_estimate(want, t)
+            top = got.n_qubits - 1
+            p1 = got.probability_one(top), want.probability_one(top)
+            assert p1[0] == p1[1], (u, q)
+            dists = [amplitude_estimate(reduced_preparation(p), t) for p in p1]
             assert dists[0].tobytes() == dists[1].tobytes(), (u, q)
 
 

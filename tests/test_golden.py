@@ -9,15 +9,18 @@ fails.  (numpy 1.x is not held to the bytes, as its FFT and summation may
 round differently.)  The cases are the
 shipped six-sample example (both backends, per-iteration logs, exact and
 sampled mode, random and round-robin picks, seeds 0-1, 6 readout bits; exact
-mode at 1 and 10 readout bits, which build the estimation orbit step by step
-and by squaring), a four-sample, two-feature input through the ``full``
-amplitude-estimation circuit at 3 and 4 readout bits (and, exact mode only,
-at 1 and 8), and an eight-sample, four-feature input through the ``full``
-circuit at 6 readout bits and 2 iterations.
+mode at 1 and 10 readout bits), a four-sample, two-feature input through the
+``full`` amplitude-estimation circuit at 3 and 4 readout bits (and, exact mode
+only, at 1 and 8), and an eight-sample, four-feature input through the
+``full`` circuit at 6 readout bits and 2 iterations.
 
-Re-record only after a deliberate change of results:
+Re-record only after a deliberate change of results, and only the cases it
+changes:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
+
+rewrites the named cases and leaves every other one byte for byte; with no
+name it re-records every case.
 """
 
 import io
@@ -129,13 +132,32 @@ def test_tree_walk_tolerates_only_float_rounding():
             assert_same_tree(got, {"w": [0.5, 1]})
 
 
-def record():
-    cases = {
-        name: {"input": input_name, "flags": flags, "body": _body(input_name, flags)}
-        for name, (input_name, flags) in _cases().items()
-    }
-    GOLDEN.write_text(json.dumps(cases, sort_keys=True, indent=1) + "\n")
+def record(names=(), golden=GOLDEN):
+    """Re-run the named cases, or every case if none is named, into the
+    ``golden`` file; every other recorded case keeps its bytes."""
+    cases = _cases()
+    unknown = sorted(set(names) - set(cases))
+    if unknown:
+        raise SystemExit(f"unknown golden case: {', '.join(unknown)}")
+    recorded = json.loads(golden.read_text()) if names else {}
+    for name in names or cases:
+        input_name, flags = cases[name]
+        recorded[name] = {"input": input_name, "flags": flags, "body": _body(input_name, flags)}
+    golden.write_text(json.dumps(recorded, sort_keys=True, indent=1) + "\n")
+
+
+def test_record_rewrites_only_the_named_cases(tmp_path):
+    recorded = GOLDEN.read_text()
+    copy = tmp_path / "golden.json"
+    stale = json.loads(recorded)
+    name = "four_by_two-full-exact-t1"
+    stale[name]["body"]["config"]["seed"] = -1
+    copy.write_text(json.dumps(stale, sort_keys=True, indent=1) + "\n")
+    record([name], copy)
+    assert copy.read_text() == recorded
+    with pytest.raises(SystemExit, match="unknown golden case: no-such-case"):
+        record(["no-such-case"], copy)
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record(sys.argv[1:]))

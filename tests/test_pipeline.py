@@ -19,21 +19,21 @@ from qrelieff import (
     relieff_run,
 )
 from qrelieff.circuits import (
+    AEOutcome,
     EncodingLayout,
     amplitude_estimate,
-    encode_sample,
-    fold_distribution,
+    reduced_preparation,
     swap_flag,
-    swap_test_state,
 )
 from qrelieff.cli import load_csv
 from qrelieff.pipeline import (
     _full_circuit_outcome,
+    _full_readout_bits,
+    _quantize_similarity,
     _swap_test_p1,
     build_similarity_table,
     prepare_states,
 )
-from qrelieff.statevector import h
 
 from conftest import random_binary_dataset
 from test_equivalence import DATA
@@ -136,31 +136,77 @@ class TestQuantumSimilarity:
         u, v = prepare_states(nd)
         u = swap_flag(u)
         layout, r_streams, shots, seed = EncodingLayout(2), 1000, 4, 0
-        p = _swap_test_p1(u, v, layout, PipelineConfig(), None)
+        p, _ = _swap_test_p1(u, v, layout, PipelineConfig(), None)
         cfg, rng = PipelineConfig(mode="sampled", shots=shots), RngStream(seed)
-        mean = np.mean([_swap_test_p1(u, v, layout, cfg, rng.substream(r)) for r in range(r_streams)])
+        mean = np.mean([_swap_test_p1(u, v, layout, cfg, rng.substream(r))[1] for r in range(r_streams)])
         sigma = math.sqrt(p * (1.0 - p) / (r_streams * shots))
         assert abs(mean - p) <= 5.0 * sigma, (mean - p) / sigma
 
     def test_full_sampled_draws_pass_chi_square(self):
-        """Sampled ``full`` readings follow the folded estimation
-        distribution of their pair: 1000 readings of the pair (0, 1) of
-        four_by_two at t = 3, one per substream of RngStream(0), give
-        chi-square 5.14 over the 5 folded bins, each expected at least 15
-        times.  The bound, 33.38, is the 1 - 1e-6 quantile of chi-square with
-        4 degrees of freedom (scipy.stats.chi2.ppf).  Readings drawn from the
-        unfolded distribution, without min(y, 2^t - y), give 224."""
+        """Sampled ``full`` readings follow the t_f-bit estimation
+        distribution of their pair's P(1), pushed through the t-bit
+        quantizer: 1000 readings of the pair (0, 1) of four_by_two at t = 3
+        (t_f = 9), one per substream of RngStream(0), give chi-square 4.05.
+        The quantizer's 5 bins expect 5.7, 2.8, 16.8, 880.7 and 93.9
+        readings; walking up from y = 0, bins are merged until each group
+        expects at least 5, which leaves 4 groups.  The bound, 30.66, is the
+        1 - 1e-6 quantile of chi-square with 3 degrees of freedom
+        (scipy.stats.chi2.ppf).  Readings drawn from the t-bit distribution
+        of the same P(1) give 1.2e5."""
         nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
+        states, layout = prepare_states(nd), EncodingLayout(nd.n_features)
         (u, q), t, draws, seed = (0, 1), 3, 1000, 0
-        circuit = swap_test_state(swap_flag(encode_sample(nd.samples[u])), encode_sample(nd.samples[q]))
-        circuit = circuit.apply(h(circuit.n_qubits - 1))  # the readout H
-        expected = draws * fold_distribution(amplitude_estimate(circuit, t))
+        p1, _ = _swap_test_p1(swap_flag(states[u]), states[q], layout, PipelineConfig(), None)
+        t_f = _full_readout_bits(layout, t)
+        pushed = np.zeros((1 << (t - 1)) + 1)
+        for y, prob in enumerate(amplitude_estimate(reduced_preparation(p1), t_f)):
+            a_hat = AEOutcome(min(y, (1 << t_f) - y), t_f).a_hat
+            s = min(max((1.0 - 2.0 * a_hat) * nd.n_features**2, 0.0), 1.0)
+            pushed[_quantize_similarity(s, t).y] += prob
         cfg, rng = PipelineConfig(mode="sampled", ae_circuit="full", ae_bits=t), RngStream(seed)
-        readings = [_full_circuit_outcome(nd, u, q, cfg, rng.substream(r)).y for r in range(draws)]
-        observed = np.bincount(readings, minlength=1 << t)[: len(expected)]
-        assert expected.min() >= 5.0
-        chi_square = float(np.sum((observed - expected) ** 2 / expected))
-        assert chi_square <= 33.38, chi_square
+        readings = [_full_circuit_outcome(p1, layout, cfg, rng.substream(r)).y for r in range(draws)]
+        observed = np.bincount(readings, minlength=len(pushed))
+        groups, want, got = [], 0.0, 0
+        for e, o in zip(draws * pushed, observed):
+            want, got = want + e, got + o
+            if want >= 5.0:
+                groups.append((want, got))
+                want, got = 0.0, 0
+        expected, counts = np.array(groups).T
+        expected[-1], counts[-1] = expected[-1] + want, counts[-1] + got
+        assert len(groups) == 4 and expected.min() >= 5.0
+        chi_square = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi_square <= 30.66, chi_square
+
+    def test_full_agrees_with_reduced_on_eight_by_four(self):
+        """Exact ``full`` and ``reduced`` read the same y on at least 90% of
+        the eight_by_four records at t = 6: 15 of the 16 records of the
+        golden case's run (T = 2, seed 0) and 62 of all 64 pairs.  Estimating
+        the swap-test ancilla at t bits, ``full`` matched on 2 of 16 and 8 of
+        64."""
+        nd, stats = normalize(load_csv(DATA / "eight_by_four.csv")[0])
+        runs = [
+            qrelieff_run(nd, PipelineConfig(T=2, ae_bits=6, ae_circuit=c), RngStream(0), stats)
+            for c in ("reduced", "full")
+        ]
+        keys = [
+            [(tab.picked, r.sample, r.s_quantized) for tab in run.tables
+             for recs in tab.records.values() for r in recs]
+            for run in runs
+        ]
+        assert len(keys[0]) == len(keys[1]) == 16
+        assert sum(a == b for a, b in zip(*keys)) >= 0.9 * 16
+
+        states, pairs, agree = prepare_states(nd), 0, 0
+        for u in range(nd.n_samples):
+            reduced, full = (
+                build_similarity_table(states, nd, u, PipelineConfig(ae_bits=6, ae_circuit=c), None)
+                for c in ("reduced", "full")
+            )
+            for c, recs in reduced.records.items():
+                for a, b in zip(recs, full.records[c]):
+                    pairs, agree = pairs + 1, agree + (a.s_quantized == b.s_quantized)
+        assert pairs == 64 and agree >= 0.9 * pairs, agree
 
     def test_full_circuit_small(self):
         # orthogonal rows: the swap-test ancilla amplitude is exactly 0.5,
