@@ -8,6 +8,14 @@ Register layout for encoded samples (least-significant bit first):
 
 The width depends on the feature count N alone.
 
+An encoded sample is the bounded superposition of :func:`uniform_mod_n` on
+the feature register, the flag set, and on branch i an Ry(2 asin v_i) of the
+data qubit: the paper's multiplexed Ry, a uniformly controlled rotation
+(Mottonen et al., quant-ph/0407010).  :func:`encode_sample` writes the
+amplitudes that rotation produces rather than applying N controlled Ry gates
+to a state that is mostly zeros; ``tests/reference_kernels.py`` keeps the
+gate list, and the tests hold the two to the same bits.
+
 ``swap_flag`` exchanges bits 0 and 1, turning the encoded layout
 ``...|flag>|data>`` into ``...|data>|flag>`` so a subsequent swap test
 overlaps the data of one sample with the flag of another.
@@ -36,7 +44,6 @@ from .errors import ConfigError, NoSolutionError, QReliefFError, SearchFailedErr
 from .rng import RngStream
 from .statevector import (
     _H,
-    GateOp,
     StateVector,
     check_width,
     h,
@@ -104,21 +111,9 @@ def uniform_mod_n(n: int, bound: int) -> StateVector:
 
 @dataclass(frozen=True)
 class EncodingLayout:
-    """Qubit positions of one encoded sample."""
+    """Register widths of one encoded sample."""
 
     n_features: int
-
-    @property
-    def data(self) -> int:
-        return 0
-
-    @property
-    def flag(self) -> int:
-        return 1
-
-    @property
-    def feature_qubits(self) -> tuple[int, ...]:
-        return tuple(range(2, 2 + self.n_feature_qubits))
 
     @property
     def n_feature_qubits(self) -> int:
@@ -136,36 +131,33 @@ class EncodingLayout:
 
 
 def _check_feature_vector(v: np.ndarray):
+    if v.ndim != 1:
+        raise QReliefFError(f"feature vector must be 1-D, got shape {v.shape}")
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
         raise QReliefFError(f"feature vector norm {np.linalg.norm(v)} is not 1")
     if np.any(v < 0):
         raise QReliefFError("feature values must be nonnegative")
 
 
-def _multiplexed_ry_gates(v: np.ndarray, layout: EncodingLayout) -> list[GateOp]:
-    """Ry(2 asin v_i) on the data qubit, conditioned on feature index == i."""
-    gates = []
-    for i, vi in enumerate(v):
-        controls = [
-            (q, (i >> j) & 1) for j, q in enumerate(layout.feature_qubits)
-        ]
-        gates.append(ry(2.0 * math.asin(min(float(vi), 1.0)), layout.data, controls))
-    return gates
-
-
 def encode_sample(v) -> StateVector:
     """Encode a unit-norm feature vector as an amplitude-superposition state.
 
     The result is ``(1/sqrt(N)) sum_i |i> |1> (sqrt(1-v_i^2)|0> + v_i|1>)``
-    in the layout documented at module top.
+    in the layout documented at module top.  On branch i it writes cos(h_i) f_i
+    and sin(h_i) f_i, with h_i = asin v_i and f the amplitudes of
+    :func:`uniform_mod_n`: the products the Ry kernel forms on
+    |flag=1, data=0>, whose other terms add exact zeros.
     """
     v = np.asarray(v, dtype=float)
     _check_feature_vector(v)
     layout = EncodingLayout(len(v))
-    feats = uniform_mod_n(layout.n_feature_qubits, len(v))
-    # local value flag*2 + data = 2, i.e. |flag=1, data=0>
-    full = np.kron(feats.amplitudes, np.array([0.0, 0.0, 1.0, 0.0]))
-    return StateVector(layout.n_qubits, full)._run(_multiplexed_ry_gates(v, layout))
+    feats = uniform_mod_n(layout.n_feature_qubits, len(v)).amplitudes[: len(v)]
+    half = [math.asin(min(float(vi), 1.0)) for vi in v]
+    # row i is feature index i, column flag*2 + data
+    amps = np.zeros((1 << layout.n_feature_qubits, 4))
+    amps[: len(v), 2] = feats * [math.cos(a) for a in half]
+    amps[: len(v), 3] = feats * [math.sin(a) for a in half]
+    return StateVector(layout.n_qubits, amps.reshape(-1))
 
 
 def swap_flag(state: StateVector) -> StateVector:

@@ -41,7 +41,10 @@ Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled
 G; the package takes only the state A|0> and reads its top qubit.
 ``encode_sample_gates`` is the encoding as such a gate list: X, H^n and one
-controlled Ry per feature.
+controlled Ry per feature (``multiplexed_ry_gates``).  ``encode_sample_by_gates``
+is ``encode_sample`` with those Ry gates applied to the bounded superposition
+and the set flag; ``encode_sample`` writes the amplitudes they produce and must
+match it bit for bit.
 
 ``inverse`` and ``basis_state`` are small helpers the package no longer
 needs: the inverse of a gate, for running a gate list backwards, and a
@@ -54,7 +57,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qrelieff.circuits import _grover_orbit_by_squaring, _grover_step
+from qrelieff.circuits import (
+    EncodingLayout,
+    _grover_orbit_by_squaring,
+    _grover_step,
+    uniform_mod_n,
+)
 from qrelieff.errors import QReliefFError
 from qrelieff.statevector import (
     GateOp,
@@ -83,20 +91,36 @@ def reduced_preparation(a: float) -> Preparation:
     return Preparation((ry(2.0 * math.asin(math.sqrt(min(max(a, 0.0), 1.0))), 0),), 1, 0)
 
 
-def encode_sample_gates(v) -> list[GateOp]:
-    """The encoding of a feature vector with a power-of-two length N >= 2 as
-    a gate list: X on the flag (qubit 1), H on each feature-index qubit
-    (2..n+1), then Ry(2 asin v_i) on the data qubit (0) controlled on feature
-    index i, one gate per feature."""
-    n = len(v).bit_length() - 1
-    if len(v) < 2 or len(v) != 1 << n:
-        raise QReliefFError("gate-list encoding requires a power-of-two feature count")
-    feature_qubits = range(2, 2 + n)
-    gates = [x(1), *(h(q) for q in feature_qubits)]
+def multiplexed_ry_gates(v) -> list[GateOp]:
+    """Ry(2 asin v_i) on the data qubit (0), controlled on feature index i
+    (qubits 2..n+1): one gate per feature."""
+    feature_qubits = range(2, 2 + EncodingLayout(len(v)).n_feature_qubits)
+    gates = []
     for i, vi in enumerate(v):
         controls = [(q, (i >> j) & 1) for j, q in enumerate(feature_qubits)]
         gates.append(ry(2.0 * math.asin(min(float(vi), 1.0)), 0, controls))
     return gates
+
+
+def encode_sample_gates(v) -> list[GateOp]:
+    """The encoding of a feature vector with a power-of-two length N >= 2 as
+    a gate list: X on the flag (qubit 1), H on each feature-index qubit
+    (2..n+1), then the multiplexed Ry on the data qubit (0)."""
+    n = len(v).bit_length() - 1
+    if len(v) < 2 or len(v) != 1 << n:
+        raise QReliefFError("gate-list encoding requires a power-of-two feature count")
+    return [x(1), *(h(q) for q in range(2, 2 + n)), *multiplexed_ry_gates(v)]
+
+
+def encode_sample_by_gates(v) -> StateVector:
+    """``encode_sample`` with its Ry stage run as gates: the bounded
+    superposition of ``uniform_mod_n`` on the feature register, the flag set
+    by a Kronecker product with |flag=1, data=0>, then the multiplexed Ry."""
+    v = np.asarray(v, dtype=float)
+    layout = EncodingLayout(len(v))
+    feats = uniform_mod_n(layout.n_feature_qubits, len(v))
+    full = np.kron(feats.amplitudes, np.array([0.0, 0.0, 1.0, 0.0]))
+    return StateVector(layout.n_qubits, full)._run(multiplexed_ry_gates(v))
 
 
 def inverse(gate: GateOp) -> GateOp:

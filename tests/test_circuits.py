@@ -159,18 +159,33 @@ class TestEncodeSample:
                 state.amplitudes, encoded_closed_form(nd.samples[q], q, 2), atol=1e-10
             )
 
+    @pytest.mark.parametrize("value", [[[0.6, 0.8]], 1.0], ids=["2-D", "scalar"])
+    def test_non_vector_rejected(self, value):
+        with pytest.raises(QReliefFError, match="shape"):
+            encode_sample(value)
+
     def test_gate_list_matches_nonunitary_path(self):
         # for a power-of-two N, the postselected bounded superposition of
         # encode_sample is the unitary circuit X, H^n, one controlled Ry per
         # feature
         rng = np.random.default_rng(23)
-        v = random_unit_vector(rng, 4)
-        layout = EncodingLayout(4)
-        via_gates = zero_state(layout.n_qubits).apply_all(ref.encode_sample_gates(v))
-        direct = encode_sample(v)
-        np.testing.assert_allclose(
-            via_gates.amplitudes, direct.amplitudes, atol=1e-10
-        )
+        for n_features in (2, 4, 8, 16, 32, 64):
+            layout = EncodingLayout(n_features)
+            for _ in range(20):
+                v = random_unit_vector(rng, n_features)
+                via_gates = zero_state(layout.n_qubits).apply_all(ref.encode_sample_gates(v))
+                assert via_gates.amplitudes.tobytes() == encode_sample(v).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n_features", [1, 3, 4, 6])
+    def test_applies_only_the_superposition_gates(self, apply_calls, n_features):
+        # the Ry stage is written, not applied
+        v = random_unit_vector(np.random.default_rng(n_features), n_features)
+        uniform_mod_n(EncodingLayout(n_features).n_feature_qubits, n_features)
+        expected = list(apply_calls)
+        apply_calls.clear()
+        encode_sample(v)
+        assert apply_calls == expected
+        assert "ry" not in [gate.kind for gate in apply_calls]
 
 
 class TestSwapFlagAndSwapTest:

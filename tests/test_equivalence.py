@@ -423,6 +423,25 @@ def unit_vectors(draw, n: int):
     return values / np.linalg.norm(values)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encode_sample_matches_the_gate_path(data):
+    # the written Ry stage against the controlled Ry gates it replaced, on
+    # vectors with exact zeros and one-hot vectors
+    n = data.draw(st.integers(1, 64))
+    if data.draw(st.booleans()):
+        v = np.zeros(n)
+        v[data.draw(st.integers(0, n - 1))] = 1.0
+    else:
+        values = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        v = np.array(data.draw(
+            st.lists(values, min_size=n, max_size=n).filter(lambda v: sum(v) > 1e-3)
+        ))
+        v /= np.linalg.norm(v)
+    written, by_gates = encode_sample(v), ref.encode_sample_by_gates(v)
+    assert written.amplitudes.tobytes() == by_gates.amplitudes.tobytes()
+
+
 @st.composite
 def encoded_samples(draw, n_features: int, index_bits: int):
     """An encoded sample under an ``index_bits``-qubit register in a random

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from qrelieff import pipeline
 from qrelieff.circuits import (
     EncodingLayout,
-    _multiplexed_ry_gates,
     cmp_flag,
     encode_sample,
     swap_test_state,
@@ -33,6 +32,8 @@ from qrelieff.program3 import final_state
 from qrelieff.relieff import normalize
 from qrelieff.rng import RngStream
 from qrelieff.statevector import StateVector, h, ry, zero_state
+
+import reference_kernels as ref
 from test_equivalence import DATA, gates, states_with_zeros, unit_vectors
 
 
@@ -143,7 +144,7 @@ def _encode_sample_complex(v: np.ndarray) -> StateVector:
         feats = _twin(zero_state(n + 1))._run(h(q) for q in range(n))
         feats = cmp_flag(feats, range(n), len(v), n).postselect(n, 0)
     full = np.kron(feats.amplitudes[: 1 << n], np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
-    return StateVector(layout.n_qubits, full)._run(_multiplexed_ry_gates(v, layout))
+    return StateVector(layout.n_qubits, full)._run(ref.multiplexed_ry_gates(v))
 
 
 @pytest.mark.parametrize("n_features", range(2, 17))
