@@ -369,10 +369,18 @@ def fold_distribution(dist: np.ndarray) -> np.ndarray:
     return folded
 
 
+# Folded probabilities this close to the largest count as tied with it.  Two
+# computations of one distribution (the one-qubit orbit and the paper's whole
+# composite) differ by rounding, ~1e-15, so an exact tie such as P(1) = 1/2 at
+# t = 1 must not be broken by which path computed it.
+MODAL_TIE_TOL = 1e-12
+
+
 def modal_outcome(dist: np.ndarray, t: int) -> AEOutcome:
-    """The most probable canonical reading min(y, 2^t - y); ties go low."""
+    """The most probable canonical reading min(y, 2^t - y); ties (within
+    :data:`MODAL_TIE_TOL`) go low."""
     folded = fold_distribution(dist)
-    return AEOutcome(int(np.argmax(folded)), t)
+    return AEOutcome(int(np.argmax(folded >= folded.max() - MODAL_TIE_TOL)), t)
 
 
 # ---------------------------------------------------------------------------

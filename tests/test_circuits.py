@@ -435,6 +435,13 @@ class TestAmplitudeEstimation:
         dist[1] = dist[3] = 0.5
         assert modal_outcome(dist, 3).y == 1
 
+    def test_modal_rounding_level_tie_goes_low(self):
+        # P(1) = 1/2 at t = 1 is an exact tie, and each side may come out
+        # ahead by rounding
+        assert modal_outcome(np.array([0.4999999999999992, 0.4999999999999993]), 1).y == 0
+        assert modal_outcome(np.array([0.5000000000000006, 0.4999999999999993]), 1).y == 0
+        assert modal_outcome(np.array([0.499, 0.501]), 1).y == 1
+
 
 class TestQuantumExtremeSearch:
     def test_min_single(self):
