@@ -16,17 +16,20 @@ from qrelieff import RngStream, h, ry, swap, x, zero_state
 # A Hadamard turns |0> into the balanced superposition.
 state = zero_state(1).apply(h(0))
 print("H|0> amplitudes:", np.round(state.amplitudes, 6))
-print("P(1) =", state.probability_one(0))
+print("P(1) =", state.marginal_probabilities([0])[1])
 
 # Ry(2 asin v) writes an amplitude v on |1> -- the rotation used to load
 # feature values.  v = 0.6 gives the 0.8/0.6 state.
 state = zero_state(1).apply(ry(2.0 * math.asin(0.6), 0))
 print("\nRy-encoded amplitudes:", np.round(state.amplitudes.real, 6))
-print("P(1) =", round(state.probability_one(0), 6))
+print("P(1) =", round(state.marginal_probabilities([0])[1], 6))
 
-# Controls take (qubit, polarity) pairs; polarity 0 triggers on |0>.
+# A control given as a qubit triggers on |1>; a (qubit, polarity) pair with
+# polarity 0 triggers on |0>.
 bell = zero_state(2).apply(h(0)).apply(x(1, controls=[0]))
 print("\nBell state amplitudes:", np.round(bell.amplitudes, 6))
+anti = zero_state(2).apply(h(0)).apply(x(1, controls=[(0, 0)]))
+print("with the control on |0> instead:", np.round(anti.amplitudes, 6))
 
 # Postselection keeps one measurement branch and renormalizes.
 collapsed = bell.postselect(0, 1)

@@ -23,7 +23,7 @@ from qrelieff import (
     modal_outcome,
     reduced_preparation,
     swap_flag,
-    swap_test,
+    swap_test_state,
 )
 
 # Two of the six-feature samples from the shipped example dataset.
@@ -37,7 +37,7 @@ print("classical similarity <u|v>^2 =", round(float(np.dot(u, v) ** 2), 6))
 
 # Encode both rows.  swap_flag moves one state into the complementary layout
 # so the overlap of the pair isolates the feature dot product.
-p1 = swap_test(swap_flag(encode_sample(u)), encode_sample(v))
+p1 = swap_test_state(swap_flag(encode_sample(u)), encode_sample(v)).x_basis_probability_one()
 s = (1.0 - 2.0 * p1) * n**2
 print("swap-test P(1)               =", round(p1, 6))
 print("recovered similarity         =", round(s, 6))

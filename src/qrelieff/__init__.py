@@ -12,7 +12,7 @@ from .circuits import (
     quantum_extreme_search,
     reduced_preparation,
     swap_flag,
-    swap_test,
+    swap_test_state,
     uniform_mod_n,
 )
 from .errors import (
@@ -29,7 +29,6 @@ from .pipeline import (
     PipelineConfig,
     qrelieff_run,
     quantum_neighbors,
-    quantum_similarity,
 )
 from .program3 import Program3Result, reproduce_program3
 from .relieff import (

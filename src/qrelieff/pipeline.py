@@ -20,6 +20,7 @@ from .circuits import (
     EncodingLayout,
     ae_distribution_for_amplitude,
     amplitude_estimate,
+    check_ae_width,
     encode_sample,
     modal_outcome,
     quantum_extreme_search,
@@ -182,54 +183,6 @@ def _quantize_similarity(s: float, t: int) -> AEOutcome:
     return AEOutcome(min(max(m, 0), 1 << (t - 1)), t)
 
 
-def _similarity_to(
-    states: list[StateVector], nd: NormalizedDataset, u: int, cfg: PipelineConfig
-):
-    """:func:`quantum_similarity` of the picked sample u as a function of
-    (q, rng), with u's flagged state and the encoding layout made once."""
-    n_features, layout = nd.n_features, EncodingLayout(nd.n_features)
-    flagged_u = swap_flag(states[u])
-
-    def record(q: int, rng: RngStream | None) -> SimilarityRecord:
-        p1, reading = _swap_test_p1(flagged_u, states[q], layout, cfg, rng)
-        s = (1.0 - 2.0 * reading) * n_features**2
-        clamped = cfg.mode == "sampled" and not 0.0 <= s <= 1.0
-        s = min(max(s, 0.0), 1.0)
-        if cfg.ae_circuit == "full":
-            outcome = _full_circuit_outcome(p1, layout, cfg, rng)
-        else:
-            dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
-            outcome = modal_outcome(dist, cfg.ae_bits)
-        return SimilarityRecord(q, s, outcome, excluded=q == u, noise_clamped=clamped)
-
-    return record
-
-
-def quantum_similarity(
-    states: list[StateVector],
-    nd: NormalizedDataset,
-    u: int,
-    q: int,
-    cfg: PipelineConfig,
-    rng: RngStream | None = None,
-) -> SimilarityRecord:
-    """Similarity s = (1 - 2 P(1)) N^2 of encoded samples u and q, plus its
-    t-bit amplitude-estimation reading.
-
-    The default path runs the swap test (exact or shots-estimated ancilla),
-    recovers s, and estimates the algebraically equivalent single-qubit
-    amplitude sqrt(s); the ``full`` circuit path amplitude-estimates the
-    swap-test ancilla's exact P(1) (:func:`_full_circuit_outcome`) and
-    converts that reading back to an s grid point.  The raw estimate is
-    clamped to [0, 1].  In sampled mode shot
-    noise can push it outside, and the record is flagged ``noise_clamped``;
-    in exact mode only rounding can (u against itself lands just above 1),
-    and nothing is flagged.  The record of u against itself is marked
-    excluded.
-    """
-    return _similarity_to(states, nd, u, cfg)(q, rng)
-
-
 def build_similarity_table(
     states: list[StateVector],
     nd: NormalizedDataset,
@@ -237,18 +190,40 @@ def build_similarity_table(
     cfg: PipelineConfig,
     rng: RngStream | None,
 ) -> SimilarityTable:
-    """Swap-test every sample against the picked one, grouped by class.
+    """Swap-test every sample q against the picked one u, grouped by class:
+    similarity s = (1 - 2 P(1)) N^2 and its t-bit amplitude-estimation
+    reading.
 
-    The picked sample keeps a record (marked excluded) so the trace stays
+    The default path runs the swap test (exact or shots-estimated ancilla),
+    recovers s, and estimates the algebraically equivalent single-qubit
+    amplitude sqrt(s); the ``full`` circuit path amplitude-estimates the
+    swap-test ancilla's exact P(1) (:func:`_full_circuit_outcome`) and
+    converts that reading back to an s grid point.  The raw estimate is
+    clamped to [0, 1].  In sampled mode shot noise can push it outside, and
+    the record is flagged ``noise_clamped``; in exact mode only rounding can
+    (u against itself lands just above 1), and nothing is flagged.  The
+    picked sample keeps a record, marked excluded, so the trace stays
     complete.  Each pair owns an rng substream keyed by its sample index.
     """
+    layout = EncodingLayout(nd.n_features)
+    flagged_u = swap_flag(states[u])
     table = SimilarityTable(u)
-    similarity = _similarity_to(states, nd, u, cfg)
     for c in range(nd.n_classes):
-        table.records[c] = [
-            similarity(q, rng.substream(q) if rng is not None else None)
-            for q in nd.class_members(c).tolist()
-        ]
+        records = table.records[c] = []
+        for q in nd.class_members(c).tolist():
+            q_rng = rng.substream(q) if rng is not None else None
+            p1, reading = _swap_test_p1(flagged_u, states[q], layout, cfg, q_rng)
+            s = (1.0 - 2.0 * reading) * layout.n_features**2
+            clamped = cfg.mode == "sampled" and not 0.0 <= s <= 1.0
+            s = min(max(s, 0.0), 1.0)
+            if cfg.ae_circuit == "full":
+                outcome = _full_circuit_outcome(p1, layout, cfg, q_rng)
+            else:
+                dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
+                outcome = modal_outcome(dist, cfg.ae_bits)
+            records.append(
+                SimilarityRecord(q, s, outcome, excluded=q == u, noise_clamped=clamped)
+            )
     return table
 
 
@@ -284,7 +259,8 @@ def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
     """Reject, before any work, an input the quantum backend cannot run: one
     class (no miss class), the ``full`` circuit on a feature count that is
     not a power of two of 2 or more, or a register over the width cap: the
-    swap-test composite, or the ``full`` circuit's amplitude-estimation state."""
+    swap-test composite, or the ``full`` circuit's amplitude estimation
+    (:func:`check_ae_width`)."""
     check_has_miss_class(nd)
     layout = EncodingLayout(nd.n_features)
     if cfg.ae_circuit == "full" and not layout.unitary:
@@ -294,7 +270,7 @@ def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
         )
     check_width(2 * (layout.n_qubits + _sample_bits(nd.n_samples)) + 1)
     if cfg.ae_circuit == "full":
-        check_width(1 + _full_readout_bits(layout, cfg.ae_bits))
+        check_ae_width(_full_readout_bits(layout, cfg.ae_bits))
 
 
 def qrelieff_run(

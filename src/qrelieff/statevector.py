@@ -22,8 +22,8 @@ Conventions used throughout the package:
   basis index of a bitstring ``b`` is ``sum(b_j * 2**j)``.
 * Gate application never mutates its input: :meth:`StateVector.apply`
   returns a new :class:`StateVector` unless the caller owns the buffer and
-  asks for in-place work, and :meth:`StateVector.apply_all` copies the
-  amplitudes once and runs the whole gate list in place on that private copy.
+  asks for in-place work, as :meth:`StateVector._run` does for a whole gate
+  list on a state it has just built.
 * Each gate kind has its own kernel (:func:`_kernel`) on
   :meth:`StateVector._split`'s view: X exchanges the two target halves, H is
   a two-multiply butterfly, SWAP exchanges the 10 and 01 branches, and Ry
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,6 @@ CHUNK = 1 << 14  # amplitudes per piece of a gate's view: 128 KiB real, 256 KiB 
 SHORT = 4  # innermost axes this short are stepped through
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _ry_matrix(theta: float) -> np.ndarray:
@@ -143,19 +142,6 @@ class GateOp:
             raise QReliefFError("controls overlap targets")
         if len(set(self.targets)) != len(self.targets):
             raise QReliefFError("duplicate target qubits")
-
-    def matrix(self) -> np.ndarray:
-        """The uncontrolled matrix on the targets, ``targets[0]`` lowest."""
-        if self.kind == "h":
-            return _H
-        if self.kind == "x":
-            return _X
-        if self.kind == "ry":
-            return _ry_matrix(self.angle)
-        # swap: bit 2i of the register value trades places with bit 2i + 1
-        k = len(self.targets)
-        perm = [sum(((v >> (j ^ 1)) & 1) << j for j in range(k)) for v in range(1 << k)]
-        return np.eye(1 << k)[perm]
 
 
 def h(target: int, controls=()) -> GateOp:
@@ -432,7 +418,7 @@ class StateVector:
             self._swap_registers(amps, gate)
         else:
             sub = self._split(amps, gate.targets, gate.controls)
-            u = gate.matrix() if gate.kind == "ry" else None  # once for all pieces
+            u = _ry_matrix(gate.angle) if gate.kind == "ry" else None  # once for all pieces
             for piece in _pieces(sub, len(gate.targets)):
                 _kernel(piece, gate.kind, u)
         if _in_place:
@@ -480,10 +466,6 @@ class StateVector:
                 b[...] = c.transpose(inner_perm)
                 c[...] = moved
 
-    def apply_all(self, gates) -> "StateVector":
-        """Return the state after ``gates``, run in order on one private copy."""
-        return StateVector(self.n_qubits, self.amplitudes.copy(), _checked=True)._run(gates)
-
     def _run(self, gates) -> "StateVector":
         """Apply ``gates`` in place, each through :meth:`apply`; returns ``self``.
 
@@ -513,10 +495,6 @@ class StateVector:
         return StateVector(self.n_qubits, amps, _checked=True)
 
     # -- measurement ---------------------------------------------------------
-
-    def probability_one(self, qubit: int) -> float:
-        """Exact probability of reading 1 on ``qubit``."""
-        return float(_sums_of_squares(self._qubit_axes(self.amplitudes, fixed={qubit: 1}), 0)[0])
 
     def postselect(self, qubit: int, outcome: int) -> "StateVector":
         """Project on ``qubit == outcome`` and renormalize."""

@@ -35,7 +35,8 @@ swap test with one controlled SWAP per qubit pair, which the controlled
 register swap replaced.  ``swap_test_p1`` is the pipeline's swap-test reading
 as it ran on the whole circuit: the ancilla prepared by an H, the register
 swap, the readout H as a gate and a computational-basis readout, which the
-|+> composite and the X-basis readout replaced.
+|+> composite and the X-basis readout replaced; it reads the ancilla
+through ``probability_one_unchunked``, not through the package's readouts.
 
 Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled
@@ -46,10 +47,12 @@ is ``encode_sample`` with those Ry gates applied to the bounded superposition
 and the set flag; ``encode_sample`` writes the amplitudes they produce and must
 match it bit for bit.
 
-``inverse`` and ``basis_state`` are small helpers the package no longer
-needs: the inverse of a gate, for running a gate list backwards, and a
-computational basis state.  A phase is applied through ``phase_on_indices``:
-the package has no Phase gate.
+``gate_matrix``, ``inverse`` and ``basis_state`` are small helpers the
+package no longer needs: the uncontrolled matrix of a gate (the package's
+kernel forms only Ry's), which the index-mask kernels and the
+``apply_unitary`` comparisons use; the inverse of a gate, for running a gate
+list backwards; and a computational basis state.  A phase is applied
+through ``phase_on_indices``: the package has no Phase gate.
 """
 
 import math
@@ -65,9 +68,11 @@ from qrelieff.circuits import (
 )
 from qrelieff.errors import QReliefFError
 from qrelieff.statevector import (
+    _H,
     GateOp,
     StateVector,
     _normalize_controls,
+    _ry_matrix,
     h,
     ry,
     swap,
@@ -123,6 +128,21 @@ def encode_sample_by_gates(v) -> StateVector:
     return StateVector(layout.n_qubits, full)._run(multiplexed_ry_gates(v))
 
 
+def gate_matrix(gate: GateOp) -> np.ndarray:
+    """The uncontrolled matrix of ``gate`` on its targets, ``targets[0]``
+    lowest: for a SWAP of k/2 pairs, bit 2i of the register value trades
+    places with bit 2i + 1."""
+    if gate.kind == "h":
+        return _H
+    if gate.kind == "x":
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+    if gate.kind == "ry":
+        return _ry_matrix(gate.angle)
+    k = len(gate.targets)
+    perm = [sum(((v >> (j ^ 1)) & 1) << j for j in range(k)) for v in range(1 << k)]
+    return np.eye(1 << k)[perm]
+
+
 def inverse(gate: GateOp) -> GateOp:
     """The inverse gate: Ry(-theta); H, X and SWAP are their own inverses."""
     if gate.kind == "ry":
@@ -158,7 +178,7 @@ def apply(state: StateVector, gate: GateOp) -> StateVector:
             amps[src], amps[dst] = amps[dst], amps[src].copy()
     else:
         (t,) = gate.targets
-        u = gate.matrix()
+        u = gate_matrix(gate)
         sel = mask & (((idx >> t) & 1) == 0)
         i0 = idx[sel]
         i1 = i0 | (1 << t)
@@ -178,7 +198,7 @@ def apply_stride(state: StateVector, gate: GateOp) -> StateVector:
             sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
         return StateVector(state.n_qubits, amps, _checked=True)
     sub = state._split(amps, gate.targets, gate.controls)
-    u = gate.matrix()
+    u = gate_matrix(gate)
     a0, a1 = sub[..., 0], sub[..., 1]
     a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
     return StateVector(state.n_qubits, amps, _checked=True)
@@ -198,13 +218,13 @@ def apply_unchunked(state: StateVector, gate: GateOp, in_place: bool = False) ->
     elif gate.kind == "x":
         sub[..., 0], sub[..., 1] = sub[..., 1], sub[..., 0].copy()
     elif gate.kind == "h":
-        a0, a1, r = sub[..., 0], sub[..., 1], gate.matrix()[0, 0]
+        a0, a1, r = sub[..., 0], sub[..., 1], gate_matrix(gate)[0, 0]
         t = r * a0
         np.multiply(r, a1, out=a1)
         np.add(t, a1, out=a0)
         np.subtract(t, a1, out=a1)
     else:
-        u = gate.matrix()
+        u = gate_matrix(gate)
         a0, a1 = sub[..., 0], sub[..., 1]
         t = u[1, 0] * a0
         np.multiply(u[0, 0], a0, out=a0)
@@ -442,7 +462,8 @@ def swap_test_p1(flagged_u: StateVector, v_state: StateVector, swap_qubits, shot
     """P(ancilla = 1) of the swap test of ``flagged_u`` against ``v_state``
     over the ``swap_qubits`` pairs: the composite with the ancilla |0> (a
     zero-filled upper half), then H, the controlled register swap and H, each
-    through ``StateVector.apply``, and ``probability_one`` of the ancilla, or
+    through ``StateVector.apply``, and :func:`probability_one_unchunked` of
+    the ancilla, or
     the fraction of ``shots`` readings of it that ``StateVector.sample`` draws
     on ``rng``."""
     m = flagged_u.n_qubits
@@ -456,7 +477,7 @@ def swap_test_p1(flagged_u: StateVector, v_state: StateVector, swap_qubits, shot
     for g in (h(anc), cswap, h(anc)):
         state = state.apply(g)
     if shots is None:
-        return state.probability_one(anc)
+        return probability_one_unchunked(state, anc)
     return state.sample([anc], shots, rng).get("1", 0) / shots
 
 

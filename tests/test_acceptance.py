@@ -29,7 +29,7 @@ from qrelieff import (
     reduced_preparation,
     relieff_run,
     swap_flag,
-    swap_test,
+    swap_test_state,
 )
 from qrelieff.cli import example_csv_path, load_csv, run_cli
 from qrelieff.program3 import reproduce_program3
@@ -53,7 +53,7 @@ def test_criterion_1_cmp_exhaustive():
         for bound in range(1, (1 << n) + 1):
             for i in range(1 << n):
                 out = cmp_flag(basis_state(n + 1, i), range(n), bound, n)
-                ok &= (out.probability_one(n) > 0.5) == (i >= bound)
+                ok &= (out.marginal_probabilities([n])[1] > 0.5) == (i >= bound)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _verdict(ok, f"criterion 1: comparator flag exact for all n <= 5 ({elapsed:.2f}s < 1s)")
@@ -85,7 +85,7 @@ def test_criterion_3_swap_test_identity():
         n = int(rng.integers(2, 9))
         u = random_unit_vector(rng, n)
         v = random_unit_vector(rng, n)
-        p1 = swap_test(swap_flag(encode_sample(u)), encode_sample(v))
+        p1 = swap_test_state(swap_flag(encode_sample(u)), encode_sample(v)).x_basis_probability_one()
         dot = float(np.dot(u, v))
         worst_p1 = max(worst_p1, abs(p1 - (0.5 - 0.5 * (dot / n) ** 2)))
         worst_s = max(worst_s, abs((1.0 - 2.0 * p1) * n**2 - dot**2))

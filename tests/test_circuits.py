@@ -26,7 +26,6 @@ from qrelieff import (
     quantum_extreme_search,
     reduced_preparation,
     swap_flag,
-    swap_test,
     uniform_mod_n,
     zero_state,
 )
@@ -69,7 +68,7 @@ class TestCmpFlag:
     def test_uniform_never_flags_at_full_bound(self):
         state = zero_state(4).apply(h(0)).apply(h(1)).apply(h(2))
         out = cmp_flag(state, [0, 1, 2], 8, 3)
-        assert out.probability_one(3) == pytest.approx(0.0, abs=1e-12)
+        assert out.marginal_probabilities([3])[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_flag_must_be_clear(self):
         state = ref.basis_state(4, 8)  # flag already set
@@ -87,7 +86,7 @@ class TestCmpFlag:
             for bound in range(1, (1 << n) + 1):
                 for i in range(1 << n):
                     out = cmp_flag(ref.basis_state(n + 1, i), range(n), bound, n)
-                    flagged = out.probability_one(n) > 0.5
+                    flagged = out.marginal_probabilities([n])[1] > 0.5
                     assert flagged == (i >= bound), (n, bound, i)
 
 
@@ -173,7 +172,7 @@ class TestEncodeSample:
             layout = EncodingLayout(n_features)
             for _ in range(20):
                 v = random_unit_vector(rng, n_features)
-                via_gates = zero_state(layout.n_qubits).apply_all(ref.encode_sample_gates(v))
+                via_gates = zero_state(layout.n_qubits)._run(ref.encode_sample_gates(v))
                 assert via_gates.amplitudes.tobytes() == encode_sample(v).amplitudes.tobytes()
 
     @pytest.mark.parametrize("n_features", [1, 3, 4, 6])
@@ -212,17 +211,17 @@ class TestSwapFlagAndSwapTest:
 
     def test_identical_states(self):
         state = encode_sample([0.6, 0.8])
-        assert swap_test(state, state) == pytest.approx(0.0, abs=1e-10)
+        assert swap_test_state(state, state).x_basis_probability_one() == pytest.approx(0.0, abs=1e-10)
 
     def test_orthogonal_states(self):
         a = ref.basis_state(1, 0)
         b = ref.basis_state(1, 1)
-        assert swap_test(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert swap_test_state(a, b).x_basis_probability_one() == pytest.approx(0.5, abs=1e-12)
 
     def test_encoded_pair(self):
         u = EXAMPLE_ROWS[0] / np.linalg.norm(EXAMPLE_ROWS[0])
         v = EXAMPLE_ROWS[1] / np.linalg.norm(EXAMPLE_ROWS[1])
-        p1 = swap_test(swap_flag(encode_sample(u)), encode_sample(v))
+        p1 = swap_test_state(swap_flag(encode_sample(u)), encode_sample(v)).x_basis_probability_one()
         n = len(u)
         expected = 0.5 - np.dot(u, v) ** 2 / (2 * n**2)
         assert p1 == pytest.approx(expected, abs=1e-10)
@@ -238,7 +237,7 @@ class TestSwapFlagAndSwapTest:
 
     def test_width_mismatch(self):
         with pytest.raises(QReliefFError):
-            swap_test(zero_state(1), zero_state(2))
+            swap_test_state(zero_state(1), zero_state(2))
 
 
 class TestGroverPlan:
@@ -300,7 +299,7 @@ class TestGroverIterate:
         mask[2] = True
         out = grover_search_state(plan, mask)
         # textbook: oracle sign flip, then inversion about the mean
-        amps = zero_state(2).apply_all([h(0), h(1)]).amplitudes
+        amps = zero_state(2)._run([h(0), h(1)]).amplitudes
         amps[mask] *= -1
         amps = 2 * amps.mean() - amps
         np.testing.assert_allclose(out.amplitudes, amps, atol=1e-10)
@@ -364,7 +363,7 @@ class TestAmplitudeEstimation:
         # a two-qubit state whose top qubit reads 1 with probability 0.3,
         # estimated whole by the paper's circuit, against the single-qubit
         # rotation with the same amplitude
-        psi = zero_state(2).apply_all(
+        psi = zero_state(2)._run(
             (ry(2.0 * math.asin(math.sqrt(0.3)), 0), x(1, controls=[0]))
         )
         full = ref.composite_amplitude_estimate(psi, 3)
@@ -374,13 +373,13 @@ class TestAmplitudeEstimation:
     def test_multi_qubit_full_mode(self):
         # H then CNOT: the top qubit reads 1 with probability 0.5, estimated
         # on one qubit with that probability
-        psi = zero_state(2).apply_all((h(0), x(1, controls=[0])))
-        dist = amplitude_estimate(reduced_preparation(psi.probability_one(1)), 3)
+        psi = zero_state(2)._run((h(0), x(1, controls=[0])))
+        dist = amplitude_estimate(reduced_preparation(psi.marginal_probabilities([1])[1]), 3)
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_wider_preparation_is_refused(self, p):
-        psi = zero_state(p).apply_all((h(0), x(p - 1, controls=[0])))
+        psi = zero_state(p)._run((h(0), x(p - 1, controls=[0])))
         with pytest.raises(QReliefFError, match="reduced_preparation"):
             amplitude_estimate(psi, 3)
 
@@ -392,7 +391,19 @@ class TestAmplitudeEstimation:
         monkeypatch.setattr(statevector, "MAX_QUBITS", 4)
         monkeypatch.setattr(circuits.np, "empty", empty)
         with pytest.raises(CapacityError):
-            amplitude_estimate(psi, 4)  # 1 + t = 5 qubits
+            amplitude_estimate(psi, 4)  # charged 3 + t = 7 qubits
+
+    def test_width_charges_four_states(self, monkeypatch):
+        # the orbit, the FFT's result and the readout state of 1 + t qubits
+        # live together, so t-bit estimation is charged 3 + t qubits: under
+        # the cap of 28, t = 25 fits, and t = 26 (one 27-qubit state) does not
+        def empty(*args, **kwargs):
+            raise AssertionError("orbit allocated before the width check")
+
+        circuits.check_ae_width(25)
+        monkeypatch.setattr(circuits.np, "empty", empty)
+        with pytest.raises(CapacityError, match="qubit count 29 outside"):
+            amplitude_estimate(reduced_preparation(0.3), 26)
 
     def test_full_orbit_runs_the_preparation_once(self, apply_calls):
         # full estimates the swap test's P(1) on one qubit: the one gate is

@@ -26,6 +26,7 @@ from qrelieff import (
     select_features,
 )
 from qrelieff.cli import build_parser, example_csv_path, load_csv, run_cli
+from qrelieff.pipeline import check_quantum_input
 from qrelieff.program3 import Program3Result
 from qrelieff.relieff import IterationRecord, NeighborSet, ReliefFResult
 from qrelieff.report import canonical_body, neighbor_agreement, render_program3_text, schema
@@ -390,9 +391,9 @@ class TestFullCircuitFeatureCount:
 class TestCapacityPreflight:
     """The quantum backend checks its widest registers before it encodes a
     sample: the swap-test composite, 2(2 + ceil(log2 N) + ceil(log2 M)) + 1
-    qubits, and under ``full`` the one-qubit amplitude-estimation state with
-    its t_f = t + 2 ceil(log2 N) + 4 readout qubits,
-    1 + t_f = 2(2 + ceil(log2 N)) + 1 + t qubits."""
+    qubits, and under ``full`` the one-qubit amplitude estimation with its
+    t_f = t + 2 ceil(log2 N) + 4 readout qubits, whose orbit, FFT result and
+    readout state of 1 + t_f qubits are charged four states: 3 + t_f qubits."""
 
     @staticmethod
     def write_csv(path, m, n):
@@ -418,11 +419,24 @@ class TestCapacityPreflight:
         assert "capacity error: qubit count 31 outside" in capsys.readouterr().err
 
     def test_full_circuit_ae_state(self, tmp_path, no_encoding, capsys):
-        # M=4, N=128: a 23-qubit composite, but 1 + (10 + 2*7 + 4) = 29 AE qubits
+        # M=4, N=128: a 23-qubit composite, but 3 + (10 + 2*7 + 4) = 31 AE qubits
         path = self.write_csv(tmp_path / "deep.csv", 4, 128)
         flags = ["--backend", "quantum", "--ae-circuit", "full", "--ae-bits", "10"]
         assert run(["--input", path, *flags]) == (4, "")
-        assert "capacity error: qubit count 29 outside" in capsys.readouterr().err
+        assert "capacity error: qubit count 31 outside" in capsys.readouterr().err
+
+    def test_full_circuit_charges_four_ae_states(self, tmp_path, no_encoding, capsys):
+        # M=16, N=128, t=9: t_f = 27, so one state of 1 + t_f = 28 qubits
+        # fits the cap, but the estimator holds about three (9 GiB)
+        path = self.write_csv(tmp_path / "deep.csv", 16, 128)
+        flags = ["--backend", "quantum", "--ae-circuit", "full", "--ae-bits", "9"]
+        assert run(["--input", path, *flags]) == (4, "")
+        assert "capacity error: qubit count 30 outside" in capsys.readouterr().err
+
+    def test_full_circuit_within_four_ae_states(self, tmp_path):
+        # t=7: t_f = 25 and 3 + t_f = 28 qubits, the cap; checked, not run
+        nd, _ = normalize(load_csv(self.write_csv(tmp_path / "deep.csv", 16, 128))[0])
+        check_quantum_input(nd, PipelineConfig(ae_circuit="full", ae_bits=7))
 
 
 class TestSingletonPickedClass:

@@ -7,7 +7,7 @@ against one transposition of the whole view, the readouts summed over pieces
 against whole-state numpy sums, the swap test's X-basis readout and
 ``_swap_test_p1`` bit for bit against the H, register swap, H circuit read
 in the computational basis, the in-place gate
-lists (``apply_all``, the swap test) bit for bit against one new state per
+lists (``_run``, the swap test) bit for bit against one new state per
 gate, the Grover search state and orbit, which reflect about W|0> in place
 of running W^-1 and W, against per-gate iterations, the orbit by repeated
 squaring against the orbit step by step, the readout's one FFT down the
@@ -255,11 +255,11 @@ def test_chunked_register_swap_matches_unchunked_on_wide_states(wide_states, n, 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_readouts_in_pieces_match_whole_state_sums(data):
-    """Pieces of 128 to 1024 amplitudes: ``probability_one`` on any qubit
-    and ``marginal_probabilities`` of the top qubits, lowest first (every
-    register the package reads), give the bits of one numpy sum over the
-    whole state.  Any other register sums each value's amplitudes in C order,
-    where numpy's axis-0 sum runs row by row: equal to ``TOL``."""
+    """Pieces of 128 to 1024 amplitudes: ``marginal_probabilities`` of the
+    top qubits, lowest first (every register the package reads), gives the
+    bits of one numpy sum over the whole state.  Any other register, one
+    lower qubit included, sums each value's amplitudes in C order, where
+    numpy's axis-0 sum runs row by row: equal to ``TOL``."""
     n = data.draw(st.integers(1, 13))
     state = data.draw(states_with_zeros(n))
     q = data.draw(st.integers(0, n - 1))
@@ -267,7 +267,10 @@ def test_readouts_in_pieces_match_whole_state_sums(data):
     qubits = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statevector, "CHUNK", data.draw(st.sampled_from([128, 256, 1024])))
-        assert state.probability_one(q) == ref.probability_one_unchunked(state, q)
+        np.testing.assert_allclose(
+            state.marginal_probabilities([q])[1],
+            ref.probability_one_unchunked(state, q), rtol=0, atol=TOL,
+        )
         assert np.array_equal(
             _bits(state.marginal_probabilities(top)),
             _bits(ref.marginal_probabilities_unchunked(state, top)),
@@ -320,7 +323,7 @@ def test_measurements_match_reference(data):
     n = data.draw(st.integers(1, 10))
     state = data.draw(states(n))
     q = data.draw(st.integers(0, n - 1))
-    assert abs(state.probability_one(q) - ref.probability_one(state, q)) <= TOL
+    assert abs(state.marginal_probabilities([q])[1] - ref.probability_one(state, q)) <= TOL
     outcome = data.draw(st.integers(0, 1))
     np.testing.assert_allclose(
         state.postselect(q, outcome).amplitudes,
@@ -366,7 +369,7 @@ def _preparation(data, p: int):
     """A drawn gate list on p qubits as a reference preparation with its flag
     on the top qubit, and the state A|0> it prepares."""
     prep_gates = tuple(data.draw(st.lists(gates(p), min_size=1, max_size=4)))
-    return ref.Preparation(prep_gates, p, p - 1), zero_state(p).apply_all(prep_gates)
+    return ref.Preparation(prep_gates, p, p - 1), zero_state(p)._run(prep_gates)
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,13 +382,13 @@ def test_full_ae_matches_controlled_grover_loop(data):
     t = data.draw(st.integers(1, 5))
     prep, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        amplitude_estimate(reduced_preparation(psi.probability_one(p - 1)), t),
+        amplitude_estimate(reduced_preparation(psi.marginal_probabilities([p - 1])[1]), t),
         ref.amplitude_estimate(prep, t, mode="full"), rtol=0, atol=TOL,
     )
 
 
 def test_program3_exact_p1_unchanged():
-    assert final_state().probability_one(RESULT_QUBIT) == PROGRAM3_EXACT_P1
+    assert final_state().marginal_probabilities([RESULT_QUBIT])[1] == PROGRAM3_EXACT_P1
 
 
 @settings(max_examples=100, deadline=None)
@@ -398,20 +401,20 @@ def test_fold_distribution_is_bit_identical_to_loop(t, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(circuits())
-def test_apply_all_is_bit_identical_to_chained_apply(case):
+def test_run_is_bit_identical_to_chained_apply(case):
     state, sequence = case
     # a state on the caller's own array: np.asarray does not copy it
     caller = state.amplitudes.copy()
     state = StateVector(state.n_qubits, caller)
     assert state.amplitudes is caller
+    before = caller.copy()
     chained = state
     for gate in sequence:
         chained = chained.apply(gate)
-    before = caller.copy()
-    result = state.apply_all(sequence)
-    assert np.array_equal(result.amplitudes, chained.amplitudes)
-    assert np.array_equal(caller, before)
-    assert result.amplitudes is not caller
+    assert np.array_equal(caller, before)  # apply leaves its input alone
+    private = StateVector(state.n_qubits, before, _checked=True)
+    assert private._run(sequence) is private
+    assert np.array_equal(private.amplitudes, chained.amplitudes)
 
 
 @st.composite
@@ -621,7 +624,7 @@ def test_full_circuit_ae_matches_per_qubit_swaps(t):
             got, want = swap_test_circuit(a, b), ref.swap_test_state(a, b)
             assert np.asarray(got.amplitudes, complex).tobytes() == want.amplitudes.tobytes(), (u, q)
             top = got.n_qubits - 1
-            p1 = got.probability_one(top), want.probability_one(top)
+            p1 = got.marginal_probabilities([top])[1], want.marginal_probabilities([top])[1]
             assert p1[0] == p1[1], (u, q)
             dists = [amplitude_estimate(reduced_preparation(p), t) for p in p1]
             assert dists[0].tobytes() == dists[1].tobytes(), (u, q)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrelieff import (
     ConfigError,
@@ -15,7 +17,6 @@ from qrelieff import (
     normalize,
     qrelieff_run,
     quantum_neighbors,
-    quantum_similarity,
     relieff_run,
 )
 from qrelieff.circuits import (
@@ -87,18 +88,24 @@ class TestPrepareStates:
         np.testing.assert_allclose(p0, p1, atol=1e-12)
 
 
+def similarity_record(states, nd, u, q, cfg):
+    """Sample q's record in the similarity table of pick u (rng None)."""
+    table = build_similarity_table(states, nd, u, cfg, None)
+    return next(r for recs in table.records.values() for r in recs if r.sample == q)
+
+
 class TestQuantumSimilarity:
     def test_self_similarity(self, example_normalized, example_states):
         nd, _ = example_normalized
         cfg = PipelineConfig()
-        rec = quantum_similarity(example_states, nd, 0, 0, cfg)
+        rec = similarity_record(example_states, nd, 0, 0, cfg)
         assert rec.s_raw == pytest.approx(1.0, abs=1e-9)
         assert rec.sample == 0 and rec.excluded
 
     def test_orthogonal_rows(self, example_normalized, example_states):
         nd, _ = example_normalized
         cfg = PipelineConfig()
-        rec = quantum_similarity(example_states, nd, 0, 2, cfg)
+        rec = similarity_record(example_states, nd, 0, 2, cfg)
         assert rec.s_raw == pytest.approx(0.0, abs=1e-9)
         assert rec.s_quantized == 0
         assert rec.sample == 2 and not rec.excluded
@@ -106,7 +113,7 @@ class TestQuantumSimilarity:
     def test_quarter_similarity(self, example_normalized, example_states):
         nd, _ = example_normalized
         cfg = PipelineConfig()
-        rec = quantum_similarity(example_states, nd, 0, 1, cfg)
+        rec = similarity_record(example_states, nd, 0, 1, cfg)
         assert rec.s_raw == pytest.approx(0.25, abs=1e-9)
 
     def test_quantization_monotone(self, example_normalized, example_states):
@@ -114,7 +121,7 @@ class TestQuantumSimilarity:
         cfg = PipelineConfig()
         recs = []
         for q in range(1, 6):
-            recs.append(quantum_similarity(example_states, nd, 0, q, cfg))
+            recs.append(similarity_record(example_states, nd, 0, q, cfg))
         for a in recs:
             for b in recs:
                 if a.s_quantized != b.s_quantized:
@@ -124,7 +131,7 @@ class TestQuantumSimilarity:
         nd, _ = example_normalized
         cfg = PipelineConfig(mode="sampled", shots=64)
         with pytest.raises(QReliefFError):
-            quantum_similarity(example_states, nd, 0, 1, cfg)
+            build_similarity_table(example_states, nd, 0, cfg, rng=None)
 
     def test_sampled_p1_mean_within_5_sigma_of_exact(self):
         """Sampled P(1) is unbiased: over R = 1000 substreams of RngStream(0),
@@ -216,8 +223,8 @@ class TestQuantumSimilarity:
         )
         nd, _ = normalize(ds)
         states = prepare_states(nd)
-        reduced = quantum_similarity(states, nd, 0, 1, PipelineConfig(ae_bits=3))
-        full = quantum_similarity(
+        reduced = similarity_record(states, nd, 0, 1, PipelineConfig(ae_bits=3))
+        full = similarity_record(
             states, nd, 0, 1, PipelineConfig(ae_bits=3, ae_circuit="full")
         )
         assert full.s_raw == pytest.approx(0.0, abs=1e-9)
@@ -324,3 +331,41 @@ class TestQReliefFRun:
             assert {k: list(v) for k, v in qr.neighbors.misses.items()} == {
                 k: list(v) for k, v in cr.neighbors.misses.items()
             }
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(8, 16), n=st.integers(2, 8), classes=st.integers(2, 3),
+        k=st.sampled_from([1, 2]), order=st.sampled_from(["max", "min"]),
+        t=st.integers(4, 10), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_backends_agree_where_readings_are_distinct(
+        self, m, n, classes, k, order, t, seed
+    ):
+        """In exact mode the quantum backend ranks a class by its t-bit
+        readings y, the classical one by exact similarity.  Where a class's
+        top k + 1 readings (nearest first) are all distinct, the two neighbor
+        lists are equal; where only the k-th and (k + 1)-th differ, the
+        neighbor sets are.  A tie among the readings may pick either way."""
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(m) % classes)
+        nd, stats = normalize(Dataset(rng.random((m, n)) + 0.01, labels, list("abcdefgh")[:n]))
+        common = dict(T=3, k=k, neighbor_order=order)
+        q = qrelieff_run(nd, PipelineConfig(ae_bits=t, **common), RngStream(seed), stats)
+        c = relieff_run(nd, RunConfig(**common), RngStream(seed), stats)
+        sign = -1 if order == "max" else 1  # nearest first
+        for table, qr, cr in zip(q.tables, q.iterations, c.iterations):
+            assert qr.picked == cr.picked == table.picked
+            u_class = int(nd.labels[table.picked])
+            for cls, records in table.records.items():
+                ranked = sorted((r for r in records if not r.excluded),
+                                key=lambda r: (sign * r.s_quantized, r.sample))
+                ys = [r.s_quantized for r in ranked]
+                kk = min(k, len(ys))
+                got, want = (
+                    r.neighbors.hits if cls == u_class else r.neighbors.misses[cls]
+                    for r in (qr, cr)
+                )
+                if len(set(ys[: kk + 1])) == len(ys[: kk + 1]):
+                    assert got == want, (cls, ys)
+                elif kk < len(ys) and ys[kk - 1] != ys[kk]:
+                    assert set(got) == set(want), (cls, ys)

@@ -17,6 +17,7 @@ from qrelieff.program3 import (
     reproduce_program3,
 )
 from qrelieff.rng import RngStream
+from reference_kernels import probability_one_unchunked
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,12 +40,13 @@ class TestCircuit:
 
     @pytest.mark.parametrize("qubit", [0, 5, 13, 14, 18, RESULT_QUBIT])
     def test_marginal_reads_probability_one_bit_for_bit(self, state, qubit):
-        # reproduce_program3 takes its exact P(1) from the marginal it samples
-        assert state.marginal_probabilities([qubit])[1] == state.probability_one(qubit)
+        # reproduce_program3 takes its exact P(1) from the marginal it samples:
+        # the bits of one numpy sum over the squares of the qubit's 1 half
+        assert state.marginal_probabilities([qubit])[1] == probability_one_unchunked(state, qubit)
 
     def test_exact_p1_is_stable(self, state):
-        a = state.probability_one(RESULT_QUBIT)
-        b = final_state().probability_one(RESULT_QUBIT)
+        a = state.marginal_probabilities([RESULT_QUBIT])[1]
+        b = final_state().marginal_probabilities([RESULT_QUBIT])[1]
         assert a == pytest.approx(b, abs=1e-12)
         assert 0.0 <= a <= 0.5 + 1e-12  # swap-test ancilla bound
 
@@ -53,7 +55,7 @@ class TestReproduction:
     def test_sampled_mean_within_band(self, state):
         result = reproduce_program3(shots=1024, runs=8, seed=5)
         assert result.exact_p1 == pytest.approx(
-            state.probability_one(RESULT_QUBIT), abs=1e-12
+            state.marginal_probabilities([RESULT_QUBIT])[1], abs=1e-12
         )
         assert len(result.run_means) == 8
         p = result.exact_p1
