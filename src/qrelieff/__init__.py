@@ -48,6 +48,7 @@ from .statevector import (
     StateVector,
     h,
     ry,
+    run_circuit,
     swap,
     swap_registers,
     x,

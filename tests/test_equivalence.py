@@ -8,9 +8,10 @@ against whole-state numpy sums, the swap test's X-basis readout and
 ``_swap_test_p1`` bit for bit against the H, register swap, H circuit read
 in the computational basis, the in-place gate
 lists (``_run``, the swap test) bit for bit against one new state per
-gate, the Grover search state and orbit, which reflect about W|0> in place
-of running W^-1 and W, against per-gate iterations, the orbit by repeated
-squaring against the orbit step by step, the readout's one FFT down the
+gate, ``run_circuit`` on the qubits its gates have named against ``_run``
+on all of them, the Grover search state and orbit, which reflect about
+W|0> in place of running W^-1 and W, against per-gate iterations, the
+orbit by repeated squaring against the orbit step by step, the readout's one FFT down the
 orbit bit for bit against the QFT on the (1+t)-qubit state it replaced, the
 one-qubit estimate of a composite's P(1) against amplitude estimation of the
 whole composite (with and without a sample-index register, and with per-pair
@@ -45,10 +46,19 @@ from qrelieff.circuits import (
 from qrelieff.cli import load_csv
 from qrelieff.errors import QReliefFError
 from qrelieff.pipeline import PipelineConfig, _swap_test_p1, prepare_states
-from qrelieff.program3 import RESULT_QUBIT, final_state
+from qrelieff.program3 import N_QUBITS, RESULT_QUBIT, build_circuit, final_state
 from qrelieff.relieff import NormalizedDataset, normalize
 from qrelieff.rng import RngStream
-from qrelieff.statevector import GateOp, StateVector, h, swap_registers, zero_state
+from qrelieff.statevector import (
+    GateOp,
+    StateVector,
+    h,
+    run_circuit,
+    ry,
+    swap_registers,
+    x,
+    zero_state,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -415,6 +425,70 @@ def test_run_is_bit_identical_to_chained_apply(case):
     private = StateVector(state.n_qubits, before, _checked=True)
     assert private._run(sequence) is private
     assert np.array_equal(private.amplitudes, chained.amplitudes)
+
+
+@st.composite
+def sparse_circuits(draw, max_qubits=10, max_gates=12):
+    """n qubits and a gate list on some of them: each gate names qubits from
+    a prefix of a random order of the used ones, so qubits are named a few
+    at a time, controls of either polarity land on named and unnamed qubits,
+    and the qubits outside the used ones stay idle."""
+    n = draw(st.integers(1, max_qubits))
+    used = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    out = []
+    for _ in range(draw(st.integers(1, max_gates))):
+        g = draw(gates(draw(st.integers(1, len(used)))))
+        out.append(GateOp(
+            g.kind,
+            tuple(used[q] for q in g.targets),
+            tuple((used[q], pol) for q, pol in g.controls),
+            g.angle,
+        ))
+    return n, out
+
+
+def _assert_same_state(fast: StateVector, slow: StateVector):
+    """Equal amplitudes (an exact zero may differ in sign) and bit-identical
+    one-qubit marginals."""
+    assert fast.n_qubits == slow.n_qubits
+    assert fast.amplitudes.dtype == slow.amplitudes.dtype
+    assert np.array_equal(fast.amplitudes, slow.amplitudes)
+    for q in range(fast.n_qubits):
+        assert np.array_equal(
+            _bits(fast.marginal_probabilities([q])), _bits(slow.marginal_probabilities([q]))
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_circuits())
+def test_run_circuit_matches_run_on_every_qubit(case):
+    n, sequence = case
+    _assert_same_state(run_circuit(n, sequence), zero_state(n)._run(sequence))
+
+
+def test_run_circuit_matches_run_on_program3():
+    _assert_same_state(final_state(), zero_state(N_QUBITS)._run(build_circuit()))
+
+
+def test_run_circuit_matches_run_on_a_state_wider_than_a_piece():
+    """15 of 18 qubits named one at a time: the held state outgrows ``CHUNK``
+    before the last widening, so its later gates run in pieces."""
+    n, idle = 18, (3, 8, 16)
+    order = [int(q) for q in np.random.default_rng(7).permutation(
+        [q for q in range(n) if q not in idle]
+    )]
+    assert 1 << len(order) > statevector.CHUNK
+    sequence = []
+    for i, q in enumerate(order):
+        sequence.append(ry(0.3 + i, q) if i % 2 else h(q))
+        if i >= 2:
+            sequence.append(x(order[i - 1], controls=[(order[i - 2], i % 2)]))
+    sequence += [
+        swap_registers(order[:4], order[4:8], controls=[order[9]]),
+        ry(0.3, order[10], controls=[(order[11], 0), order[12]]),
+        h(order[-1]),
+    ]
+    _assert_same_state(run_circuit(n, sequence), zero_state(n)._run(sequence))
 
 
 @st.composite

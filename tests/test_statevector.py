@@ -14,11 +14,13 @@ from qrelieff import (
     StateVector,
     h,
     ry,
+    run_circuit,
     swap,
     swap_registers,
     x,
     zero_state,
 )
+from qrelieff.program3 import final_state
 from qrelieff.statevector import GateOp
 from reference_kernels import basis_state, gate_matrix
 
@@ -47,6 +49,35 @@ class TestZeroState:
         with pytest.raises(CapacityError):
             zero_state(4)
         assert zero_state(3).n_qubits == 3
+
+
+class TestRunCircuit:
+    def test_no_gates_is_the_zero_state(self):
+        assert np.array_equal(run_circuit(3, []).amplitudes, zero_state(3).amplitudes)
+
+    def test_qubit_out_of_range(self):
+        with pytest.raises(QReliefFError, match="out of range"):
+            run_circuit(3, [h(0), x(3)])
+
+    def test_capacity_checked_before_any_allocation(self, monkeypatch):
+        """Over the cap, no gate is read and no array of the final width
+        (16 MiB at 21 qubits) is allocated."""
+        from qrelieff import statevector
+
+        monkeypatch.setattr(statevector, "MAX_QUBITS", 20)
+        read = []
+
+        def gates():
+            read.append(True)
+            yield h(0)
+
+        def attempt():
+            with pytest.raises(CapacityError):
+                run_circuit(21, gates())
+
+        _, peak = _traced(attempt)
+        assert not read
+        assert peak < 1 << 20
 
 
 class TestApply:
@@ -170,6 +201,8 @@ READOUTS = {
 }
 CONSTRUCTORS = {
     "zero_state": lambda: zero_state(20),
+    # widened once from 14 qubits (128 KiB) to 20 before its register swap
+    "program3.final_state": final_state,
 }
 
 
