@@ -12,7 +12,11 @@ sampled mode, random and round-robin picks, seeds 0-1, 6 readout bits; exact
 mode at 1 and 10 readout bits), a four-sample, two-feature input through the
 ``full`` amplitude-estimation circuit at 3 and 4 readout bits (and, exact mode
 only, at 1 and 8), and an eight-sample, four-feature input through the
-``full`` circuit at 6 readout bits and 2 iterations.
+``full`` circuit at 6 readout bits and 2 iterations.  Three cases run the
+default circuit on continuous data made as the benchmark makes its inputs
+(:func:`continuous_csv`): 16 samples of 8 features (2 iterations, 6 readout
+bits, exact and sampled), 8 of 4 (1 iteration, 10 bits) and 32 of 8 (1
+iteration, 6 bits, on 21-qubit swap-test composites).
 
 Re-record only after a deliberate change of results, and only the cases it
 changes:
@@ -25,6 +29,7 @@ name it re-records every case.
 
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -36,6 +41,24 @@ from qrelieff.cli import example_csv_path, run_cli
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden_reports.json"
 FLOAT_TOL = 1e-12
+# (samples, features) of each continuous-data input
+CONTINUOUS = ((16, 8), (8, 4), (32, 8))
+
+
+def continuous_csv(m: int, n: int) -> str:
+    """m samples of n features, each ``random.Random(1).random() + 0.01``
+    in turn, in two alternating classes: the benchmark's input of that
+    shape."""
+    rng = random.Random(1)
+    lines = [",".join(f"F{i}" for i in range(n)) + ",class"]
+    for r in range(m):
+        values = ",".join(repr(rng.random() + 0.01) for _ in range(n))
+        lines.append(f"{values},c{r % 2}")
+    return "\n".join(lines) + "\n"
+
+
+def _continuous_name(m: int, n: int) -> str:
+    return f"continuous_{m}x{n}"
 
 
 def _cases() -> dict[str, tuple[str, list[str]]]:
@@ -68,6 +91,17 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
             "--backend", "both", "--emit-iterations", "--mode", "exact",
             "--ae-circuit", "full", "--ae-bits", str(t),
         ])
+    for (m, n), modes, iterations, t in (
+        ((16, 8), ("exact", "sampled"), 2, 6),
+        ((8, 4), ("exact",), 1, 10),
+        ((32, 8), ("exact",), 1, 6),
+    ):
+        for mode in modes:
+            cases[f"{_continuous_name(m, n)}-{mode}-T{iterations}-t{t}"] = (
+                f"{_continuous_name(m, n)}.csv", [
+                    "--backend", "both", "--emit-iterations", "--mode", mode,
+                    "--T", str(iterations), "--ae-bits", str(t), "--seed", "1",
+                ])
     return cases
 
 
@@ -101,6 +135,11 @@ def assert_same_tree(got, want, path="$"):
 
 
 GOLDEN_CASES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+@pytest.mark.parametrize("m, n", CONTINUOUS, ids=lambda v: str(v))
+def test_continuous_inputs_are_generated(m, n):
+    assert (DATA / f"{_continuous_name(m, n)}.csv").read_text() == continuous_csv(m, n)
 
 
 def test_every_case_is_recorded():
