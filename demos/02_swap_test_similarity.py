@@ -21,7 +21,6 @@ from qrelieff import (
     encode_sample,
     fold_distribution,
     modal_outcome,
-    reduced_preparation,
     swap_flag,
     swap_test_state,
 )
@@ -42,10 +41,11 @@ s = (1.0 - 2.0 * p1) * n**2
 print("swap-test P(1)               =", round(p1, 6))
 print("recovered similarity         =", round(s, 6))
 
-# Amplitude estimation reads an amplitude a as a t-bit integer y with
-# a ~ sin^2(pi y / 2^t).  Here we estimate a = s with 6 readout bits.
+# Amplitude estimation reads a probability a as a t-bit integer y with
+# a ~ sin^2(pi y / 2^t).  Its outcome distribution depends on a alone, so it
+# takes a itself.  Here we estimate a = s with 6 readout bits.
 t = 6
-dist = amplitude_estimate(reduced_preparation(s), t)
+dist = amplitude_estimate(s, t)
 outcome = modal_outcome(dist, t)
 print(f"\n{t}-bit estimation: y = {outcome.y}, a_hat = {outcome.a_hat:.6f}")
 

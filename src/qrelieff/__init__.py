@@ -10,7 +10,6 @@ from .circuits import (
     grover_search_state,
     modal_outcome,
     quantum_extreme_search,
-    reduced_preparation,
     swap_flag,
     swap_test_state,
     uniform_mod_n,

@@ -26,10 +26,10 @@ and is read in the X basis.  :func:`swap_test_state` writes |+> (x) A (x) B
 directly and runs the controlled swap as a gate; the readout
 (:meth:`StateVector.x_basis_probabilities`) folds the final H into its sums
 without a pass that writes the state.  Each test makes three passes over
-its composite (the build, the swap and the readout) where the H, swap, H
-circuit and its computational-basis readout made six, and reads the same
-bits.  Amplitude estimation runs on one qubit: its distribution depends
-only on the probability it estimates (:func:`amplitude_estimate`).
+its composite (the build, the swap and the readout) and reads the bits of
+the H, swap, H circuit read in the computational basis.  Amplitude
+estimation takes the probability it estimates, on which alone its
+distribution depends (:func:`amplitude_estimate`).
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ from .statevector import (
     StateVector,
     check_width,
     h,
-    ry,
     run_circuit,
     swap,
     swap_registers,
-    zero_state,
 )
 
 
@@ -267,19 +265,11 @@ def grover_search_state(plan: GroverPlan, oracle: np.ndarray) -> StateVector:
 # amplitude estimation
 # ---------------------------------------------------------------------------
 
-def reduced_preparation(a: float) -> StateVector:
-    """Ry(2 asin sqrt(a))|0>: one qubit that reads 1 with probability a."""
-    if not -1e-12 <= a <= 1.0 + 1e-12:
-        raise QReliefFError(f"amplitude {a} outside [0, 1]")
-    a = min(max(a, 0.0), 1.0)
-    return zero_state(1).apply(ry(2.0 * math.asin(math.sqrt(a)), 0))
-
-
 def check_ae_width(t: int):
     """Raise :class:`CapacityError` unless t-bit amplitude estimation fits
-    under the width cap.  Its orbit, the FFT's result and the readout state
-    are complex arrays of 1 + t qubits, and about three of them live at once
-    (tracemalloc peaks of 3.0 states at t = 14, 2.3 at t = 18), so it is
+    under the width cap.  Its orbit and the FFT's result are complex arrays
+    of 1 + t qubits, and the squared moduli of that result two float halves
+    of one (a tracemalloc peak of 2.00 such states at t = 16), so it is
     charged four: one complex state of 3 + t qubits, at most the largest
     state the cap allows."""
     check_width(3 + t)
@@ -297,28 +287,23 @@ class AEOutcome:
         return math.sin(math.pi * self.y / (1 << self.t)) ** 2
 
 
-def _grover_step(psi: StateVector):
-    """G = -A S0 A^-1 S_chi for ``psi`` = A|0>, as a function that runs it in
-    place on an amplitude array and returns that array: the Grover iteration
-    with W = A, the branches with the top qubit set (the upper half) as the
-    oracle and phi = pi."""
-    flag = np.arange(psi.dim) >= psi.dim // 2
-    return lambda amps: _grover_in_place(amps, flag, math.pi, psi.amplitudes)
+def _grover_orbit_by_squaring(psi: np.ndarray, t: int) -> np.ndarray:
+    """Row y is G^y A|0> for y in [0, 2^t), for the amplitudes ``psi`` =
+    A|0> on p qubits, from G as a dense 2^p x 2^p matrix.
 
-
-def _grover_orbit_by_squaring(psi: StateVector, t: int) -> np.ndarray:
-    """Row y is G^y A|0> for y in [0, 2^t), from G as a dense 2^p x 2^p matrix.
-
-    Rows [2^k, 2^(k+1)) are rows [0, 2^k) times (G^(2^k))^T, and G is squared
-    after each block: 2t - 1 matrix products in place of 2^t - 1 G steps.
+    G = -A S0 A^-1 S_chi is the Grover iteration with W = A, the branches
+    with the top qubit set (the upper half) as the oracle and phi = pi.
+    Rows [2^k, 2^(k+1)) are rows [0, 2^k) times (G^(2^k))^T, and G is
+    squared after each block: 2t - 1 matrix products in place of 2^t - 1 G
+    steps.
     """
-    p = psi.n_qubits
-    grover = _grover_step(psi)
-    g = np.empty((1 << p, 1 << p), dtype=complex)
-    for j, column in enumerate(np.eye(1 << p, dtype=complex)):
-        g[:, j] = grover(column)
-    orbit = np.empty((1 << t, 1 << p), dtype=complex)
-    orbit[0] = psi.amplitudes
+    dim = len(psi)
+    flag = np.arange(dim) >= dim // 2
+    g = np.empty((dim, dim), dtype=complex)
+    for j, column in enumerate(np.eye(dim, dtype=complex)):
+        g[:, j] = _grover_in_place(column, flag, math.pi, psi)
+    orbit = np.empty((1 << t, dim), dtype=complex)
+    orbit[0] = psi
     for k in range(t):
         block = 1 << k
         np.matmul(orbit[:block], g.T, out=orbit[block : 2 * block])
@@ -327,17 +312,18 @@ def _grover_orbit_by_squaring(psi: StateVector, t: int) -> np.ndarray:
     return orbit
 
 
-def amplitude_estimate(psi: StateVector, t: int) -> np.ndarray:
+def amplitude_estimate(a: float, t: int) -> np.ndarray:
     """Exact outcome distribution of t-bit amplitude estimation of the
-    probability a that the one-qubit state ``psi`` = A|0> reads 1.
+    probability ``a``: the probability of each y in [0, 2^t), whose estimate
+    is sin^2(pi y / 2^t).  ``a`` may lie up to 1e-12 outside [0, 1] and is
+    clamped to it.
 
     The distribution depends on a alone, not on the circuit that prepares
     it: G keeps A|0> in the plane of its good and bad parts and rotates it
     there by 2 asin sqrt(a) (Brassard, Hoyer, Mosca and Tapp,
-    quant-ph/0005055).  So ``psi`` is :func:`reduced_preparation` (a), and a
-    wider preparation is refused: pass the probability that its top qubit
-    reads 1 to :func:`reduced_preparation` instead.  Returns the probability
-    of each y in [0, 2^t); the estimate for outcome y is sin^2(pi y / 2^t).
+    quant-ph/0005055).  So A is the one-qubit Ry(2 asin sqrt(a)), and A|0>
+    is written as [cos h, sin h] with h = asin sqrt(a), the Ry kernel's
+    bits.
 
     After the readout Hadamards and the controlled powers of G, the circuit's
     state is 2^(-t/2) sum_y |y> G^y A|0>, readout register above the
@@ -345,25 +331,26 @@ def amplitude_estimate(psi: StateVector, t: int) -> np.ndarray:
     uncontrolled G, G a 2 x 2 matrix squared t - 1 times, rather than by
     applying 2^t - 1 controlled G's.  Row y of the orbit is readout value y,
     so the inverse QFT on the readout register is one FFT along the orbit's
-    first axis.
+    first axis, and the readout register's marginal is the sum of each
+    row's two squared moduli.
     """
     if t < 1:
         raise ConfigError(f"readout qubit count must be >= 1, got {t}")
-    if psi.n_qubits != 1:
-        raise QReliefFError(f"amplitude estimation takes one qubit, got {psi.n_qubits}; "
-                            "reduced_preparation(a) gives the one with the same a")
+    if not -1e-12 <= a <= 1.0 + 1e-12:  # NaN fails too
+        raise QReliefFError(f"amplitude {a} outside [0, 1]")
     check_ae_width(t)
-    orbit = _grover_orbit_by_squaring(psi, t)
+    half = math.asin(math.sqrt(min(max(a, 0.0), 1.0)))
+    orbit = _grover_orbit_by_squaring(np.array([math.cos(half), math.sin(half)]), t)
     orbit /= math.sqrt(1 << t)
     readout = np.fft.fft(orbit, axis=0, norm="ortho")
-    state = StateVector(1 + t, readout.reshape(-1), _checked=True)
-    return state.marginal_probabilities(range(1, 1 + t))
+    del orbit
+    return (np.abs(readout) ** 2).sum(axis=1)
 
 
 @lru_cache(maxsize=4096)
 def ae_distribution_for_amplitude(a: float, t: int) -> np.ndarray:
-    """Memoized estimation distribution of :func:`reduced_preparation` (a)."""
-    dist = amplitude_estimate(reduced_preparation(a), t)
+    """Memoized :func:`amplitude_estimate` (a, t), read-only."""
+    dist = amplitude_estimate(a, t)
     dist.setflags(write=False)
     return dist
 

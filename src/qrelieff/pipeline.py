@@ -24,7 +24,6 @@ from .circuits import (
     encode_sample,
     modal_outcome,
     quantum_extreme_search,
-    reduced_preparation,
     swap_flag,
     swap_test_state,
 )
@@ -163,11 +162,11 @@ def _full_circuit_outcome(
     p1: float, layout: EncodingLayout, cfg: PipelineConfig, rng: RngStream | None
 ) -> AEOutcome:
     """The t-bit similarity reading from t_f-bit amplitude estimation
-    (:func:`_full_readout_bits`) of the swap-test composite's P(1) ``p1``, on
-    one qubit with that P(1): its modal reading (exact mode) or one drawn
-    (sampled), turned into s = (1 - 2 a) N^2, clamped and put on the grid."""
+    (:func:`_full_readout_bits`) of the swap-test composite's P(1) ``p1``:
+    its modal reading (exact mode) or one drawn (sampled), turned into
+    s = (1 - 2 a) N^2, clamped and put on the grid."""
     t_f = _full_readout_bits(layout, cfg.ae_bits)
-    dist = amplitude_estimate(reduced_preparation(p1), t_f)
+    dist = amplitude_estimate(p1, t_f)
     if cfg.mode == "exact":
         ae = modal_outcome(dist, t_f)
     else:
@@ -257,11 +256,19 @@ class QReliefFResult(ReliefFResult):
 
 def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
     """Reject, before any work, an input the quantum backend cannot run: one
-    class (no miss class), the ``full`` circuit on a feature count that is
-    not a power of two of 2 or more, or a register over the width cap: the
-    swap-test composite, or the ``full`` circuit's amplitude estimation
-    (:func:`check_ae_width`)."""
+    class (no miss class), a negative feature value (the encoding's
+    amplitudes are the values), the ``full`` circuit on a feature count
+    that is not a power of two of 2 or more, or a register over the width
+    cap: the swap-test composite, or the ``full`` circuit's amplitude
+    estimation (:func:`check_ae_width`)."""
     check_has_miss_class(nd)
+    negative = np.argwhere(nd.samples < 0)
+    if negative.size:
+        row, column = negative[0]
+        raise DataError(
+            f"sample row {row}, feature {nd.feature_names[column]!r} is negative; "
+            f"the quantum backend needs nonnegative feature values"
+        )
     layout = EncodingLayout(nd.n_features)
     if cfg.ae_circuit == "full" and not layout.unitary:
         raise DataError(

@@ -14,12 +14,7 @@ Conventions used throughout the package:
   0j, so complex states get the bits they got from complex matrices.  On a
   real state every amplitude equals the real part of its complex twin, bit
   for bit but for the sign of an exact zero, and every probability is the
-  same float.  Program 3's 25 gates run on all 20 qubits (8 MiB real, 16 MiB
-  complex) fell from about 72 to 43 ms in process, and one swap test on a
-  19-qubit composite from about 4.3 to 3.0 ms (2 vCPU, numpy 2.4.6, one BLAS
-  thread).  :func:`run_circuit` now runs them and the readout in about 5
-  ms instead of 41 (median of 21), 23 of the 25 gates on 14 qubits or
-  fewer.
+  same float.
 * Qubit ``j`` is the least-significant bit ``j`` of the basis index, i.e.
   basis index of a bitstring ``b`` is ``sum(b_j * 2**j)``.
 * Gate application never mutates its input: :meth:`StateVector.apply`
@@ -30,34 +25,26 @@ Conventions used throughout the package:
   have named so far, widening the state as a gate names a new qubit, and
   gets the amplitudes of the same gates run on every qubit (see its
   docstring); it is the one way the package runs a gate list from zero.
-* Each gate kind has its own kernel (:func:`_kernel`) on
+* Each one-target gate kind has its own kernel (:func:`_kernel`) on
   :meth:`StateVector._split`'s view: X exchanges the two target halves, H is
-  a two-multiply butterfly, SWAP exchanges the 10 and 01 branches, and Ry
-  runs in place.  X and H may flip the sign of an
-  exact zero amplitude relative to the matrix product; values and
+  a two-multiply butterfly, and Ry runs in place.  X and H may flip the sign
+  of an exact zero amplitude relative to the matrix product; values and
   probabilities are unchanged.
 * The kernel runs on the view piece by piece (:func:`_pieces`), each piece at
   most ``CHUNK`` = 2^14 amplitudes (128 KiB real, 256 KiB complex), so its
-  temporaries stay in cache where whole-view ones took half the state (8 MiB
-  of complex amplitudes at 20 qubits).  The rest
-  axes are walked from the outermost: whole axes are looped over while what
+  temporaries stay in cache where whole-view ones would take half the state
+  (8 MiB of complex amplitudes at 20 qubits).  The rest axes are walked from the outermost: whole axes are looped over while what
   lies inside them exceeds a piece, and the next axis is cut into runs.
   Innermost rest axes of 4 or fewer elements in all are stepped through when
   a longer axis lies above them, so numpy's inner loop runs along that axis.
   Every operation is elementwise, so each amplitude gets the same products
   and sums as on the whole view and the bytes do not change; a view of one
-  piece or less is one call, as before.  Program 3's 25 gates on all 20
-  complex qubits fell from about 135 to 85 ms in process, and a cold
-  ``reproduce_program3`` from about 213 to 131 ms (2 vCPU, numpy 2.4.6, one
-  BLAS thread).
-* A register swap (:func:`swap_registers`, k >= 2 qubit pairs under one set
-  of controls) is one axis transposition of the ``(2,)*n`` view on the
-  controlled branch, where k single SWAPs would make k strided passes: five
-  controlled pairs on 19 qubits take 1.14 ms against 4.37 ms as five SWAPs.
-  One pair keeps the branch exchange, which measured faster than the
-  transposition: 0.60 against 1.09 ms controlled on 19 qubits, 2.6 against
-  4.3 ms uncontrolled on 20.  The transposition runs block by block, each
-  block at most ``CHUNK`` amplitudes, through one block-sized temporary
+  piece or less is one call.
+* A SWAP of k >= 1 qubit pairs under one set of controls (:func:`swap`,
+  :func:`swap_registers`) is one axis transposition of the ``(2,)*n`` view
+  on the controlled branch, where k single exchanges would make k strided
+  passes.  The transposition runs block by block, each block at most
+  ``CHUNK`` amplitudes, through one block-sized temporary
   (:meth:`StateVector._swap_registers`).  Amplitudes only move, so the bytes
   equal those of the pairs swapped one at a time.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
@@ -75,8 +62,7 @@ Conventions used throughout the package:
   way and renormalizes it in place, as a product with
   1/sqrt(p), which numpy's complex division by a real also computes.  So
   working memory is the state (8 bytes per amplitude real, 16 complex) plus
-  under 1 MiB for any gate, readout or postselection on 20 qubits, where
-  half-state temporaries took 4-16 MiB; only
+  under 1 MiB for any gate, readout or postselection on 20 qubits; only
   :meth:`StateVector.apply_unitary`, which returns a complex copy, still
   takes a whole state of temporaries.
 """
@@ -176,13 +162,10 @@ def swap_registers(a_qubits, b_qubits, controls=()) -> GateOp:
 
 
 def _kernel(sub: np.ndarray, kind: str, u):
-    """Apply a one-target gate, or a one-pair SWAP, to ``sub``: a view with
-    the target axes last, as :meth:`StateVector._split` makes it or any piece
-    of that view.  ``u`` is the matrix of an Ry gate.  Every operation is
-    elementwise."""
-    if kind == "swap":
-        sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
-    elif kind == "x":
+    """Apply a one-target gate to ``sub``: a view with the target axis last,
+    as :meth:`StateVector._split` makes it or any piece of that view.  ``u``
+    is the matrix of an Ry gate.  Every operation is elementwise."""
+    if kind == "x":
         sub[..., 0], sub[..., 1] = sub[..., 1], sub[..., 0].copy()
     elif kind == "h":
         # butterfly: r a0 + r a1 and r a0 - r a1, one temporary
@@ -202,8 +185,8 @@ def _kernel(sub: np.ndarray, kind: str, u):
         a1 += t
 
 
-def _pieces(sub: np.ndarray, k: int):
-    """Views that tile ``sub`` (rest axes, then ``k`` target axes of length
+def _pieces(sub: np.ndarray):
+    """Views that tile ``sub`` (rest axes, then the target axis of length
     2), each of at most ``CHUNK`` amplitudes; ``sub`` itself when it fits.
 
     Length-1 rest axes are dropped.  The innermost rest axes, as many as hold
@@ -216,8 +199,8 @@ def _pieces(sub: np.ndarray, k: int):
     """
     if sub.size <= CHUNK:
         return (sub,)
-    sub = sub.squeeze(tuple(i for i, m in enumerate(sub.shape[:-k]) if m == 1))
-    rest = sub.shape[:-k]
+    sub = sub.squeeze(tuple(i for i, m in enumerate(sub.shape[:-1]) if m == 1))
+    rest = sub.shape[:-1]
     n_step, size = 0, 1
     while n_step < len(rest) - 1 and size * rest[-1 - n_step] <= SHORT:
         size *= rest[-1 - n_step]
@@ -225,7 +208,7 @@ def _pieces(sub: np.ndarray, k: int):
     if n_step and rest[-1 - n_step] <= SHORT:
         n_step = 0
     middle, stepped = rest[:len(rest) - n_step], rest[len(rest) - n_step:]
-    per = CHUNK >> k  # rest elements per piece
+    per = CHUNK >> 1  # rest elements per piece
     j, inner = len(middle) - 1, 1
     while j > 0 and inner * middle[j] <= per:
         inner *= middle[j]
@@ -421,12 +404,12 @@ class StateVector:
         only for states whose C-contiguous buffer no caller holds.
         """
         amps = self.amplitudes if _in_place else self.amplitudes.copy()
-        if len(gate.targets) > 2:  # a register swap
+        if gate.kind == "swap":
             self._swap_registers(amps, gate)
         else:
             sub = self._split(amps, gate.targets, gate.controls)
             u = _ry_matrix(gate.angle) if gate.kind == "ry" else None  # once for all pieces
-            for piece in _pieces(sub, len(gate.targets)):
+            for piece in _pieces(sub):
                 _kernel(piece, gate.kind, u)
         if _in_place:
             return self

@@ -7,16 +7,18 @@ QFT is a dense DFT matrix.  All are slow but transparent, and the equivalence
 tests hold the package to them.
 
 ``amplitude_estimate_by_qft`` is the package's amplitude estimation with its
-old readout: the orbit as a (1+t)-qubit state, an inverse QFT on the readout
-register through a transposed copy of that state (``inverse_qft``), and
-the marginal of the register.  One FFT down the orbit's first axis replaced it
-and must match it bit for bit.
+old readout, on the one-qubit state Ry(2 asin sqrt a)|0> built by a gate:
+the orbit as a (1+t)-qubit state, an inverse QFT on the readout register
+through a transposed copy of that state (``inverse_qft``), and the marginal
+of the register.  The package writes that state's two amplitudes, runs one
+FFT down the orbit's first axis and sums each row's squared moduli; it must
+match this bit for bit.
 
 ``composite_amplitude_estimate`` is amplitude estimation on a preparation of
 any width, its orbit ``composite_orbit`` one in-place G step per row: the
 paper's circuit, with the whole swap-test composite as A.  The package
-estimates only one qubit, Ry(2 asin sqrt a)|0> with the composite's P(1) = a,
-and the tests hold that estimate to this one.
+estimates only the composite's P(1) = a, on one qubit, and the tests hold
+that estimate to this one.
 
 The swap-test composite, the Grover iteration and the Grover orbit below are
 the same circuits with one new state per gate (``StateVector.apply``) and
@@ -25,10 +27,11 @@ match them bit for bit.
 
 ``apply_stride`` is the stride-view kernel with one expression for every
 2x2 gate, which the per-kind kernels of ``StateVector.apply`` replaced.
-``apply_unchunked`` is the per-kind kernels run once on the whole view, and a
-register swap as one transposition of the whole controlled view through a
-copy of it (``swap_registers_unchunked``), which the chunked kernel and the
-block-by-block register swap replaced.  ``probability_one_unchunked`` and
+``apply_unchunked`` is the per-kind kernels run once on the whole view, a
+one-pair SWAP as the exchange of its 10 and 01 branches, and a register swap
+of two or more pairs as one transposition of the whole controlled view
+through a copy of it (``swap_registers_unchunked``), which the chunked
+kernel and the block-by-block register swap (now every SWAP) replaced.  ``probability_one_unchunked`` and
 ``marginal_probabilities_unchunked`` are the readouts as whole-state numpy
 expressions, which the sums over pieces replaced.  ``swap_test_gates`` is the
 swap test with one controlled SWAP per qubit pair, which the controlled
@@ -40,7 +43,7 @@ through ``probability_one_unchunked``, not through the package's readouts.
 
 Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled
-G; the package takes only the state A|0> and reads its top qubit.
+G; the package takes only the probability a that A's flag reads 1.
 ``encode_sample_gates`` is the encoding as such a gate list: X, H^n and one
 controlled Ry per feature (``multiplexed_ry_gates``).  ``encode_sample_by_gates``
 is ``encode_sample`` with those Ry gates applied to the bounded superposition
@@ -62,8 +65,8 @@ import numpy as np
 
 from qrelieff.circuits import (
     EncodingLayout,
+    _grover_in_place,
     _grover_orbit_by_squaring,
-    _grover_step,
     uniform_mod_n,
 )
 from qrelieff.errors import QReliefFError
@@ -384,7 +387,7 @@ def amplitude_estimate_by_qft(psi: StateVector, t: int) -> np.ndarray:
     """The package's amplitude estimation of the one-qubit ``psi`` = A|0>,
     read out by :func:`inverse_qft` on the readout register of the
     (1+t)-qubit state and that register's marginal."""
-    orbit = _grover_orbit_by_squaring(psi, t)
+    orbit = _grover_orbit_by_squaring(psi.amplitudes, t)
     orbit /= math.sqrt(1 << t)
     readout = range(1, 1 + t)
     state = inverse_qft(StateVector(1 + t, orbit.reshape(-1), _checked=True), readout)
@@ -395,15 +398,17 @@ def composite_orbit(psi: StateVector, t: int) -> np.ndarray:
     """Row y is G^y A|0> for y in [0, 2^t), one G step per row, for ``psi``
     = A|0> on any number p of qubits.
 
-    G runs uncontrolled on the preparation register alone, in place on one
-    working array that is copied into each row: O(2^p) work per step.
+    G = -A S0 A^-1 S_chi runs uncontrolled on the preparation register
+    alone, the branches with the top qubit set as the oracle and phi = pi,
+    in place on one working array that is copied into each row: O(2^p) work
+    per step.
     """
-    grover = _grover_step(psi)
+    flag = np.arange(psi.dim) >= psi.dim // 2
     orbit = np.empty((1 << t, psi.dim), dtype=complex)
     orbit[0] = psi.amplitudes
     amps = psi.amplitudes.astype(complex)  # G reflects with e^{i pi}
     for y in range(1, 1 << t):
-        orbit[y] = grover(amps)
+        orbit[y] = _grover_in_place(amps, flag, math.pi, psi.amplitudes)
     return orbit
 
 

@@ -26,7 +26,6 @@ from qrelieff import (
     normalize,
     qrelieff_run,
     quantum_extreme_search,
-    reduced_preparation,
     relieff_run,
     swap_flag,
     swap_test_state,
@@ -125,7 +124,7 @@ def test_criterion_5_amplitude_estimation_bound():
     ok = True
     details = []
     for a in (0.0, 1.0 / 16, 0.25, 0.5, 0.75, 1.0):
-        dist = amplitude_estimate(reduced_preparation(a), t)
+        dist = amplitude_estimate(a, t)
         folded = fold_distribution(dist)
         exact = math.asin(math.sqrt(a)) * grid / math.pi
         lo = min(int(math.floor(exact)), grid // 2)

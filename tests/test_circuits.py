@@ -24,7 +24,6 @@ from qrelieff import (
     h,
     modal_outcome,
     quantum_extreme_search,
-    reduced_preparation,
     swap_flag,
     uniform_mod_n,
     zero_state,
@@ -342,18 +341,18 @@ class TestGroverIterate:
 
 class TestAmplitudeEstimation:
     def test_zero_amplitude(self):
-        dist = amplitude_estimate(reduced_preparation(0.0), 4)
+        dist = amplitude_estimate(0.0, 4)
         assert dist[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_half_amplitude_on_grid(self):
-        dist = amplitude_estimate(reduced_preparation(0.5), 3)
+        dist = amplitude_estimate(0.5, 3)
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
         assert modal_outcome(dist, 3).y == 2
         assert AEOutcome(2, 3).a_hat == pytest.approx(0.5, abs=1e-12)
 
     def test_quarter_amplitude_mass_bound(self):
         t = 4
-        dist = amplitude_estimate(reduced_preparation(0.25), t)
+        dist = amplitude_estimate(0.25, t)
         exact = math.asin(math.sqrt(0.25)) * (1 << t) / math.pi
         lo, hi = math.floor(exact), math.ceil(exact)
         folded = fold_distribution(dist)
@@ -367,31 +366,24 @@ class TestAmplitudeEstimation:
             (ry(2.0 * math.asin(math.sqrt(0.3)), 0), x(1, controls=[0]))
         )
         full = ref.composite_amplitude_estimate(psi, 3)
-        reduced = amplitude_estimate(reduced_preparation(0.3), 3)
+        reduced = amplitude_estimate(0.3, 3)
         np.testing.assert_allclose(full, reduced, atol=1e-10)
 
     def test_multi_qubit_full_mode(self):
         # H then CNOT: the top qubit reads 1 with probability 0.5, estimated
         # on one qubit with that probability
         psi = zero_state(2)._run((h(0), x(1, controls=[0])))
-        dist = amplitude_estimate(reduced_preparation(psi.marginal_probabilities([1])[1]), 3)
+        dist = amplitude_estimate(psi.marginal_probabilities([1])[1], 3)
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_wider_preparation_is_refused(self, p):
-        psi = zero_state(p)._run((h(0), x(p - 1, controls=[0])))
-        with pytest.raises(QReliefFError, match="reduced_preparation"):
-            amplitude_estimate(psi, 3)
 
     def test_width_checked_before_orbit(self, monkeypatch):
         def empty(*args, **kwargs):
             raise AssertionError("orbit allocated before the width check")
 
-        psi = reduced_preparation(0.3)
         monkeypatch.setattr(statevector, "MAX_QUBITS", 4)
         monkeypatch.setattr(circuits.np, "empty", empty)
         with pytest.raises(CapacityError):
-            amplitude_estimate(psi, 4)  # charged 3 + t = 7 qubits
+            amplitude_estimate(0.3, 4)  # charged 3 + t = 7 qubits
 
     def test_width_charges_four_states(self, monkeypatch):
         # the orbit, the FFT's result and the readout state of 1 + t qubits
@@ -403,11 +395,11 @@ class TestAmplitudeEstimation:
         circuits.check_ae_width(25)
         monkeypatch.setattr(circuits.np, "empty", empty)
         with pytest.raises(CapacityError, match="qubit count 29 outside"):
-            amplitude_estimate(reduced_preparation(0.3), 26)
+            amplitude_estimate(0.3, 26)
 
     def test_full_orbit_runs_the_preparation_once(self, apply_calls):
-        # full estimates the swap test's P(1) on one qubit: the one gate is
-        # that qubit's Ry, and each G step applies none, at any 2^t
+        # full estimates the swap test's P(1) on one qubit whose amplitudes
+        # it writes, and each G step applies no gate, at any 2^t
         nd, _ = normalize(load_csv(DATA / "four_by_two.csv")[0])
         states, layout = prepare_states(nd), EncodingLayout(nd.n_features)
         p1, _ = _swap_test_p1(swap_flag(states[0]), states[1], layout, PipelineConfig(), None)
@@ -416,28 +408,41 @@ class TestAmplitudeEstimation:
             apply_calls.clear()
             _full_circuit_outcome(p1, layout, PipelineConfig(ae_circuit="full", ae_bits=t), None)
             kinds.append([gate.kind for gate in apply_calls])
-        assert kinds == [["ry"], ["ry"]]
+        assert kinds == [[], []]
 
     def test_peak_memory_of_one_call(self):
         # numpy reports its buffers to tracemalloc; a dense 2^10-point DFT
         # matrix alone is 16 MiB
         tracemalloc.start()
         try:
-            amplitude_estimate(reduced_preparation(0.3), 10)
+            amplitude_estimate(0.3, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_peak_memory_at_sixteen_bits(self):
+        # the orbit and the FFT's result are one complex state of 1 + t
+        # qubits each; the orbit is dropped before the squared moduli (two
+        # float halves of one) are formed
+        state_bytes = 16 << 17
+        tracemalloc.start()
+        try:
+            amplitude_estimate(0.3, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * state_bytes, peak / state_bytes
+
     def test_bad_parameters(self):
         with pytest.raises(ConfigError):
-            amplitude_estimate(reduced_preparation(0.5), 0)
+            amplitude_estimate(0.5, 0)
 
     def test_grid_alignment_concentrates(self):
         t = 5
         for m in (0, 4, 16):
             a = math.sin(math.pi * m / (1 << t)) ** 2
-            dist = amplitude_estimate(reduced_preparation(a), t)
+            dist = amplitude_estimate(a, t)
             folded = fold_distribution(dist)
             assert folded[m] >= 0.999, (m, folded[m])
 

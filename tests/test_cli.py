@@ -388,6 +388,39 @@ class TestFullCircuitFeatureCount:
         assert backend_calls == {"classical": 0, "quantum": 0}
 
 
+class TestNegativeFeatureValue:
+    """The encoding writes the feature values as amplitudes, so the quantum
+    backend refuses a negative one, naming its row and column, before
+    either backend runs; the classical backend takes it."""
+
+    MESSAGE = "data error: sample row 2, feature 'b' is negative"
+
+    @pytest.fixture
+    def csv_path(self, tmp_path):
+        p = tmp_path / "negative.csv"
+        p.write_text("a,b,class\n1,0.5,A\n0.2,0.3,A\n0.4,-0.1,B\n0.5,0.1,B\n")
+        return str(p)
+
+    def test_library_run(self, csv_path, no_encoding):
+        nd, stats = normalize(load_csv(csv_path)[0])
+        with pytest.raises(DataError, match="sample row 2, feature 'b' is negative"):
+            qrelieff_run(nd, PipelineConfig(), RngStream(0), stats)
+
+    @pytest.mark.parametrize("backend", ["quantum", "both"])
+    def test_cli_rejects_before_either_backend(self, csv_path, tmp_path, capsys, backend_calls,
+                                               backend):
+        output = tmp_path / "report.json"
+        assert run(["--input", csv_path, "--backend", backend, "--output", str(output)]) == (3, "")
+        assert self.MESSAGE in capsys.readouterr().err
+        assert backend_calls == {"classical": 0, "quantum": 0}
+        assert not output.exists()
+
+    def test_classical_backend_runs(self, csv_path, capsys):
+        code, out = run(["--input", csv_path, "--backend", "classical"])
+        assert code == 0
+        assert list(json.loads(out)["results"]) == ["classical"]
+
+
 class TestCapacityPreflight:
     """The quantum backend checks its widest registers before it encodes a
     sample: the swap-test composite, 2(2 + ceil(log2 N) + ceil(log2 M)) + 1

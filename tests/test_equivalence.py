@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
@@ -39,7 +39,6 @@ from qrelieff.circuits import (
     grover_plan,
     grover_search_state,
     modal_outcome,
-    reduced_preparation,
     swap_flag,
     swap_test_state,
 )
@@ -186,19 +185,17 @@ def test_chunked_kernel_matches_unchunked(kind, data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_pieces_tile_the_view_once(data):
-    """Every amplitude of a gate's view lies in exactly one piece, and no
-    piece holds more than ``CHUNK`` amplitudes."""
+    """Every amplitude of a one-target gate's view lies in exactly one
+    piece, and no piece holds more than ``CHUNK`` amplitudes."""
     n = data.draw(st.integers(2, 10))
-    gate = data.draw(gates(n))
-    if len(gate.targets) > 2:
-        gate = GateOp("swap", gate.targets[:2], gate.controls)
+    gate = data.draw(gates(n, data.draw(st.sampled_from(GATE_KINDS[:-1]))))
     chunk = data.draw(st.sampled_from([4, 8, 16, 64]))
     state = StateVector(n, np.zeros(1 << n), _checked=True)
     seen = np.zeros(1 << n, dtype=np.int64)
     sub = state._split(seen, gate.targets, gate.controls)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statevector, "CHUNK", chunk)
-        for piece in statevector._pieces(sub, len(gate.targets)):
+        for piece in statevector._pieces(sub):
             assert piece.size <= chunk
             piece += 1
     assert np.all(sub == 1)
@@ -369,7 +366,7 @@ def test_reduced_ae_matches_controlled_grover_loop(t):
     amplitudes = [0.0, 0.5, 1.0, *rng.random(3 if t <= 8 else 1)]
     for a in amplitudes:
         np.testing.assert_allclose(
-            amplitude_estimate(reduced_preparation(float(a)), t),
+            amplitude_estimate(float(a), t),
             ref.amplitude_estimate(ref.reduced_preparation(float(a)), t),
             rtol=0, atol=TOL, err_msg=f"a={a}",
         )
@@ -392,7 +389,7 @@ def test_full_ae_matches_controlled_grover_loop(data):
     t = data.draw(st.integers(1, 5))
     prep, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        amplitude_estimate(reduced_preparation(psi.marginal_probabilities([p - 1])[1]), t),
+        amplitude_estimate(psi.marginal_probabilities([p - 1])[1], t),
         ref.amplitude_estimate(prep, t, mode="full"), rtol=0, atol=TOL,
     )
 
@@ -626,17 +623,37 @@ def test_grover_orbit_by_squaring_matches_step_by_step_orbit(data):
     t = data.draw(st.integers(1, 8))
     _, psi = _preparation(data, p)
     np.testing.assert_allclose(
-        _grover_orbit_by_squaring(psi, t), ref.composite_orbit(psi, t), rtol=0, atol=TOL
+        _grover_orbit_by_squaring(psi.amplitudes, t), ref.composite_orbit(psi, t), rtol=0, atol=TOL
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_reduced_ae_fft_readout_is_bit_identical_to_qft_on_the_state(data):
-    psi = reduced_preparation(data.draw(st.floats(0.0, 1.0)))
+    a = data.draw(st.floats(0.0, 1.0))
     t = data.draw(st.integers(1, 10))
-    got, want = amplitude_estimate(psi, t), ref.amplitude_estimate_by_qft(psi, t)
+    got, want = amplitude_estimate(a, t), ref.amplitude_estimate_by_qft(_ry_state(a), t)
     assert got.tobytes() == want.tobytes()
+
+
+def _ry_state(a: float) -> StateVector:
+    """Ry(2 asin sqrt(a))|0>, the gate run on one qubit."""
+    return zero_state(1).apply(ry(2.0 * math.asin(math.sqrt(a)), 0))
+
+
+@pytest.mark.parametrize("t", range(1, 17))
+@settings(max_examples=12, deadline=None)
+@given(a=st.floats(0.0, 1.0))
+@example(a=0.0)
+@example(a=0.25)
+@example(a=0.5)
+@example(a=1.0)
+def test_estimate_of_a_is_bit_identical_to_the_gate_prepared_state(t, a):
+    """The written state [cos h, sin h], h = asin sqrt(a), and the row sums
+    of the squared FFT give the bits of the Ry gate run on |0>, the orbit as
+    a (1+t)-qubit state, the QFT on it and its readout marginal."""
+    got = amplitude_estimate(a, t)
+    assert got.tobytes() == ref.amplitude_estimate_by_qft(_ry_state(a), t).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -650,7 +667,7 @@ def test_one_qubit_estimate_matches_composite_orbit(data):
     a, b = (encode_sample(data.draw(unit_vectors(n_features))) for _ in range(2))
     t = data.draw(st.integers(1, 9))
     p1, _ = _swap_test_p1(swap_flag(a), b, EncodingLayout(n_features), PipelineConfig(), None)
-    got = amplitude_estimate(reduced_preparation(p1), t)
+    got = amplitude_estimate(p1, t)
     want = ref.composite_amplitude_estimate(swap_test_circuit(swap_flag(a), b), t)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
     assert modal_outcome(got, t).y == modal_outcome(want, t).y
@@ -679,7 +696,7 @@ def test_full_circuit_preparation_matches_padded_preparation(data):
     assert (narrow.n_qubits, padded.n_qubits) == (2 * m + 1, 2 * (m + index_bits) + 1)
     p1, _ = _swap_test_p1(swap_flag(states[u]), states[q], EncodingLayout(n_features), PipelineConfig(), None)
     assert p1 == padded.x_basis_probability_one()
-    got = amplitude_estimate(reduced_preparation(p1), t)
+    got = amplitude_estimate(p1, t)
     want = ref.composite_amplitude_estimate(narrow, t)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
     assert modal_outcome(got, t).y == modal_outcome(want, t).y
@@ -700,7 +717,7 @@ def test_full_circuit_ae_matches_per_qubit_swaps(t):
             top = got.n_qubits - 1
             p1 = got.marginal_probabilities([top])[1], want.marginal_probabilities([top])[1]
             assert p1[0] == p1[1], (u, q)
-            dists = [amplitude_estimate(reduced_preparation(p), t) for p in p1]
+            dists = [amplitude_estimate(p, t) for p in p1]
             assert dists[0].tobytes() == dists[1].tobytes(), (u, q)
 
 

@@ -23,7 +23,6 @@ from qrelieff.circuits import (
     AEOutcome,
     EncodingLayout,
     amplitude_estimate,
-    reduced_preparation,
     swap_flag,
 )
 from qrelieff.cli import load_csv
@@ -166,7 +165,7 @@ class TestQuantumSimilarity:
         p1, _ = _swap_test_p1(swap_flag(states[u]), states[q], layout, PipelineConfig(), None)
         t_f = _full_readout_bits(layout, t)
         pushed = np.zeros((1 << (t - 1)) + 1)
-        for y, prob in enumerate(amplitude_estimate(reduced_preparation(p1), t_f)):
+        for y, prob in enumerate(amplitude_estimate(p1, t_f)):
             a_hat = AEOutcome(min(y, (1 << t_f) - y), t_f).a_hat
             s = min(max((1.0 - 2.0 * a_hat) * nd.n_features**2, 0.0), 1.0)
             pushed[_quantize_similarity(s, t).y] += prob
