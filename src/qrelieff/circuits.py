@@ -75,14 +75,14 @@ def cmp_flag(state: StateVector, index_register, bound: int, flag: int) -> State
         )
     k = len(index_register)
     amps = state.amplitudes.copy()
-    # the flag on the middle axis, the register value (index_register[0] its
-    # least-significant bit) along the last
-    sub = state._split(amps, [flag, *index_register[::-1]])
-    block = sub.reshape(-1, 2, 1 << k)
-    if np.sum(np.abs(block[:, 1]) ** 2) > 1e-12:
+    # the flag on the first axis, the register value (index_register[0] its
+    # least-significant bit) along the second
+    view = state._qubit_axes(amps, first=[flag, *index_register[::-1]])
+    block = view.reshape(2, 1 << k, -1)
+    if np.sum(np.abs(block[1]) ** 2) > 1e-12:
         raise QReliefFError("flag qubit is not clear before comparison")
-    block[:, :, bound:] = block[:, ::-1, bound:].copy()
-    sub[...] = block.reshape(sub.shape)
+    block[:, bound:] = block[::-1, bound:].copy()
+    view[...] = block.reshape(view.shape)
     # a permutation of a unit vector; skip the norm re-check
     return StateVector(state.n_qubits, amps, _checked=True)
 

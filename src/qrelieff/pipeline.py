@@ -266,7 +266,7 @@ def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
     if negative.size:
         row, column = negative[0]
         raise DataError(
-            f"sample row {row}, feature {nd.feature_names[column]!r} is negative; "
+            f"sample {row} (counting from 0), feature {nd.feature_names[column]!r} is negative; "
             f"the quantum backend needs nonnegative feature values"
         )
     layout = EncodingLayout(nd.n_features)

@@ -139,7 +139,7 @@ def normalize(d: Dataset, feature_kind: str = "auto") -> tuple[NormalizedDataset
     norms = np.linalg.norm(d.samples, axis=1)
     zero = np.flatnonzero(norms < 1e-300)
     if zero.size:
-        raise DegenerateSampleError(f"sample row {zero[0]} has zero norm")
+        raise DegenerateSampleError(f"sample {zero[0]} (counting from 0) has zero norm")
     rows = d.samples / norms[:, None]
     nd = NormalizedDataset(rows, d.labels.copy(), list(d.feature_names))
     return nd, FeatureStats.from_matrix(rows, feature_kind)

@@ -25,21 +25,25 @@ Conventions used throughout the package:
   have named so far, widening the state as a gate names a new qubit, and
   gets the amplitudes of the same gates run on every qubit (see its
   docstring); it is the one way the package runs a gate list from zero.
-* Each one-target gate kind has its own kernel (:func:`_kernel`) on
-  :meth:`StateVector._split`'s view: X exchanges the two target halves, H is
+* Every gate, readout and postselection views the amplitudes through
+  :meth:`StateVector._qubit_axes`: a ``(2,)*n`` array, one axis per qubit,
+  with the qubits it names first leading and the qubits it fixes (a gate's
+  controls) indexed out.  Writes through the view land in the state.
+* Each one-target gate kind has its own kernel (:func:`_kernel`) on the two
+  halves of its view, target clear and target set: X exchanges them, H is
   a two-multiply butterfly, and Ry runs in place.  X and H may flip the sign
   of an exact zero amplitude relative to the matrix product; values and
   probabilities are unchanged.
-* The kernel runs on the view piece by piece (:func:`_pieces`), each piece at
-  most ``CHUNK`` = 2^14 amplitudes (128 KiB real, 256 KiB complex), so its
-  temporaries stay in cache where whole-view ones would take half the state
-  (8 MiB of complex amplitudes at 20 qubits).  The rest axes are walked from the outermost: whole axes are looped over while what
-  lies inside them exceeds a piece, and the next axis is cut into runs.
-  Innermost rest axes of 4 or fewer elements in all are stepped through when
-  a longer axis lies above them, so numpy's inner loop runs along that axis.
+* The target axis leads the view, and the kernel runs on it block by block
+  (:func:`_blocks`): each block takes one index of each of the highest other
+  qubits, as many as leave it at most ``CHUNK`` = 2^14 amplitudes (128 KiB
+  real, 256 KiB complex), so its temporaries stay in cache where whole-view
+  ones would take half the state (8 MiB of complex amplitudes at 20 qubits).
   Every operation is elementwise, so each amplitude gets the same products
-  and sums as on the whole view and the bytes do not change; a view of one
-  piece or less is one call.
+  and sums as on the whole view and the bytes do not change; a view of
+  ``CHUNK`` amplitudes or fewer is one block.  numpy's inner loop runs over
+  the 2^q amplitudes below target q, so targets 1 and 2 are the slowest
+  (see the README for times).
 * A SWAP of k >= 1 qubit pairs under one set of controls (:func:`swap`,
   :func:`swap_registers`) is one axis transposition of the ``(2,)*n`` view
   on the controlled branch, where k single exchanges would make k strided
@@ -48,12 +52,12 @@ Conventions used throughout the package:
   (:meth:`StateVector._swap_registers`).  Amplitudes only move, so the bytes
   equal those of the pairs swapped one at a time.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
-  through :meth:`StateVector.sample`.  The readouts sum |amp|^2 over pieces
-  of at most ``CHUNK`` amplitudes and add the piece sums in numpy's own
-  pairwise order (:func:`_sums_of_squares`); a real piece is squared as
-  ``x * x``, with no ``np.abs`` copy.  :meth:`StateVector.x_basis_probabilities`
+  through :meth:`StateVector.sample`.  The readouts sum |amp|^2 over the
+  same blocks of at most ``CHUNK`` amplitudes and add the block sums in
+  numpy's own pairwise order (:func:`_sums_of_squares`); a real block is
+  squared as ``x * x``, with no ``np.abs`` copy.  :meth:`StateVector.x_basis_probabilities`
   reads the top qubit in the X basis, the swap test's readout: it forms the
-  H kernel's r lo + r hi and r lo - r hi piece by piece into its own
+  H kernel's r lo + r hi and r lo - r hi block by block into its own
   buffers and sums them the same way, so its bits are those of an H
   followed by :meth:`StateVector.marginal_probabilities`, and the state is
   only read.  ``zero_state`` skips the norm
@@ -80,8 +84,7 @@ from .rng import RngStream
 
 MAX_QUBITS = 28  # 2**28 amplitudes = 2 GiB of float64, 4 GiB of complex128
 NORM_TOL = 1e-9
-CHUNK = 1 << 14  # amplitudes per piece of a gate's view: 128 KiB real, 256 KiB complex
-SHORT = 4  # innermost axes this short are stepped through
+CHUNK = 1 << 14  # amplitudes per block of a gate or readout: 128 KiB real, 256 KiB complex
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -161,15 +164,16 @@ def swap_registers(a_qubits, b_qubits, controls=()) -> GateOp:
     return GateOp("swap", pairs, _normalize_controls(controls))
 
 
-def _kernel(sub: np.ndarray, kind: str, u):
-    """Apply a one-target gate to ``sub``: a view with the target axis last,
-    as :meth:`StateVector._split` makes it or any piece of that view.  ``u``
-    is the matrix of an Ry gate.  Every operation is elementwise."""
+def _kernel(a0: np.ndarray, a1: np.ndarray, kind: str, u):
+    """Apply a one-target gate to one block of its view: ``a0`` and ``a1``
+    are the block's amplitudes with the target clear and set, views of one
+    shape that are written in place.  ``u`` is the matrix of an Ry gate.
+    Every operation is elementwise."""
     if kind == "x":
-        sub[..., 0], sub[..., 1] = sub[..., 1], sub[..., 0].copy()
+        a0[...], a1[...] = a1, a0.copy()
     elif kind == "h":
         # butterfly: r a0 + r a1 and r a0 - r a1, one temporary
-        a0, a1, r = sub[..., 0], sub[..., 1], _H[0, 0]
+        r = _H[0, 0]
         t = r * a0
         np.multiply(r, a1, out=a1)
         np.add(t, a1, out=a0)
@@ -177,7 +181,6 @@ def _kernel(sub: np.ndarray, kind: str, u):
     else:
         # u00 a0 + u01 a1 and u11 a1 + u10 a0 in place: the matrix product's
         # own products (scalar first) and sums, so its bytes too
-        a0, a1 = sub[..., 0], sub[..., 1]
         t = u[1, 0] * a0
         np.multiply(u[0, 0], a0, out=a0)
         a0 += u[0, 1] * a1
@@ -185,63 +188,36 @@ def _kernel(sub: np.ndarray, kind: str, u):
         a1 += t
 
 
-def _pieces(sub: np.ndarray):
-    """Views that tile ``sub`` (rest axes, then the target axis of length
-    2), each of at most ``CHUNK`` amplitudes; ``sub`` itself when it fits.
-
-    Length-1 rest axes are dropped.  The innermost rest axes, as many as hold
-    ``SHORT`` or fewer elements together, are stepped through, one index per
-    piece, when the axis above them is longer: numpy's inner loop then runs
-    along that axis.  The other rest axes are walked from the outermost: each
-    is looped over whole while the axes inside it hold more than a piece, and
-    the next one is cut into runs that fill a piece.  The steps of one run
-    follow each other, so the run stays in cache.
-    """
-    if sub.size <= CHUNK:
-        return (sub,)
-    sub = sub.squeeze(tuple(i for i, m in enumerate(sub.shape[:-1]) if m == 1))
-    rest = sub.shape[:-1]
-    n_step, size = 0, 1
-    while n_step < len(rest) - 1 and size * rest[-1 - n_step] <= SHORT:
-        size *= rest[-1 - n_step]
-        n_step += 1
-    if n_step and rest[-1 - n_step] <= SHORT:
-        n_step = 0
-    middle, stepped = rest[:len(rest) - n_step], rest[len(rest) - n_step:]
-    per = CHUNK >> 1  # rest elements per piece
-    j, inner = len(middle) - 1, 1
-    while j > 0 and inner * middle[j] <= per:
-        inner *= middle[j]
-        j -= 1
-    run, whole = per // inner, (slice(None),) * (len(middle) - j - 1)
-    return (
-        sub[(*outer, slice(a, a + run), *whole, *step)]
-        for outer in itertools.product(*map(range, middle[:j]))
-        for a in range(0, middle[j], run)
-        for step in itertools.product(*map(range, stepped))
-    )
-
-
-def _squares(piece: np.ndarray, out=None) -> np.ndarray:
-    """|amp|^2 of every amplitude of ``piece``, into ``out`` if given (a
-    float64 array of the piece's shape, or a real piece itself): ``x * x`` on
-    a real piece, bit for bit ``np.abs(x) ** 2`` since |x| |x| = x x exactly,
+def _squares(block: np.ndarray, out=None) -> np.ndarray:
+    """|amp|^2 of every amplitude of ``block``, into ``out`` if given (a
+    float64 array of the block's shape, or a real block itself): ``x * x`` on
+    a real block, bit for bit ``np.abs(x) ** 2`` since |x| |x| = x x exactly,
     and ``np.abs(x) ** 2`` on a complex one."""
-    if piece.dtype.kind == "c":
+    if block.dtype.kind == "c":
         if out is None:
-            return np.abs(piece) ** 2
-        piece = np.abs(piece, out=out)
-    return np.multiply(piece, piece, out=out)
+            return np.abs(block) ** 2
+        block = np.abs(block, out=out)
+    return np.multiply(block, block, out=out)
 
 
 def _loop_axes(n_qubits: int) -> int:
-    """Leading axes of a ``(2,)*n`` view looped over so that one piece of
-    the rest holds at most ``CHUNK`` amplitudes."""
+    """Axes of a ``(2,)*n`` view looped over so that one block of the rest
+    holds at most ``CHUNK`` amplitudes."""
     return max(n_qubits - (CHUNK.bit_length() - 1), 0)
 
 
+def _blocks(view: np.ndarray, whole: int = 0):
+    """Views that tile ``view`` (a ``(2,)*m`` array), each of at most
+    ``CHUNK`` amplitudes: every block keeps the first ``whole`` axes whole
+    and takes one index of each of the next ``_loop_axes(m)``, the blocks in
+    C order of those indices."""
+    keep = (slice(None),) * whole
+    for index in itertools.product((0, 1), repeat=_loop_axes(view.ndim)):
+        yield view[(*keep, *index)]
+
+
 def _pairwise(parts: np.ndarray) -> np.ndarray:
-    """Each row of ``parts`` (a power-of-two count of piece sums) added
+    """Each row of ``parts`` (a power-of-two count of block sums) added
     pairwise in a balanced tree."""
     while parts.shape[1] > 1:
         parts = parts[:, 0::2] + parts[:, 1::2]
@@ -253,18 +229,17 @@ def _sums_of_squares(view: np.ndarray, k: int) -> np.ndarray:
     array), in C order, the sum of |amp|^2 over the other axes.
 
     Each sum is bit for bit ``np.sum`` of those squares raveled in C order:
-    numpy sums a power-of-two length pairwise, halving it down to blocks of
-    128, so the sums of aligned pieces of at most ``CHUNK`` amplitudes, added
+    numpy sums a power-of-two length pairwise, halving it down to runs of
+    128, so the sums of aligned blocks of at most ``CHUNK`` amplitudes, added
     pairwise in a balanced tree, are its own partial sums (``CHUNK`` is at
-    least 128).  The leading axes are looped over, one piece each, until a
-    piece fits.
+    least 128).  The blocks are those of :func:`_blocks`, one index of each
+    leading axis looped over until a block fits.
     """
     loop = _loop_axes(view.ndim)
-    rows = 1 << max(k - loop, 0)  # register values in one piece
+    rows = 1 << max(k - loop, 0)  # register values in one block
     parts = np.empty((1 << loop) * rows)
-    for j, index in enumerate(itertools.product((0, 1), repeat=loop)):
-        sq = _squares(view[index]).reshape(rows, -1)
-        parts[j * rows:(j + 1) * rows] = sq.sum(axis=1)
+    for j, block in enumerate(_blocks(view)):
+        parts[j * rows:(j + 1) * rows] = _squares(block).reshape(rows, -1).sum(axis=1)
     return _pairwise(parts.reshape(1 << k, -1))
 
 
@@ -275,12 +250,12 @@ def _x_basis_sums(amps: np.ndarray, outcomes) -> np.ndarray:
     an outcome not in ``outcomes`` reads 0.
 
     These are the H kernel's own products and sums, summed over
-    :func:`_sums_of_squares`'s pieces and tree, so each sum is bit for bit
+    :func:`_sums_of_squares`'s blocks and tree, so each sum is bit for bit
     that of the state after the H.  ``amps`` is only read: the products and
-    sums of one piece of each half go through three piece-sized buffers,
-    and a complex piece's moduli through a fourth, of floats.
+    sums of one block of each half go through three block-sized buffers,
+    and a complex block's moduli through a fourth, of floats.
     """
-    per = 1 << max(_loop_axes(amps.size.bit_length() - 1) - 1, 0)  # pieces per half
+    per = 1 << max(_loop_axes(amps.size.bit_length() - 1) - 1, 0)  # blocks per half
     halves = amps.reshape(2, per, -1)
     t, u, s = (np.empty_like(halves[0, 0]) for _ in range(3))
     sq = np.empty(s.shape) if s.dtype.kind == "c" else s
@@ -345,55 +320,22 @@ class StateVector:
         if not 0 <= q < self.n_qubits:
             raise QReliefFError(f"qubit index {q} out of range for {self.n_qubits} qubits")
 
-    def _split(self, amps: np.ndarray, targets, controls=()) -> np.ndarray:
-        """View of ``amps`` (this state's amplitudes or a copy) on the branch
-        where every control holds its polarity, with one trailing length-2 axis
-        per target, in the order given.
-
-        The amplitudes are reshaped so that each listed qubit q owns an axis:
-        one qubit gives ``(2^(n-q-1), 2, 2^q)``, and each further qubit splits
-        one of the outer blocks the same way.  Integer indices then fix the
-        controls, and the target axes move last.  ``sub[..., 1, 0]`` is thus the
-        branch with ``targets[0] = 1`` and ``targets[1] = 0``.  Writes through
-        the view land in ``amps`` when it is C-contiguous.
-        """
-        qubits = [*targets, *(q for q, _ in controls)]
+    def _qubit_axes(self, amps: np.ndarray, fixed=(), first=()) -> np.ndarray:
+        """View of ``amps`` (this state's amplitudes or a C-contiguous copy)
+        as a ``(2,)*n`` array, one axis per qubit: the qubits in ``first``
+        lead, in that order, then the others from the highest down, and each
+        qubit of ``fixed`` (``(qubit, value)`` pairs, as a gate's controls)
+        is indexed out.  Writes through the view land in ``amps``, also when
+        every qubit is fixed."""
+        qubits = [*first, *(q for q, _ in fixed)]
         for q in qubits:
             self._check_qubit(q)
-        order = sorted(qubits, reverse=True)
-        shape, above = [], self.n_qubits
-        for q in order:
-            if q == above:
-                raise QReliefFError(f"repeated qubit in {qubits}")
-            shape += [1 << (above - q - 1), 2]
-            above = q
-        shape.append(1 << above)
-        view = amps.reshape(shape)
-        # qubit order[i] owns axis 2i + 1
-        if controls:
-            index = [slice(None)] * len(shape)
-            for q, pol in controls:
-                index[2 * order.index(q) + 1] = pol
-            view = view[tuple(index)]
-        # each control axis above a target's drops out of the indexed view
-        kept = [2 * order.index(q) + 1 - sum(c > q for c, _ in controls) for q in targets]
-        perm = [i for i in range(view.ndim) if i not in kept] + kept
-        return view.transpose(perm)
-
-    def _qubit_axes(self, amps: np.ndarray, fixed=None, first=()) -> np.ndarray:
-        """View of ``amps`` as a ``(2,)*n`` array, one axis per qubit: the
-        qubits in ``first`` lead, in that order, then the others from the
-        highest down, and each qubit of ``fixed`` (a dict of qubit to value)
-        is indexed out."""
-        fixed = fixed or {}
-        for q in (*first, *fixed):
-            self._check_qubit(q)
-        if len({*first, *fixed}) < len(first) + len(fixed):
-            raise QReliefFError(f"repeated qubit in {[*first, *fixed]}")
-        n = self.n_qubits
+        if len(set(qubits)) < len(qubits):
+            raise QReliefFError(f"repeated qubit in {qubits}")
+        n, value = self.n_qubits, dict(fixed)
         order = [*first, *(q for q in range(n - 1, -1, -1) if q not in first)]
         view = amps.reshape((2,) * n).transpose([n - 1 - q for q in order])
-        return view[tuple(fixed.get(q, slice(None)) for q in order)]
+        return view[(*(value.get(q, slice(None)) for q in order), ...)]
 
     # -- gate application ----------------------------------------------------
 
@@ -407,10 +349,10 @@ class StateVector:
         if gate.kind == "swap":
             self._swap_registers(amps, gate)
         else:
-            sub = self._split(amps, gate.targets, gate.controls)
-            u = _ry_matrix(gate.angle) if gate.kind == "ry" else None  # once for all pieces
-            for piece in _pieces(sub):
-                _kernel(piece, gate.kind, u)
+            view = self._qubit_axes(amps, fixed=gate.controls, first=gate.targets)
+            u = _ry_matrix(gate.angle) if gate.kind == "ry" else None  # once for all blocks
+            for block in _blocks(view, 1):
+                _kernel(block[0, ...], block[1, ...], gate.kind, u)
         if _in_place:
             return self
         # unitary by construction; skip the norm re-check
@@ -430,7 +372,7 @@ class StateVector:
         ctrl = dict(gate.controls)
         for q in gate.targets:
             self._check_qubit(q)
-        view = self._qubit_axes(amps, fixed=ctrl)
+        view = self._qubit_axes(amps, fixed=gate.controls)
         axis_qubit = [q for q in range(self.n_qubits - 1, -1, -1) if q not in ctrl]
         perm = list(range(view.ndim))
         for a, b in zip(gate.targets[::2], gate.targets[1::2]):
@@ -479,8 +421,10 @@ class StateVector:
         if u.shape != (1 << k, 1 << k):
             raise QReliefFError("unitary dimension does not match target register")
         amps = self.amplitudes.astype(complex)
-        # targets[0] on the last axis: each row of the block is one register value
-        sub = self._split(amps, targets[::-1], _normalize_controls(controls))
+        # the targets last, targets[0] on the last axis: each row of the
+        # block is one register value
+        view = self._qubit_axes(amps, fixed=_normalize_controls(controls), first=targets[::-1])
+        sub = np.moveaxis(view, range(k), range(-k, 0))
         sub[...] = (sub.reshape(-1, 1 << k) @ u.T).reshape(sub.shape)
         return StateVector(self.n_qubits, amps, _checked=True)
 
@@ -491,7 +435,7 @@ class StateVector:
         if outcome not in (0, 1):
             raise QReliefFError(f"outcome must be 0 or 1, got {outcome}")
         amps = self.amplitudes.copy()
-        self._split(amps, [qubit])[..., 1 - outcome] = 0.0
+        self._qubit_axes(amps, fixed=[(qubit, 1 - outcome)])[...] = 0.0
         p = _sums_of_squares(self._qubit_axes(amps), 0)[0]
         if p <= 1e-12:
             raise PostselectionError(

@@ -25,7 +25,11 @@ the same circuits with one new state per gate (``StateVector.apply``) and
 full-length index masks; the package runs them in place on one buffer and must
 match them bit for bit.
 
-``apply_stride`` is the stride-view kernel with one expression for every
+``split_view`` is the compact view the package's gates, postselection and
+comparator once ran on: the rest axes merged, the control axes indexed out
+and the target axes last.  The package now views every state with one axis
+per qubit; the references below keep this view, so they do not share the
+package's.  ``apply_stride`` is the stride-view kernel with one expression for every
 2x2 gate, which the per-kind kernels of ``StateVector.apply`` replaced.
 ``apply_unchunked`` is the per-kind kernels run once on the whole view, a
 one-pair SWAP as the exchange of its 10 and 01 branches, and a register swap
@@ -33,7 +37,7 @@ of two or more pairs as one transposition of the whole controlled view
 through a copy of it (``swap_registers_unchunked``), which the chunked
 kernel and the block-by-block register swap (now every SWAP) replaced.  ``probability_one_unchunked`` and
 ``marginal_probabilities_unchunked`` are the readouts as whole-state numpy
-expressions, which the sums over pieces replaced.  ``swap_test_gates`` is the
+expressions, which the sums over blocks replaced.  ``swap_test_gates`` is the
 swap test with one controlled SWAP per qubit pair, which the controlled
 register swap replaced.  ``swap_test_p1`` is the pipeline's swap-test reading
 as it ran on the whole circuit: the ancilla prepared by an H, the register
@@ -191,16 +195,53 @@ def apply(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(state.n_qubits, amps, _checked=True)
 
 
+def split_view(state: StateVector, amps: np.ndarray, targets, controls=()) -> np.ndarray:
+    """View of ``amps`` (``state``'s amplitudes or a copy) on the branch
+    where every control holds its polarity, with one trailing length-2 axis
+    per target, in the order given: the compact view the package's gates
+    once ran on.
+
+    The amplitudes are reshaped so that each listed qubit q owns an axis:
+    one qubit gives ``(2^(n-q-1), 2, 2^q)``, and each further qubit splits
+    one of the outer blocks the same way.  Integer indices then fix the
+    controls, and the target axes move last.  ``sub[..., 1, 0]`` is thus the
+    branch with ``targets[0] = 1`` and ``targets[1] = 0``.  Writes through
+    the view land in ``amps`` when it is C-contiguous.
+    """
+    qubits = [*targets, *(q for q, _ in controls)]
+    for q in qubits:
+        state._check_qubit(q)
+    order = sorted(qubits, reverse=True)
+    shape, above = [], state.n_qubits
+    for q in order:
+        if q == above:
+            raise QReliefFError(f"repeated qubit in {qubits}")
+        shape += [1 << (above - q - 1), 2]
+        above = q
+    shape.append(1 << above)
+    view = amps.reshape(shape)
+    # qubit order[i] owns axis 2i + 1
+    if controls:
+        index = [slice(None)] * len(shape)
+        for q, pol in controls:
+            index[2 * order.index(q) + 1] = pol
+        view = view[tuple(index)]
+    # each control axis above a target's drops out of the indexed view
+    kept = [2 * order.index(q) + 1 - sum(c > q for c, _ in controls) for q in targets]
+    perm = [i for i in range(view.ndim) if i not in kept] + kept
+    return view.transpose(perm)
+
+
 def apply_stride(state: StateVector, gate: GateOp) -> StateVector:
-    """U|state> for one gate on ``StateVector._split``'s view, with four
+    """U|state> for one gate on :func:`split_view`'s view, with four
     products per 2x2 gate."""
     amps = state.amplitudes.copy()
     if gate.kind == "swap":  # one pair at a time
         for pair in zip(gate.targets[::2], gate.targets[1::2]):
-            sub = state._split(amps, pair, gate.controls)
+            sub = split_view(state, amps, pair, gate.controls)
             sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
         return StateVector(state.n_qubits, amps, _checked=True)
-    sub = state._split(amps, gate.targets, gate.controls)
+    sub = split_view(state, amps, gate.targets, gate.controls)
     u = gate_matrix(gate)
     a0, a1 = sub[..., 0], sub[..., 1]
     a0[...], a1[...] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
@@ -209,13 +250,13 @@ def apply_stride(state: StateVector, gate: GateOp) -> StateVector:
 
 def apply_unchunked(state: StateVector, gate: GateOp, in_place: bool = False) -> StateVector:
     """U|state> for one gate by the per-kind kernels on the whole of
-    ``StateVector._split``'s view at once; ``in_place`` overwrites ``state``'s
+    :func:`split_view`'s view at once; ``in_place`` overwrites ``state``'s
     amplitudes and returns ``state``."""
     amps = state.amplitudes if in_place else state.amplitudes.copy()
     if len(gate.targets) > 2:  # a register swap
         swap_registers_unchunked(state, amps, gate)
         return state if in_place else StateVector(state.n_qubits, amps, _checked=True)
-    sub = state._split(amps, gate.targets, gate.controls)
+    sub = split_view(state, amps, gate.targets, gate.controls)
     if gate.kind == "swap":
         sub[..., 1, 0], sub[..., 0, 1] = sub[..., 0, 1], sub[..., 1, 0].copy()
     elif gate.kind == "x":
@@ -310,14 +351,14 @@ def probability_one(state: StateVector, qubit: int) -> float:
 
 def probability_one_unchunked(state: StateVector, qubit: int) -> float:
     """P(qubit = 1) as one numpy sum over the squares of the whole 1 half."""
-    ones = state._split(state.amplitudes, [qubit])[..., 1]
+    ones = split_view(state, state.amplitudes, [qubit])[..., 1]
     return float(np.sum(np.abs(ones).ravel() ** 2))
 
 
 def marginal_probabilities_unchunked(state: StateVector, qubits) -> np.ndarray:
     """The marginal as one axis-0 numpy sum over the squares of every
     amplitude, one column per register value."""
-    probs = state._split(np.abs(state.amplitudes) ** 2, list(qubits)[::-1])
+    probs = split_view(state, np.abs(state.amplitudes) ** 2, list(qubits)[::-1])
     return probs.reshape(-1, 1 << len(qubits)).sum(axis=0)
 
 
@@ -377,7 +418,7 @@ def inverse_qft(state: StateVector, register) -> StateVector:
     register = [int(q) for q in register]
     amps = state.amplitudes.copy()
     # register[0] on the last axis: each row of the block is one register value
-    sub = state._split(amps, register[::-1])
+    sub = split_view(state, amps, register[::-1])
     rows = sub.reshape(-1, 1 << len(register))
     sub[...] = np.fft.fft(rows, axis=1, norm="ortho").reshape(sub.shape)
     return StateVector(state.n_qubits, amps, _checked=True)

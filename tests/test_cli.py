@@ -390,10 +390,10 @@ class TestFullCircuitFeatureCount:
 
 class TestNegativeFeatureValue:
     """The encoding writes the feature values as amplitudes, so the quantum
-    backend refuses a negative one, naming its row and column, before
+    backend refuses a negative one, naming its sample and column, before
     either backend runs; the classical backend takes it."""
 
-    MESSAGE = "data error: sample row 2, feature 'b' is negative"
+    MESSAGE = "data error: sample 2 (counting from 0), feature 'b' is negative"
 
     @pytest.fixture
     def csv_path(self, tmp_path):
@@ -403,7 +403,7 @@ class TestNegativeFeatureValue:
 
     def test_library_run(self, csv_path, no_encoding):
         nd, stats = normalize(load_csv(csv_path)[0])
-        with pytest.raises(DataError, match="sample row 2, feature 'b' is negative"):
+        with pytest.raises(DataError, match=r"sample 2 \(counting from 0\), feature 'b' is negative"):
             qrelieff_run(nd, PipelineConfig(), RngStream(0), stats)
 
     @pytest.mark.parametrize("backend", ["quantum", "both"])
@@ -419,6 +419,22 @@ class TestNegativeFeatureValue:
         code, out = run(["--input", csv_path, "--backend", "classical"])
         assert code == 0
         assert list(json.loads(out)["results"]) == ["classical"]
+
+
+class TestZeroRow:
+    """A sample of all zeros cannot be normalized, on any backend.  The
+    error counts samples from 0, as the negative-value error does, and says
+    so: the load errors count CSV lines from the header, so this sample is
+    on row 3."""
+
+    MESSAGE = "error: sample 1 (counting from 0) has zero norm"
+
+    @pytest.mark.parametrize("backend", ["classical", "quantum", "both"])
+    def test_cli_names_the_sample(self, tmp_path, capsys, backend):
+        p = tmp_path / "zero.csv"
+        p.write_text("a,b,class\n1,0.5,A\n0,0,A\n0.4,0.1,B\n0.5,0.1,B\n")
+        assert run(["--input", str(p), "--backend", backend]) == (3, "")
+        assert self.MESSAGE in capsys.readouterr().err
 
 
 class TestCapacityPreflight:

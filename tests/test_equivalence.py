@@ -3,7 +3,7 @@ against the index-mask kernel and the controlled-G loop they replaced, the
 per-kind gate kernels against the one-expression stride-view kernel, the
 chunked kernel bit for bit against the same kernels on the whole view, the
 register swap against its pairs swapped one at a time and, block by block,
-against one transposition of the whole view, the readouts summed over pieces
+against one transposition of the whole view, the readouts summed over blocks
 against whole-state numpy sums, the swap test's X-basis readout and
 ``_swap_test_p1`` bit for bit against the H, register swap, H circuit read
 in the computational basis, the in-place gate
@@ -165,8 +165,9 @@ def _assert_chunked_matches_unchunked(state: StateVector, gate: GateOp):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_chunked_kernel_matches_unchunked(kind, data):
-    """Pieces of 4 amplitudes: the whole-axis loop, the cut axis and the
-    stepped short axes all run on states of up to 10 qubits."""
+    """Blocks of 4 amplitudes, each the target axis and the lowest other
+    qubit's: the loop over every other axis runs on states of up to 10
+    qubits, every target included."""
     n = data.draw(st.integers(2 if kind == "swap" else 1, 10))
     order = data.draw(st.permutations(range(n)))
     n_targets = 2 if kind == "swap" else 1
@@ -184,22 +185,23 @@ def test_chunked_kernel_matches_unchunked(kind, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_pieces_tile_the_view_once(data):
-    """Every amplitude of a one-target gate's view lies in exactly one
-    piece, and no piece holds more than ``CHUNK`` amplitudes."""
+def test_blocks_tile_the_view_once(data):
+    """Every amplitude of a one-target gate's controlled branch lies in
+    exactly one block of its walk, and no block holds more than ``CHUNK``
+    amplitudes."""
     n = data.draw(st.integers(2, 10))
     gate = data.draw(gates(n, data.draw(st.sampled_from(GATE_KINDS[:-1]))))
     chunk = data.draw(st.sampled_from([4, 8, 16, 64]))
     state = StateVector(n, np.zeros(1 << n), _checked=True)
     seen = np.zeros(1 << n, dtype=np.int64)
-    sub = state._split(seen, gate.targets, gate.controls)
+    view = state._qubit_axes(seen, fixed=gate.controls, first=gate.targets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statevector, "CHUNK", chunk)
-        for piece in statevector._pieces(sub):
-            assert piece.size <= chunk
-            piece += 1
-    assert np.all(sub == 1)
-    assert seen.sum() == sub.size
+        for block in statevector._blocks(view, 1):
+            assert block.size <= chunk
+            block += 1
+    assert np.all(view == 1)
+    assert seen.sum() == view.size
 
 
 @pytest.fixture(scope="module")
@@ -261,8 +263,8 @@ def test_chunked_register_swap_matches_unchunked_on_wide_states(wide_states, n, 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_readouts_in_pieces_match_whole_state_sums(data):
-    """Pieces of 128 to 1024 amplitudes: ``marginal_probabilities`` of the
+def test_readouts_in_blocks_match_whole_state_sums(data):
+    """Blocks of 128 to 1024 amplitudes: ``marginal_probabilities`` of the
     top qubits, lowest first (every register the package reads), gives the
     bits of one numpy sum over the whole state.  Any other register, one
     lower qubit included, sums each value's amplitudes in C order, where
@@ -469,7 +471,7 @@ def test_run_circuit_matches_run_on_program3():
 
 def test_run_circuit_matches_run_on_a_state_wider_than_a_piece():
     """15 of 18 qubits named one at a time: the held state outgrows ``CHUNK``
-    before the last widening, so its later gates run in pieces."""
+    before the last widening, so its later gates run block by block."""
     n, idle = 18, (3, 8, 16)
     order = [int(q) for q in np.random.default_rng(7).permutation(
         [q for q in range(n) if q not in idle]

@@ -151,7 +151,7 @@ class TestNormalize:
 
     def test_zero_row_rejected(self):
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0, 0]), ["a", "b"])
-        with pytest.raises(DegenerateSampleError, match="row 0"):
+        with pytest.raises(DegenerateSampleError, match=r"sample 0 \(counting from 0\) has zero norm"):
             normalize(ds)
 
     def test_idempotence(self, example_normalized):

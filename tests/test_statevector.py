@@ -230,20 +230,20 @@ class TestKernelMemory:
 
     @pytest.mark.parametrize("n, gate", GUARD_GATES)
     def test_in_place_gate_allocates_under_one_mib(self, wide, n, gate):
-        """A gate works piece by piece, and a register swap block by block."""
+        """A gate and a register swap work block by block."""
         _, peak = _traced(lambda: wide[n].apply(gate, _in_place=True))
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("readout", READOUTS.values(), ids=READOUTS.keys())
     def test_readout_allocates_under_one_mib(self, wide, readout):
-        """Sums of squares over pieces, not over a squared copy of the state."""
+        """Sums of squares over blocks, not over a squared copy of the state."""
         result, peak = _traced(lambda: readout(wide[20]))
         assert peak - np.asarray(result).nbytes < 1 << 20
 
     @pytest.mark.parametrize("n", [19, 20])
     @pytest.mark.parametrize("both", [True, False], ids=["both", "p1"])
     def test_x_basis_readout_allocates_under_one_mib(self, wide, n, both):
-        """The swap test's readout folds its H into sums over pieces and
+        """The swap test's readout folds its H into sums over blocks and
         leaves the state as it is."""
         readout = wide[n].x_basis_probabilities if both else wide[n].x_basis_probability_one
         result, peak = _traced(readout)
@@ -251,7 +251,7 @@ class TestKernelMemory:
 
     @pytest.mark.parametrize("qubit, outcome", [(19, 1), (0, 0)])
     def test_postselect_allocates_under_one_mib(self, wide, qubit, outcome):
-        """The zeroed copy is the result: its norm is summed over pieces and
+        """The zeroed copy is the result: its norm is summed over blocks and
         it is renormalized in place."""
         result, peak = _traced(lambda: wide[20].postselect(qubit, outcome))
         assert peak - result.amplitudes.nbytes < 1 << 20
@@ -264,7 +264,7 @@ class TestKernelMemory:
 
 
 class TestRealKernelMemory(TestKernelMemory):
-    """The same bounds on float64 states, whose pieces take half the bytes."""
+    """The same bounds on float64 states, whose blocks take half the bytes."""
 
     @pytest.fixture(scope="class")
     def wide(self):
