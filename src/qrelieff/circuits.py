@@ -93,14 +93,15 @@ def uniform_mod_n(n: int, bound: int) -> StateVector:
     Realized as H^n on a fresh register, a comparison against the bound into a
     scratch flag, and exact postselection of the flag-clear branch.  The
     Hadamards run through :func:`run_circuit`, which widens the state one
-    named qubit at a time (to all n + 1 at once from n - 1 on), so the flag
-    joins as |0> once the register is complete.
+    named qubit at a time (to all n + 1 at once from n - 1 on), so the state
+    it returns holds every qubit and the flag joins as |0> once the register
+    is complete.
     """
     if not 1 <= bound <= (1 << n):
         raise QReliefFError(f"bound {bound} outside [1, {1 << n}]")
     if bound == (1 << n):
-        return run_circuit(n, (h(q) for q in range(n)))
-    state = run_circuit(n + 1, (h(q) for q in range(n)))  # qubit n is the comparison flag
+        return run_circuit(n, (h(q) for q in range(n)))[0]
+    state = run_circuit(n + 1, (h(q) for q in range(n)))[0]  # qubit n is the comparison flag
     state = cmp_flag(state, range(n), bound, n)
     state = state.postselect(n, 0)
     # the flag is |0> exactly; drop it

@@ -8,11 +8,15 @@ and its eight CSWAPs on ancilla 19 are written as one controlled register
 swap, which moves the amplitudes exactly as the eight gates in turn do.
 
 :func:`final_state` runs the gate list through
-:func:`~qrelieff.statevector.run_circuit`, on the qubits its gates have
-named so far: the first 23 gates name 14 qubits and run on at most 2^14
-amplitudes, and the register swap widens the state to all 20 qubits.  The
-amplitudes equal those of the gates run on all 20 qubits, up to the sign of
-an exact zero, and every readout is the same float.
+:func:`~qrelieff.statevector.run_circuit`, on the 15 qubits its gates use:
+besides idle qubit 3, the CSWAP pairs (7, 15) and (8, 16) only exchange |0>
+with |0>, so the register swap drops them, and qubits 7, 8, 15 and 16 stay
+out of the state.  The first 23 gates run on at most 2^14 amplitudes and
+the last two on 2^15, with ancilla 19 as the top qubit.  Widened to all 20
+qubits, the amplitudes equal those of the gates run on all of them, up to
+the sign of an exact zero.  The ancilla's marginal is read on the 15-qubit
+state; its floats, and so the CLI document, are those of the 20-qubit
+readout (``tests/data/program3_seed0.json`` pins them).
 
 The published measured average of 0.435125 for reading |1> on the ancilla is
 reported for reference only; the oracle here is the exact statevector
@@ -55,9 +59,10 @@ def build_circuit() -> list[GateOp]:
 
 
 def final_state() -> StateVector:
-    """The 20-qubit state after :func:`build_circuit`, run from |0...0> on
-    the qubits its gates have named (:func:`run_circuit`)."""
-    return run_circuit(N_QUBITS, build_circuit())
+    """The state after :func:`build_circuit` on the 15 qubits its gates use,
+    run from |0...0> by :func:`run_circuit`: qubit j of the state is the
+    j-th lowest of them, and ancilla ``RESULT_QUBIT`` is the top one."""
+    return run_circuit(N_QUBITS, build_circuit())[0]
 
 
 @dataclass
@@ -79,9 +84,10 @@ def reproduce_program3(
     """Exact ancilla P(1) plus ``runs`` sampled means of ``shots`` each."""
     if shots < 1 or runs < 1:
         raise ConfigError(f"shots and runs must be >= 1, got {shots} and {runs}")
-    # one pass over the 2^20 amplitudes: the marginal's entry 1 is the exact
+    # one pass over the 2^15 amplitudes: the marginal's entry 1 is the exact
     # P(1), and StateVector.sample's draws use the marginal taken once
-    probs = final_state().marginal_probabilities([RESULT_QUBIT])
+    state = final_state()
+    probs = state.marginal_probabilities([state.n_qubits - 1])  # RESULT_QUBIT
     exact = float(probs[1])
     probs = probs / probs.sum()
     rng = RngStream(seed)

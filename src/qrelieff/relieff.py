@@ -43,7 +43,8 @@ class Dataset:
             bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.floor(labels))))
             if bad.size:
                 raise QReliefFError(
-                    f"label at row {bad[0]} is not an integer class id: {labels[bad[0]]}"
+                    f"label of sample {bad[0]} (counting from 0) is not an integer "
+                    f"class id: {labels[bad[0]]}"
                 )
         elif labels.dtype.kind not in "biu":
             raise QReliefFError(f"labels must be integer class ids, got dtype {labels.dtype}")
@@ -60,7 +61,10 @@ class Dataset:
         bad = np.argwhere(~np.isfinite(self.samples))
         if bad.size:
             row, col = bad[0]
-            raise QReliefFError(f"non-finite sample value at row {row}, column {col}")
+            raise QReliefFError(
+                f"sample {row} (counting from 0), feature {self.feature_names[col]!r} "
+                f"is not finite: {self.samples[row, col]}"
+            )
         # dense: sorted labels start at 0 and never skip a value (np.unique
         # would import numpy.ma on its first call)
         ordered = np.sort(self.labels)

@@ -22,9 +22,11 @@ Conventions used throughout the package:
   asks for in-place work, as :meth:`StateVector._run` does for a whole gate
   list on a state it has just built.
 * :func:`run_circuit` runs a gate list from |0...0> on the qubits its gates
-  have named so far, widening the state as a gate names a new qubit, and
-  gets the amplitudes of the same gates run on every qubit (see its
-  docstring); it is the one way the package runs a gate list from zero.
+  have named so far, widening the state as a gate names a new qubit and
+  skipping SWAP pairs of two unnamed qubits.  It returns the state on the
+  qubits its gates name, and which those are; widened by :func:`_widen`,
+  it holds the amplitudes of the same gates run on every qubit (see its
+  docstring).  It is the one way the package runs a gate list from zero.
 * Every gate, readout and postselection views the amplitudes through
   :meth:`StateVector._qubit_axes`: a ``(2,)*n`` array, one axis per qubit,
   with the qubits it names first leading and the qubits it fixes (a gate's
@@ -504,33 +506,46 @@ def _widen(amps: np.ndarray, held, wider) -> np.ndarray:
     return out
 
 
-def run_circuit(n_qubits: int, gates) -> StateVector:
-    """The state that ``gates`` make from |0...0> on ``n_qubits`` qubits.
+def run_circuit(n_qubits: int, gates) -> tuple[StateVector, list[int]]:
+    """The state that ``gates`` make from |0...0> on ``n_qubits`` qubits, on
+    the qubits they name, and those qubits in their global order (the first
+    is the state's qubit 0).
 
     The state holds only the qubits some gate has named so far, as a target
-    or a control, in their global order; a qubit no gate has named is |0>
-    and factors out.  Before a gate that names a new qubit, the amplitudes
-    are copied into a wider array with that qubit at |0>, and each gate runs
-    through :meth:`StateVector.apply` on its renumbered qubits.  A widening
-    that would reach ``n_qubits - 1`` qubits or more goes straight to all of
+    or a control; a qubit no gate has named is |0> and factors out.  A SWAP
+    pair of two such qubits exchanges |0> with |0>, so it is dropped from its
+    gate, and a SWAP left with no pair is skipped, controls and all.  Before
+    a gate that names a new qubit, the amplitudes are copied into a wider
+    array with that qubit at |0>, and each gate runs through
+    :meth:`StateVector.apply` on its renumbered qubits.  A widening that
+    would reach ``n_qubits - 1`` qubits or more goes straight to all of
     them, so the last one starts from at most a quarter of the final state.
-    The result is widened to all ``n_qubits``.
+    A list that names no qubit gives |0...0> on all ``n_qubits``.
 
     On the whole state a pair whose unnamed qubit is 1 is (0, 0), and every
     kernel maps it to +-0; every other amplitude gets the same elementwise
-    products and sums.  So the amplitudes compare equal to those of
-    ``zero_state(n_qubits)._run(gates)``, up to the sign of an exact zero,
-    and every readout is the same float.
+    products and sums.  So the state widened to all ``n_qubits`` with
+    :func:`_widen` compares equal to ``zero_state(n_qubits)._run(gates)``, up
+    to the sign of an exact zero, and its readouts are the same floats.  A
+    readout of the narrower state itself adds the same squares in another
+    tree, so it may differ in the last bit.
     """
     check_width(n_qubits)
     held: list[int] = []  # the qubits the state holds, lowest first
     amps = np.ones(1)
     for g in gates:
-        new = {*g.targets, *(q for q, _ in g.controls)}.difference(held)
+        for q in {*g.targets, *(q for q, _ in g.controls)}.difference(held):
+            if not 0 <= q < n_qubits:
+                raise QReliefFError(f"qubit index {q} out of range for {n_qubits} qubits")
+        targets = g.targets
+        if g.kind == "swap":
+            # a pair of qubits no gate has named exchanges |0> with |0>
+            pairs = [(a, b) for a, b in zip(targets[::2], targets[1::2]) if a in held or b in held]
+            if not pairs:
+                continue
+            targets = tuple(q for pair in pairs for q in pair)
+        new = {*targets, *(q for q, _ in g.controls)}.difference(held)
         if new:
-            for q in new:
-                if not 0 <= q < n_qubits:
-                    raise QReliefFError(f"qubit index {q} out of range for {n_qubits} qubits")
             wider = sorted([*held, *new])
             if len(wider) >= n_qubits - 1:
                 wider = list(range(n_qubits))
@@ -539,11 +554,10 @@ def run_circuit(n_qubits: int, gates) -> StateVector:
             held, local = wider, {q: i for i, q in enumerate(wider)}
         state.apply(GateOp(
             g.kind,
-            tuple(local[q] for q in g.targets),
+            tuple(local[q] for q in targets),
             tuple((local[q], pol) for q, pol in g.controls),
             g.angle,
         ), _in_place=True)
-    if len(held) < n_qubits:
-        amps = _widen(amps, held, range(n_qubits))
-    return StateVector(n_qubits, amps, _checked=True)
-
+    if not held:
+        return zero_state(n_qubits), list(range(n_qubits))
+    return state, held

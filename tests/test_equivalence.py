@@ -45,12 +45,13 @@ from qrelieff.circuits import (
 from qrelieff.cli import load_csv
 from qrelieff.errors import QReliefFError
 from qrelieff.pipeline import PipelineConfig, _swap_test_p1, prepare_states
-from qrelieff.program3 import N_QUBITS, RESULT_QUBIT, build_circuit, final_state
+from qrelieff.program3 import N_QUBITS, build_circuit, final_state, reproduce_program3
 from qrelieff.relieff import NormalizedDataset, normalize
 from qrelieff.rng import RngStream
 from qrelieff.statevector import (
     GateOp,
     StateVector,
+    _widen,
     h,
     run_circuit,
     ry,
@@ -397,7 +398,7 @@ def test_full_ae_matches_controlled_grover_loop(data):
 
 
 def test_program3_exact_p1_unchanged():
-    assert final_state().marginal_probabilities([RESULT_QUBIT])[1] == PROGRAM3_EXACT_P1
+    assert reproduce_program3(shots=1, runs=1).exact_p1 == PROGRAM3_EXACT_P1
 
 
 @settings(max_examples=100, deadline=None)
@@ -431,19 +432,35 @@ def sparse_circuits(draw, max_qubits=10, max_gates=12):
     """n qubits and a gate list on some of them: each gate names qubits from
     a prefix of a random order of the used ones, so qubits are named a few
     at a time, controls of either polarity land on named and unnamed qubits,
-    and the qubits outside the used ones stay idle."""
+    and the qubits outside the used ones stay idle but for SWAPs: a SWAP may
+    gain pairs of idle qubits, or trade its pairs for them, and its pairs
+    are then shuffled, so some pairs exchange two qubits no gate names."""
     n = draw(st.integers(1, max_qubits))
     used = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    idle = [q for q in range(n) if q not in used]
     out = []
     for _ in range(draw(st.integers(1, max_gates))):
         g = draw(gates(draw(st.integers(1, len(used)))))
+        targets = [used[q] for q in g.targets]
+        if g.kind == "swap" and len(idle) > 1:
+            extra = draw(st.permutations(idle))[:2 * draw(st.integers(0, len(idle) // 2))]
+            if extra and draw(st.booleans()):
+                targets = []
+            targets = draw(st.permutations(targets + extra))
         out.append(GateOp(
             g.kind,
-            tuple(used[q] for q in g.targets),
+            tuple(targets),
             tuple((used[q], pol) for q, pol in g.controls),
             g.angle,
         ))
     return n, out
+
+
+def _run_widened(n: int, sequence) -> StateVector:
+    """``run_circuit``'s state widened to all n qubits."""
+    state, held = run_circuit(n, sequence)
+    assert held == sorted(held) and len(held) == state.n_qubits
+    return StateVector(n, _widen(state.amplitudes, held, range(n)), _checked=True)
 
 
 def _assert_same_state(fast: StateVector, slow: StateVector):
@@ -460,13 +477,18 @@ def _assert_same_state(fast: StateVector, slow: StateVector):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_circuits())
+@example((5, [h(0), swap_registers([0, 3], [1, 4])]))  # pair (3, 4) dropped
+@example((5, [h(0), swap_registers([3, 1], [4, 2], controls=[0])]))  # SWAP skipped
+@example((5, [h(0), swap_registers([3], [4], controls=[(2, 0)]), h(2)]))  # its control unnamed
 def test_run_circuit_matches_run_on_every_qubit(case):
     n, sequence = case
-    _assert_same_state(run_circuit(n, sequence), zero_state(n)._run(sequence))
+    _assert_same_state(_run_widened(n, sequence), zero_state(n)._run(sequence))
 
 
 def test_run_circuit_matches_run_on_program3():
-    _assert_same_state(final_state(), zero_state(N_QUBITS)._run(build_circuit()))
+    gates = build_circuit()
+    assert np.array_equal(final_state().amplitudes, run_circuit(N_QUBITS, gates)[0].amplitudes)
+    _assert_same_state(_run_widened(N_QUBITS, gates), zero_state(N_QUBITS)._run(gates))
 
 
 def test_run_circuit_matches_run_on_a_state_wider_than_a_piece():
@@ -487,7 +509,7 @@ def test_run_circuit_matches_run_on_a_state_wider_than_a_piece():
         ry(0.3, order[10], controls=[(order[11], 0), order[12]]),
         h(order[-1]),
     ]
-    _assert_same_state(run_circuit(n, sequence), zero_state(n)._run(sequence))
+    _assert_same_state(_run_widened(n, sequence), zero_state(n)._run(sequence))
 
 
 @st.composite

@@ -17,6 +17,7 @@ from qrelieff.program3 import (
     reproduce_program3,
 )
 from qrelieff.rng import RngStream
+from qrelieff.statevector import StateVector, _widen, run_circuit
 from reference_kernels import probability_one_unchunked
 
 DATA = Path(__file__).parent / "data"
@@ -24,7 +25,10 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="module")
 def state():
-    return final_state()
+    """The circuit's state on all 20 qubits: the run on the qubits its gates
+    use, widened."""
+    compact, held = run_circuit(N_QUBITS, build_circuit())
+    return StateVector(N_QUBITS, _widen(compact.amplitudes, held, range(N_QUBITS)), _checked=True)
 
 
 class TestCircuit:
@@ -38,6 +42,12 @@ class TestCircuit:
         assert RESULT_QUBIT in used
         assert 3 not in used  # off-line qubit stays idle
 
+    def test_final_state_holds_the_qubits_its_gates_use(self):
+        # the CSWAP pairs (7, 15) and (8, 16) exchange |0> with |0>
+        _, held = run_circuit(N_QUBITS, build_circuit())
+        assert held == [q for q in range(N_QUBITS) if q not in (3, 7, 8, 15, 16)]
+        assert final_state().n_qubits == 15 and held[-1] == RESULT_QUBIT
+
     @pytest.mark.parametrize("qubit", [0, 5, 13, 14, 18, RESULT_QUBIT])
     def test_marginal_reads_probability_one_bit_for_bit(self, state, qubit):
         # reproduce_program3 takes its exact P(1) from the marginal it samples:
@@ -45,8 +55,11 @@ class TestCircuit:
         assert state.marginal_probabilities([qubit])[1] == probability_one_unchunked(state, qubit)
 
     def test_exact_p1_is_stable(self, state):
+        # the readout on final_state's 15 qubits, ancilla on top, is the
+        # 20-qubit one bit for bit
         a = state.marginal_probabilities([RESULT_QUBIT])[1]
-        b = final_state().marginal_probabilities([RESULT_QUBIT])[1]
+        compact = final_state()
+        b = compact.marginal_probabilities([compact.n_qubits - 1])[1]
         assert a == b
         assert 0.0 <= a <= 0.5 + 1e-12  # swap-test ancilla bound
 

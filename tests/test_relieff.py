@@ -60,12 +60,17 @@ class TestDataset:
         (np.ones(2), [0, 1], "samples must be a 2-D array"),
         (np.ones((2, 1, 1)), [0, 1], "samples must be a 2-D array"),
         (np.ones((2, 1)), [[0], [1]], "labels must be a 1-D array"),
-        (np.ones((2, 1)), [0, 1.7], "label at row 1 is not an integer class id: 1.7"),
-        (np.ones((2, 1)), [np.nan, 0], "label at row 0 is not an integer class id: nan"),
-        (np.ones((2, 1)), [0, np.inf], "label at row 1 is not an integer class id: inf"),
+        (np.ones((2, 1)), [0, 1.7],
+         r"label of sample 1 \(counting from 0\) is not an integer class id: 1.7"),
+        (np.ones((2, 1)), [np.nan, 0],
+         r"label of sample 0 \(counting from 0\) is not an integer class id: nan"),
+        (np.ones((2, 1)), [0, np.inf],
+         r"label of sample 1 \(counting from 0\) is not an integer class id: inf"),
         (np.ones((2, 1)), ["0", "1"], "labels must be integer class ids, got dtype <U1"),
+        (np.array([[1.0], [-np.inf]]), [0, 1],
+         r"sample 1 \(counting from 0\), feature 'a' is not finite: -inf"),
     ], ids=["1-D samples", "3-D samples", "2-D labels", "fractional label", "nan label",
-            "inf label", "string labels"])
+            "inf label", "string labels", "infinite sample value"])
     def test_malformed_input_named(self, samples, labels, match):
         with pytest.raises(QReliefFError, match=match):
             Dataset(samples, labels, ["a"])

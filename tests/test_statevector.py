@@ -20,7 +20,7 @@ from qrelieff import (
     x,
     zero_state,
 )
-from qrelieff.program3 import final_state
+from qrelieff.program3 import final_state, reproduce_program3
 from qrelieff.statevector import GateOp
 from reference_kernels import basis_state, gate_matrix
 
@@ -53,11 +53,23 @@ class TestZeroState:
 
 class TestRunCircuit:
     def test_no_gates_is_the_zero_state(self):
-        assert np.array_equal(run_circuit(3, []).amplitudes, zero_state(3).amplitudes)
+        state, held = run_circuit(3, [])
+        assert held == [0, 1, 2]
+        assert np.array_equal(state.amplitudes, zero_state(3).amplitudes)
+
+    def test_swap_pairs_of_unnamed_qubits_are_skipped(self):
+        # (1, 2) and (4, 5) exchange |0> with |0>; the SWAP under unnamed 3
+        # is left with no pair, so its control stays out too
+        gates = [h(0), swap_registers([0, 1, 4], [6, 2, 5]), swap(1, 2, controls=[3])]
+        state, held = run_circuit(7, gates)
+        assert held == [0, 6]
+        np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, 0, INV_SQRT2, 0])  # on qubit 6
 
     def test_qubit_out_of_range(self):
-        with pytest.raises(QReliefFError, match="out of range"):
-            run_circuit(3, [h(0), x(3)])
+        # the SWAPs' pairs are checked before a pair of unnamed qubits is dropped
+        for gate in (x(3), swap(1, 3), swap(1, 2, controls=[3])):
+            with pytest.raises(QReliefFError, match="out of range"):
+                run_circuit(3, [h(0), gate])
 
     def test_capacity_checked_before_any_allocation(self, monkeypatch):
         """Over the cap, no gate is read and no array of the final width
@@ -201,7 +213,7 @@ READOUTS = {
 }
 CONSTRUCTORS = {
     "zero_state": lambda: zero_state(20),
-    # widened once from 14 qubits (128 KiB) to 20 before its register swap
+    # 15 qubits: widened once from 14 (128 KiB) to 15 before its register swap
     "program3.final_state": final_state,
 }
 
@@ -274,6 +286,14 @@ class TestRealKernelMemory(TestKernelMemory):
     def test_in_place_gate_allocates_under_one_mib(self, wide, n, gate):
         super().test_in_place_gate_allocates_under_one_mib(wide, n, gate)
         assert wide[n].amplitudes.dtype == np.float64
+
+
+def test_program3_reproduction_allocates_under_one_mib():
+    """The run on the 15 qubits its gates use and the ancilla's readout, where
+    the 20-qubit state took 8 MiB."""
+    reproduce_program3(shots=1, runs=1)  # numpy.random imports modules on its first draw
+    _, peak = _traced(reproduce_program3)
+    assert peak < 1 << 20
 
 
 class TestRegisterSwap:
