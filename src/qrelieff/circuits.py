@@ -44,12 +44,14 @@ from .errors import ConfigError, NoSolutionError, QReliefFError, SearchFailedErr
 from .rng import RngStream
 from .statevector import (
     _H,
+    GateOp,
     StateVector,
     check_width,
     h,
     run_circuit,
     swap,
     swap_registers,
+    x,
 )
 
 
@@ -57,11 +59,26 @@ from .statevector import (
 # comparator and bounded uniform superposition
 # ---------------------------------------------------------------------------
 
+def _cmp_gates(index_register, bound: int, flag: int) -> list[GateOp]:
+    """Disjoint multi-controlled X gates on ``flag`` that flip it where the
+    register value v (``index_register[0]`` lowest) is >= bound: one for
+    v = bound, and one for each 0-bit j of the bound, on the v that agree
+    with it above bit j and have bit j set.  None at bound = 2^k."""
+    bits = [(q, (bound >> j) & 1) for j, q in enumerate(index_register)]
+    if bound == 1 << len(bits):
+        return []
+    return [
+        x(flag, controls=bits),
+        *(x(flag, controls=[*bits[j + 1:], (q, 1)]) for j, (q, bit) in enumerate(bits) if not bit),
+    ]
+
+
 def cmp_flag(state: StateVector, index_register, bound: int, flag: int) -> StateVector:
     """Set ``flag`` on every basis branch whose index-register value is >= bound.
 
     The bound is held classically; the index register is unchanged.  The flag
-    qubit must be clear on every branch with nonzero amplitude.
+    qubit must be clear on every branch with nonzero amplitude.  The gates of
+    :func:`_cmp_gates` flip it, in place on one copy of the state.
     """
     index_register = [int(q) for q in index_register]
     for q in index_register:
@@ -73,36 +90,29 @@ def cmp_flag(state: StateVector, index_register, bound: int, flag: int) -> State
         raise QReliefFError(
             f"bound {bound} outside [1, {1 << len(index_register)}]"
         )
-    k = len(index_register)
-    amps = state.amplitudes.copy()
-    # the flag on the first axis, the register value (index_register[0] its
-    # least-significant bit) along the second
-    view = state._qubit_axes(amps, first=[flag, *index_register[::-1]])
-    block = view.reshape(2, 1 << k, -1)
-    if np.sum(np.abs(block[1]) ** 2) > 1e-12:
+    if state.marginal_probabilities([flag])[1] > 1e-12:
         raise QReliefFError("flag qubit is not clear before comparison")
-    block[:, bound:] = block[::-1, bound:].copy()
-    view[...] = block.reshape(view.shape)
     # a permutation of a unit vector; skip the norm re-check
-    return StateVector(state.n_qubits, amps, _checked=True)
+    out = StateVector(state.n_qubits, state.amplitudes.copy(), _checked=True)
+    return out._run(_cmp_gates(index_register, bound, flag))
 
 
 def uniform_mod_n(n: int, bound: int) -> StateVector:
     """(1/sqrt(bound)) * sum_{i<bound} |i> on ``n`` qubits.
 
-    Realized as H^n on a fresh register, a comparison against the bound into a
-    scratch flag, and exact postselection of the flag-clear branch.  The
-    Hadamards run through :func:`run_circuit`, which widens the state one
-    named qubit at a time (to all n + 1 at once from n - 1 on), so the state
-    it returns holds every qubit and the flag joins as |0> once the register
-    is complete.
+    Realized as one gate list through :func:`run_circuit`: H^n on a fresh
+    register, then the comparator's X gates (:func:`_cmp_gates`) into a
+    scratch flag, qubit n, and exact postselection of the flag-clear branch.
+    At bound = 2^n no gate names the flag, the state holds the register
+    alone, and nothing is postselected.
     """
+    check_width(n)
     if not 1 <= bound <= (1 << n):
         raise QReliefFError(f"bound {bound} outside [1, {1 << n}]")
+    gates = [*(h(q) for q in range(n)), *_cmp_gates(range(n), bound, n)]
+    state = run_circuit(n + 1, gates)[0]
     if bound == (1 << n):
-        return run_circuit(n, (h(q) for q in range(n)))[0]
-    state = run_circuit(n + 1, (h(q) for q in range(n)))[0]  # qubit n is the comparison flag
-    state = cmp_flag(state, range(n), bound, n)
+        return state
     state = state.postselect(n, 0)
     # the flag is |0> exactly; drop it
     return StateVector(n, state.amplitudes[: 1 << n])

@@ -11,12 +11,14 @@ swap, which moves the amplitudes exactly as the eight gates in turn do.
 :func:`~qrelieff.statevector.run_circuit`, on the 15 qubits its gates use:
 besides idle qubit 3, the CSWAP pairs (7, 15) and (8, 16) only exchange |0>
 with |0>, so the register swap drops them, and qubits 7, 8, 15 and 16 stay
-out of the state.  The first 23 gates run on at most 2^14 amplitudes and
-the last two on 2^15, with ancilla 19 as the top qubit.  Widened to all 20
-qubits, the amplitudes equal those of the gates run on all of them, up to
-the sign of an exact zero.  The ancilla's marginal is read on the 15-qubit
-state; its floats, and so the CLI document, are those of the 20-qubit
-readout (``tests/data/program3_seed0.json`` pins them).
+out of the state.  The state of those 15 is allocated once, ancilla 19 its
+top qubit, and each gate is controlled on |0> of the qubits no gate has
+named yet: the first 23 touch at most 2^14 amplitudes, the last two all
+2^15.  With the five others added at |0>, the amplitudes equal those of the
+gates run on all 20 qubits, up to the sign of an exact zero.  The ancilla's
+marginal is read and sampled on the 15-qubit state; its floats, and so the
+CLI document, are those of the 20-qubit readout
+(``tests/data/program3_seed0.json`` pins them).
 
 The published measured average of 0.435125 for reading |1> on the ancilla is
 reported for reference only; the oracle here is the exact statevector
@@ -84,13 +86,10 @@ def reproduce_program3(
     """Exact ancilla P(1) plus ``runs`` sampled means of ``shots`` each."""
     if shots < 1 or runs < 1:
         raise ConfigError(f"shots and runs must be >= 1, got {shots} and {runs}")
-    # one pass over the 2^15 amplitudes: the marginal's entry 1 is the exact
-    # P(1), and StateVector.sample's draws use the marginal taken once
     state = final_state()
-    probs = state.marginal_probabilities([state.n_qubits - 1])  # RESULT_QUBIT
-    exact = float(probs[1])
-    probs = probs / probs.sum()
+    top = state.n_qubits - 1  # RESULT_QUBIT
+    exact = float(state.marginal_probabilities([top])[1])
     rng = RngStream(seed)
-    means = [int(rng.substream(r).multinomial(shots, probs)[1]) / shots for r in range(runs)]
+    means = [state.sample([top], shots, rng.substream(r)).get("1", 0) / shots for r in range(runs)]
     sampled_mean = sum(means) / len(means)
     return Program3Result(exact, means, sampled_mean, shots, runs)

@@ -21,11 +21,12 @@ Conventions used throughout the package:
   returns a new :class:`StateVector` unless the caller owns the buffer and
   asks for in-place work, as :meth:`StateVector._run` does for a whole gate
   list on a state it has just built.
-* :func:`run_circuit` runs a gate list from |0...0> on the qubits its gates
-  have named so far, widening the state as a gate names a new qubit and
-  skipping SWAP pairs of two unnamed qubits.  It returns the state on the
-  qubits its gates name, and which those are; widened by :func:`_widen`,
-  it holds the amplitudes of the same gates run on every qubit (see its
+* :func:`run_circuit` runs a gate list from |0...0> on one state of the
+  qubits its gates name, skipping SWAP pairs of two qubits no gate has
+  named yet; each gate takes every such qubit as a control on |0>, so it
+  touches only the amplitudes of the qubits named so far.  It returns the
+  state and which qubits it holds; with every other qubit added at |0>, it
+  holds the amplitudes of the same gates run on every qubit (see its
   docstring).  It is the one way the package runs a gate list from zero.
 * Every gate, readout and postselection views the amplitudes through
   :meth:`StateVector._qubit_axes`: a ``(2,)*n`` array, one axis per qubit,
@@ -496,68 +497,56 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps, _checked=True)
 
 
-def _widen(amps: np.ndarray, held, wider) -> np.ndarray:
-    """``amps`` on the qubits ``held`` (sorted, the lowest its bit 0) copied
-    into a new array on the qubits ``wider`` (sorted, a superset), with
-    every added qubit at |0>."""
-    out = np.zeros(1 << len(wider), dtype=amps.dtype)
-    index = tuple(slice(None) if q in held else 0 for q in reversed(wider))
-    out.reshape((2,) * len(wider))[index] = amps.reshape((2,) * len(held))
-    return out
-
-
 def run_circuit(n_qubits: int, gates) -> tuple[StateVector, list[int]]:
     """The state that ``gates`` make from |0...0> on ``n_qubits`` qubits, on
     the qubits they name, and those qubits in their global order (the first
     is the state's qubit 0).
 
-    The state holds only the qubits some gate has named so far, as a target
-    or a control; a qubit no gate has named is |0> and factors out.  A SWAP
-    pair of two such qubits exchanges |0> with |0>, so it is dropped from its
-    gate, and a SWAP left with no pair is skipped, controls and all.  Before
-    a gate that names a new qubit, the amplitudes are copied into a wider
-    array with that qubit at |0>, and each gate runs through
-    :meth:`StateVector.apply` on its renumbered qubits.  A widening that
-    would reach ``n_qubits - 1`` qubits or more goes straight to all of
-    them, so the last one starts from at most a quarter of the final state.
-    A list that names no qubit gives |0...0> on all ``n_qubits``.
+    One pass finds the qubits the gates name, as a target or a control.  A
+    qubit no gate has named yet is |0>, so a SWAP pair of two such qubits is
+    dropped from its gate, and a SWAP left with no pair is skipped, controls
+    and all.  The state of the named width is allocated once, and each gate
+    runs in place through :meth:`StateVector.apply` on its renumbered
+    qubits, every qubit no gate has named yet added as a control on |0>: it
+    touches only the amplitudes of the qubits named so far.  A list that
+    names no qubit gives |0...0> on all ``n_qubits``.
 
     On the whole state a pair whose unnamed qubit is 1 is (0, 0), and every
     kernel maps it to +-0; every other amplitude gets the same elementwise
-    products and sums.  So the state widened to all ``n_qubits`` with
-    :func:`_widen` compares equal to ``zero_state(n_qubits)._run(gates)``, up
-    to the sign of an exact zero, and its readouts are the same floats.  A
+    products and sums.  So the state widened to all ``n_qubits`` (every
+    unnamed qubit at |0>) compares equal to ``zero_state(n_qubits)._run(gates)``,
+    up to the sign of an exact zero, and its readouts are the same floats.  A
     readout of the narrower state itself adds the same squares in another
     tree, so it may differ in the last bit.
     """
     check_width(n_qubits)
-    held: list[int] = []  # the qubits the state holds, lowest first
-    amps = np.ones(1)
+    kept = []  # (gate, its targets with no pair of unnamed qubits)
+    first: dict[int, int] = {}  # qubit -> index in ``kept`` of the gate that first names it
     for g in gates:
-        for q in {*g.targets, *(q for q, _ in g.controls)}.difference(held):
+        for q in (*g.targets, *(q for q, _ in g.controls)):
             if not 0 <= q < n_qubits:
                 raise QReliefFError(f"qubit index {q} out of range for {n_qubits} qubits")
         targets = g.targets
         if g.kind == "swap":
             # a pair of qubits no gate has named exchanges |0> with |0>
-            pairs = [(a, b) for a, b in zip(targets[::2], targets[1::2]) if a in held or b in held]
+            pairs = [(a, b) for a, b in zip(targets[::2], targets[1::2]) if a in first or b in first]
             if not pairs:
                 continue
             targets = tuple(q for pair in pairs for q in pair)
-        new = {*targets, *(q for q, _ in g.controls)}.difference(held)
-        if new:
-            wider = sorted([*held, *new])
-            if len(wider) >= n_qubits - 1:
-                wider = list(range(n_qubits))
-            amps = _widen(amps, held, wider)
-            state = StateVector(len(wider), amps, _checked=True)
-            held, local = wider, {q: i for i, q in enumerate(wider)}
+        for q in (*targets, *(q for q, _ in g.controls)):
+            first.setdefault(q, len(kept))
+        kept.append((g, targets))
+    if not first:
+        return zero_state(n_qubits), list(range(n_qubits))
+    held = sorted(first)
+    local = {q: i for i, q in enumerate(held)}
+    state = zero_state(len(held))
+    for i, (g, targets) in enumerate(kept):
+        idle = [(q, 0) for q in held if first[q] > i]  # not named yet: |0>
         state.apply(GateOp(
             g.kind,
             tuple(local[q] for q in targets),
-            tuple((local[q], pol) for q, pol in g.controls),
+            tuple((local[q], pol) for q, pol in (*g.controls, *idle)),
             g.angle,
         ), _in_place=True)
-    if not held:
-        return zero_state(n_qubits), list(range(n_qubits))
     return state, held

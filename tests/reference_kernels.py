@@ -54,11 +54,14 @@ is ``encode_sample`` with those Ry gates applied to the bounded superposition
 and the set flag; ``encode_sample`` writes the amplitudes they produce and must
 match it bit for bit.
 
-``gate_matrix``, ``inverse`` and ``basis_state`` are small helpers the
-package no longer needs: the uncontrolled matrix of a gate (the package's
-kernel forms only Ry's), which the index-mask kernels and the
+``gate_matrix``, ``inverse``, ``basis_state`` and ``widen`` are small
+helpers the package no longer needs: the uncontrolled matrix of a gate (the
+package's kernel forms only Ry's), which the index-mask kernels and the
 ``apply_unitary`` comparisons use; the inverse of a gate, for running a gate
-list backwards; and a computational basis state.  A phase is applied
+list backwards; a computational basis state; and a state on some qubits
+copied onto more of them, the added ones at |0>, which ``run_circuit`` once
+did before each gate that named a new qubit and the tests do to compare its
+narrow state with a run on every qubit.  A phase is applied
 through ``phase_on_indices``: the package has no Phase gate.
 """
 
@@ -133,6 +136,16 @@ def encode_sample_by_gates(v) -> StateVector:
     feats = uniform_mod_n(layout.n_feature_qubits, len(v))
     full = np.kron(feats.amplitudes, np.array([0.0, 0.0, 1.0, 0.0]))
     return StateVector(layout.n_qubits, full)._run(multiplexed_ry_gates(v))
+
+
+def widen(amps: np.ndarray, held, wider) -> np.ndarray:
+    """``amps`` on the qubits ``held`` (sorted, the lowest its bit 0) copied
+    into a new array on the qubits ``wider`` (sorted, a superset), with
+    every added qubit at |0>."""
+    out = np.zeros(1 << len(wider), dtype=amps.dtype)
+    index = tuple(slice(None) if q in held else 0 for q in reversed(wider))
+    out.reshape((2,) * len(wider))[index] = amps.reshape((2,) * len(held))
+    return out
 
 
 def gate_matrix(gate: GateOp) -> np.ndarray:

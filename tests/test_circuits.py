@@ -29,7 +29,7 @@ from qrelieff import (
     zero_state,
 )
 from qrelieff import Dataset, circuits, normalize, statevector
-from qrelieff.circuits import AEOutcome, EncodingLayout, swap_test_state
+from qrelieff.circuits import AEOutcome, EncodingLayout, _cmp_gates, swap_test_state
 from qrelieff.cli import load_csv
 from qrelieff.pipeline import PipelineConfig, _full_circuit_outcome, _swap_test_p1, prepare_states
 from qrelieff.statevector import ry, x
@@ -87,6 +87,33 @@ class TestCmpFlag:
                     out = cmp_flag(ref.basis_state(n + 1, i), range(n), bound, n)
                     flagged = out.marginal_probabilities([n])[1] > 0.5
                     assert flagged == (i >= bound), (n, bound, i)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_gates_cover_the_values_at_or_above_the_bound_once(self, k):
+        """Evaluated classically on every register value, the X gates'
+        controls select pairwise disjoint sets whose union is {v >= bound}:
+        at most k + 1 gates, and none at bound = 2^k."""
+        register = list(range(1, k + 1))  # flag 0 below the register
+        for bound in range(1, (1 << k) + 1):
+            gates = _cmp_gates(register, bound, 0)
+            assert len(gates) <= k + 1 and (bound < 1 << k or not gates), (k, bound)
+            hits = np.zeros(1 << k, dtype=int)
+            for g in gates:
+                assert (g.kind, g.targets) == ("x", (0,))
+                for v in range(1 << k):
+                    hits[v] += all((v >> (q - 1)) & 1 == pol for q, pol in g.controls)
+            assert np.array_equal(hits, np.arange(1 << k) >= bound), (k, bound)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_bit_identical_to_index_scatter_on_every_basis_state(self, k):
+        """Register permuted, flag below it."""
+        register = [int(q) for q in np.random.default_rng(k).permutation(range(1, k + 1))]
+        for bound in range(1, (1 << k) + 1):
+            for v in range(1 << k):
+                state = ref.basis_state(k + 1, v << 1)
+                got = cmp_flag(state, register, bound, 0)
+                want = ref.cmp_flag(state, register, bound, 0)
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (k, bound, v)
 
 
 class TestUniformModN:
@@ -507,3 +534,28 @@ class TestQuantumExtremeSearch:
                     values, k, direction, stream.substream(trial)
                 )
                 assert got == expected, (values, k, direction)
+
+    def test_grover_iterations_grow_as_sqrt_m(self, monkeypatch):
+        """The threshold walk for the maximum takes O(sqrt M) Grover
+        iterations, as Durr and Hoyer's does (at most 22.5 sqrt M expected,
+        quant-ph/9607014): the mean J / sqrt M over 60 random tables of
+        values 0-32 stays within a factor of 2 from M = 16 to 1024."""
+        iterations = []
+        search = circuits.grover_search_state
+
+        def counted(plan, oracle):
+            iterations.append(plan.J)
+            return search(plan, oracle)
+
+        monkeypatch.setattr(circuits, "grover_search_state", counted)
+        rng = np.random.default_rng(14)
+        ratios = []
+        for m in (16, 64, 256, 1024):
+            iterations.clear()
+            for trial in range(60):
+                values = [int(v) for v in rng.integers(0, 33, size=m)]
+                quantum_extreme_search(values, 1, "max", RngStream(trial))
+            mean = sum(iterations) / 60
+            assert mean <= 22.5 * math.sqrt(m), m
+            ratios.append(mean / math.sqrt(m))
+        assert max(ratios) <= 2 * min(ratios), ratios

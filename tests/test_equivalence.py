@@ -51,7 +51,6 @@ from qrelieff.rng import RngStream
 from qrelieff.statevector import (
     GateOp,
     StateVector,
-    _widen,
     h,
     run_circuit,
     ry,
@@ -460,7 +459,7 @@ def _run_widened(n: int, sequence) -> StateVector:
     """``run_circuit``'s state widened to all n qubits."""
     state, held = run_circuit(n, sequence)
     assert held == sorted(held) and len(held) == state.n_qubits
-    return StateVector(n, _widen(state.amplitudes, held, range(n)), _checked=True)
+    return StateVector(n, ref.widen(state.amplitudes, held, range(n)), _checked=True)
 
 
 def _assert_same_state(fast: StateVector, slow: StateVector):
@@ -492,8 +491,9 @@ def test_run_circuit_matches_run_on_program3():
 
 
 def test_run_circuit_matches_run_on_a_state_wider_than_a_piece():
-    """15 of 18 qubits named one at a time: the held state outgrows ``CHUNK``
-    before the last widening, so its later gates run block by block."""
+    """15 of 18 qubits named one at a time: the named qubits outgrow
+    ``CHUNK`` before the last is named, so the later gates, controlled on
+    |0> of the rest, run block by block."""
     n, idle = 18, (3, 8, 16)
     order = [int(q) for q in np.random.default_rng(7).permutation(
         [q for q in range(n) if q not in idle]

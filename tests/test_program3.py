@@ -17,8 +17,8 @@ from qrelieff.program3 import (
     reproduce_program3,
 )
 from qrelieff.rng import RngStream
-from qrelieff.statevector import StateVector, _widen, run_circuit
-from reference_kernels import probability_one_unchunked
+from qrelieff.statevector import StateVector, run_circuit
+from reference_kernels import probability_one_unchunked, widen
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,7 +28,7 @@ def state():
     """The circuit's state on all 20 qubits: the run on the qubits its gates
     use, widened."""
     compact, held = run_circuit(N_QUBITS, build_circuit())
-    return StateVector(N_QUBITS, _widen(compact.amplitudes, held, range(N_QUBITS)), _checked=True)
+    return StateVector(N_QUBITS, widen(compact.amplitudes, held, range(N_QUBITS)), _checked=True)
 
 
 class TestCircuit:

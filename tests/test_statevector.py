@@ -20,6 +20,7 @@ from qrelieff import (
     x,
     zero_state,
 )
+from qrelieff.circuits import cmp_flag
 from qrelieff.program3 import final_state, reproduce_program3
 from qrelieff.statevector import GateOp
 from reference_kernels import basis_state, gate_matrix
@@ -213,8 +214,10 @@ READOUTS = {
 }
 CONSTRUCTORS = {
     "zero_state": lambda: zero_state(20),
-    # 15 qubits: widened once from 14 (128 KiB) to 15 before its register swap
+    # one state of the named width, each gate run on it in place: 15 qubits
+    # for Program 3, all 20 for H on each
     "program3.final_state": final_state,
+    "run_circuit": lambda: run_circuit(20, [h(q) for q in range(20)])[0],
 }
 
 
@@ -266,6 +269,16 @@ class TestKernelMemory:
         """The zeroed copy is the result: its norm is summed over blocks and
         it is renormalized in place."""
         result, peak = _traced(lambda: wide[20].postselect(qubit, outcome))
+        assert peak - result.amplitudes.nbytes < 1 << 20
+
+    @pytest.mark.parametrize("bound", [1, 0b1010 << 15, 1 << 19])
+    def test_cmp_flag_allocates_under_one_mib(self, wide, bound):
+        """The comparator's X gates run in place on the copy that is its
+        result, where a reshaped permutation held 4-16 MiB."""
+        amps = np.zeros(1 << 20, dtype=wide[19].amplitudes.dtype)
+        amps[: 1 << 19] = wide[19].amplitudes  # flag 19 clear
+        state = StateVector(20, amps, _checked=True)
+        result, peak = _traced(lambda: cmp_flag(state, range(19), bound, 19))
         assert peak - result.amplitudes.nbytes < 1 << 20
 
     @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
