@@ -36,8 +36,11 @@ collapsed = bell.postselect(0, 1)
 print("after postselecting qubit 0 = 1:", np.round(collapsed.amplitudes.real, 3))
 
 # Sampling is explicit and fully seeded: the same stream gives the same counts.
+# Entry v counts the readings of register value v, the first listed qubit
+# least significant, as in marginal_probabilities: the Bell state reads only
+# 0 (|00>) and 3 (|11>).
 counts = bell.sample([0, 1], shots=1000, rng=RngStream(7))
-print("\n1000 shots on the Bell state:", counts)
+print("\n1000 shots on the Bell state, counts by register value:", counts)
 
 # SWAP exchanges two qubits; with a control it becomes the Fredkin gate.
 state = zero_state(2).apply(x(1)).apply(swap(0, 1))

@@ -55,6 +55,11 @@ from .statevector import (
 )
 
 
+def _index_bits(count: int) -> int:
+    """Width of a register indexing ``count`` items: ceil(log2 count), at least 1."""
+    return max(1, math.ceil(math.log2(count)))
+
+
 # ---------------------------------------------------------------------------
 # comparator and bounded uniform superposition
 # ---------------------------------------------------------------------------
@@ -130,7 +135,7 @@ class EncodingLayout:
 
     @property
     def n_feature_qubits(self) -> int:
-        return max(1, math.ceil(math.log2(self.n_features)))
+        return _index_bits(self.n_features)
 
     @property
     def n_qubits(self) -> int:
@@ -420,7 +425,7 @@ def quantum_extreme_search(values, k: int, direction: str, rng: RngStream) -> li
     def key(i):
         return (sign * values[i], i)
 
-    n = max(1, math.ceil(math.log2(len(values))))
+    n = _index_bits(len(values))
     remaining = list(range(len(values)))
     found = []
     for _ in range(k):
@@ -434,8 +439,7 @@ def quantum_extreme_search(values, k: int, direction: str, rng: RngStream) -> li
             mask[marked] = True
             plan = grover_plan(n, len(marked))
             state = grover_search_state(plan, mask)
-            reading = state.sample(range(n), 1, rng)
-            measured = int(next(iter(reading))[::-1], 2)
+            measured = int(np.flatnonzero(state.sample(range(n), 1, rng))[0])
             if mask[measured]:
                 pivot, failed = measured, 0
                 continue

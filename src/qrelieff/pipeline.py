@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (
+    _index_bits,
     AEOutcome,
     EncodingLayout,
     ae_distribution_for_amplitude,
@@ -79,16 +80,6 @@ class SimilarityRecord:
     def s_quantized(self) -> int:
         return self.outcome.y
 
-    def as_dict(self):
-        return {
-            "sample": self.sample,
-            "s_raw": self.s_raw,
-            "y": self.outcome.y,
-            "s_quantized": self.s_quantized,
-            "excluded": self.excluded,
-            "noise_clamped": self.noise_clamped,
-        }
-
 
 @dataclass
 class SimilarityTable:
@@ -97,26 +88,12 @@ class SimilarityTable:
     picked: int
     records: dict[int, list[SimilarityRecord]] = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "picked": self.picked,
-            "classes": {
-                str(c): [r.as_dict() for r in recs]
-                for c, recs in sorted(self.records.items())
-            },
-        }
-
-
-def _sample_bits(n_samples: int) -> int:
-    """Width of the sample-index register: ceil(log2 M), at least 1."""
-    return max(1, math.ceil(math.log2(n_samples)))
-
 
 def prepare_states(nd: NormalizedDataset) -> list[StateVector]:
     """One encoded state per sample under a ceil(log2 M)-bit register that
     holds the sample's index.  No circuit reads that register; it only widens
     the swap-test composite."""
-    sample_bits = _sample_bits(nd.n_samples)
+    sample_bits = _index_bits(nd.n_samples)
     basis = np.eye(1 << sample_bits)
     encoded = [encode_sample(v) for v in nd.samples]
     return [
@@ -275,7 +252,7 @@ def check_quantum_input(nd: NormalizedDataset, cfg: PipelineConfig):
             f"ae_circuit 'full' needs a power-of-two feature count of 2 or more, "
             f"got N={nd.n_features}"
         )
-    check_width(2 * (layout.n_qubits + _sample_bits(nd.n_samples)) + 1)
+    check_width(2 * (layout.n_qubits + _index_bits(nd.n_samples)) + 1)
     if cfg.ae_circuit == "full":
         check_ae_width(_full_readout_bits(layout, cfg.ae_bits))
 

@@ -90,6 +90,6 @@ def reproduce_program3(
     top = state.n_qubits - 1  # RESULT_QUBIT
     exact = float(state.marginal_probabilities([top])[1])
     rng = RngStream(seed)
-    means = [state.sample([top], shots, rng.substream(r)).get("1", 0) / shots for r in range(runs)]
+    means = [int(state.sample([top], shots, rng.substream(r))[1]) / shots for r in range(runs)]
     sampled_mean = sum(means) / len(means)
     return Program3Result(exact, means, sampled_mean, shots, runs)

@@ -176,13 +176,6 @@ class NeighborSet:
     hits: list[int]
     misses: dict[int, list[int]]
 
-    def as_dict(self):
-        return {
-            "picked": self.u_index,
-            "hits": list(self.hits),
-            "misses": {str(c): list(v) for c, v in sorted(self.misses.items())},
-        }
-
 
 def neighbor_set(labels: np.ndarray, u: int, k: int, top_k) -> NeighborSet:
     """Hits and per-class misses of picked sample ``u``, for either backend.

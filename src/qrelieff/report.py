@@ -1,7 +1,8 @@
 """Run reports: a machine-readable JSON document plus a plain-text table
-rendering, and the text beside a Program 3 reproduction document.  The
-canonical body (everything except the "timing" section) is byte-stable for
-identical inputs and seeds.
+rendering, and the text beside a Program 3 reproduction document.  This
+module writes every key of the run report, neighbor sets and similarity log
+included.  The canonical body (everything except the "timing" section) is
+byte-stable for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .pipeline import QReliefFResult
+from .pipeline import QReliefFResult, SimilarityTable
 from .relieff import Dataset, ReliefFResult
 
 
@@ -21,6 +22,31 @@ def _json_default(obj):
     if isinstance(obj, np.floating):
         return float(obj)
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def _similarity_log(tables: list[SimilarityTable]) -> list[dict]:
+    """Per pick, each class's similarity records in the order the table holds
+    them: the raw similarity, its reading y (``s_quantized``) and the flags."""
+    return [
+        {
+            "picked": table.picked,
+            "classes": {
+                str(c): [
+                    {
+                        "sample": r.sample,
+                        "s_raw": r.s_raw,
+                        "y": r.outcome.y,
+                        "s_quantized": r.s_quantized,
+                        "excluded": r.excluded,
+                        "noise_clamped": r.noise_clamped,
+                    }
+                    for r in records
+                ]
+                for c, records in sorted(table.records.items())
+            },
+        }
+        for table in tables
+    ]
 
 
 def _backend_section(result, report):
@@ -36,7 +62,11 @@ def _backend_section(result, report):
         section["iterations"] = [
             {
                 "picked": rec.picked,
-                "neighbors": rec.neighbors.as_dict(),
+                "neighbors": {
+                    "picked": rec.neighbors.u_index,
+                    "hits": list(rec.neighbors.hits),
+                    "misses": {str(c): list(v) for c, v in sorted(rec.neighbors.misses.items())},
+                },
                 "weights": [float(w) for w in rec.weights_after],
             }
             for rec in result.iterations
@@ -82,7 +112,7 @@ def build_report(
     if quantum is not None:
         results["quantum"] = _backend_section(quantum, report)
         if report["config"]["emit_iterations"]:
-            results["quantum"]["similarity_log"] = [t.as_dict() for t in quantum.tables]
+            results["quantum"]["similarity_log"] = _similarity_log(quantum.tables)
     if classical is not None and quantum is not None:
         per_iter = neighbor_agreement(classical, quantum)
         c_section, q_section = results["classical"], results["quantum"]

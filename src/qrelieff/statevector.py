@@ -55,16 +55,18 @@ Conventions used throughout the package:
   (:meth:`StateVector._swap_registers`).  Amplitudes only move, so the bytes
   equal those of the pairs swapped one at a time.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
-  through :meth:`StateVector.sample`.  The readouts sum |amp|^2 over the
-  same blocks of at most ``CHUNK`` amplitudes and add the block sums in
-  numpy's own pairwise order (:func:`_sums_of_squares`); a real block is
-  squared as ``x * x``, with no ``np.abs`` copy.  :meth:`StateVector.x_basis_probabilities`
-  reads the top qubit in the X basis, the swap test's readout: it forms the
-  H kernel's r lo + r hi and r lo - r hi block by block into its own
-  buffers and sums them the same way, so its bits are those of an H
-  followed by :meth:`StateVector.marginal_probabilities`, and the state is
-  only read.  ``zero_state`` skips the norm
-  check, and the check of any other input is one ``np.vdot``.
+  through :meth:`StateVector.sample`, whose counts are indexed by register
+  value as :meth:`StateVector.marginal_probabilities` is.  The readouts sum
+  |amp|^2 over the same blocks of at most ``CHUNK`` amplitudes and add the
+  block sums in numpy's own pairwise order (:func:`_sums_of_squares`); a
+  real block is squared as ``x * x``, with no ``np.abs`` copy.
+  :meth:`StateVector.x_basis_probabilities` reads the top qubit in the X
+  basis, the swap test's readout: it forms the H kernel's r lo + r hi and
+  r lo - r hi block by block into its own buffers and sums them the same
+  way, so its bits are those of an H followed by
+  :meth:`StateVector.marginal_probabilities`, and the state is only read.
+  ``zero_state`` skips the norm check, and the check of any other input is
+  one ``np.vdot``.
   :meth:`StateVector.postselect` sums the norm of its zeroed copy the same
   way and renormalizes it in place, as a product with
   1/sqrt(p), which numpy's complex division by a real also computes.  So
@@ -470,23 +472,15 @@ class StateVector:
         """Entry 1 of :meth:`x_basis_probabilities`, summed alone."""
         return float(_x_basis_sums(self.amplitudes, (1,))[1])
 
-    def sample(self, qubits, shots: int, rng: RngStream) -> dict[str, int]:
-        """Draw ``shots`` i.i.d. readings of the listed qubits.
-
-        Keys are bitstrings with ``qubits[i]`` at string position ``i``.
-        Deterministic under a fixed rng.
-        """
+    def sample(self, qubits, shots: int, rng: RngStream) -> np.ndarray:
+        """Counts of ``shots`` i.i.d. readings of the listed qubits, one
+        multinomial draw over :meth:`marginal_probabilities`: entry ``v`` counts
+        register value ``v``, ``qubits[0]`` least significant.  Deterministic
+        under a fixed rng."""
         if shots < 1:
             raise QReliefFError("shots must be >= 1")
         probs = self.marginal_probabilities(qubits)
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        out = {}
-        for v, c in enumerate(counts):
-            if c:
-                bits = "".join(str((v >> j) & 1) for j in range(len(qubits)))
-                out[bits] = int(c)
-        return out
+        return rng.multinomial(shots, probs / probs.sum())
 
 
 def zero_state(n_qubits: int) -> StateVector:

@@ -537,7 +537,7 @@ def swap_test_p1(flagged_u: StateVector, v_state: StateVector, swap_qubits, shot
         state = state.apply(g)
     if shots is None:
         return probability_one_unchunked(state, anc)
-    return state.sample([anc], shots, rng).get("1", 0) / shots
+    return int(state.sample([anc], shots, rng)[1]) / shots
 
 
 def grover_iterate(state: StateVector, phi: float, oracle: np.ndarray, w_gates) -> StateVector:

@@ -98,7 +98,7 @@ class TestReproduction:
         # one marginal for all runs; the draws StateVector.sample makes per run
         rng = RngStream(seed)
         want = [
-            state.sample([RESULT_QUBIT], 1024, rng.substream(r)).get("1", 0) / 1024
+            int(state.sample([RESULT_QUBIT], 1024, rng.substream(r))[1]) / 1024
             for r in range(8)
         ]
         assert reproduce_program3(shots=1024, runs=8, seed=seed).run_means == want

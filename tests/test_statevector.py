@@ -1,10 +1,13 @@
 """Unit tests for the statevector simulator layer."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrelieff import (
     CapacityError,
@@ -389,14 +392,14 @@ class TestMeasurement:
 class TestSample:
     def test_deterministic_state(self):
         counts = basis_state(1, 1).sample([0], 100, RngStream(0))
-        assert counts == {"1": 100}
+        assert np.array_equal(counts, [0, 100])
 
     def test_binomial_band(self):
         state = zero_state(1).apply(h(0))
         counts = state.sample([0], 1024, RngStream(7))
-        assert sum(counts.values()) == 1024
+        assert counts.sum() == 1024
         sigma = math.sqrt(0.25 / 1024)
-        assert abs(counts.get("1", 0) / 1024 - 0.5) < 3 * sigma
+        assert abs(counts[1] / 1024 - 0.5) < 3 * sigma
 
     def test_counts_pass_chi_square(self):
         """Counts follow ``marginal_probabilities``: 20000 shots of qubits
@@ -404,14 +407,12 @@ class TestSample:
         ``default_rng(0)``) on RngStream(0) give chi-square 4.84 over 8
         outcomes, each expected at least 42 times.  The bound, 40.52, is the
         1 - 1e-6 quantile of chi-square with 7 degrees of freedom
-        (scipy.stats.chi2.ppf).  Bitstrings written with their bits
+        (scipy.stats.chi2.ppf).  Counts read with the register's bits
         reversed give 3710."""
         amps = np.random.default_rng(0).normal(size=16)
         state, qubits, shots = StateVector(4, amps / np.linalg.norm(amps)), [2, 0, 3], 20000
         expected = shots * state.marginal_probabilities(qubits)
-        observed = np.zeros(len(expected))
-        for bits, count in state.sample(qubits, shots, RngStream(0)).items():
-            observed[int(bits[::-1], 2)] = count  # string position i is qubits[i]
+        observed = state.sample(qubits, shots, RngStream(0))
         assert expected.min() >= 5.0
         chi_square = float(np.sum((observed - expected) ** 2 / expected))
         assert chi_square <= 40.52, chi_square
@@ -424,12 +425,36 @@ class TestSample:
         state = zero_state(3).apply(h(0)).apply(h(2))
         a = state.sample([0, 1, 2], 500, RngStream(42))
         b = state.sample([0, 1, 2], 500, RngStream(42))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_bitstring_positions(self):
-        # qubit 1 is set; with qubits=[1, 0] it lands at string position 0
-        counts = basis_state(2, 2).sample([1, 0], 10, RngStream(1))
-        assert counts == {"10": 10}
+        """Basis state |b>, read on a permuted qubit list, puts every shot at
+        the register value that list gives b: bit i of it is bit
+        ``qubits[i]`` of b."""
+        for qubits in itertools.permutations(range(3)):
+            for b in range(8):
+                value = sum(((b >> q) & 1) << i for i, q in enumerate(qubits))
+                counts = basis_state(3, b).sample(qubits, 10, RngStream(1))
+                assert np.array_equal(counts, 10 * np.eye(8, dtype=int)[value]), (qubits, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_counts_are_the_multinomial_draw_of_the_marginal(self, data):
+        """On random real and complex states of 1-6 qubits and random ordered
+        qubit lists, the counts are the stream's one multinomial draw over
+        the normalized marginal, entry v for register value v."""
+        n = data.draw(st.integers(1, 6))
+        amps_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = amps_rng.normal(size=1 << n)
+        if data.draw(st.booleans()):
+            amps = amps + 1j * amps_rng.normal(size=1 << n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        qubits = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+        shots, seed = data.draw(st.integers(1, 4096)), data.draw(st.integers(0, 2**32 - 1))
+        p = state.marginal_probabilities(qubits)
+        counts = state.sample(qubits, shots, RngStream(seed))
+        assert np.array_equal(counts, RngStream(seed).multinomial(shots, p / p.sum()))
+        assert counts.sum() == shots
 
 
 class TestStateVectorInvariants:
