@@ -19,6 +19,7 @@ import numpy as np
 from qrelieff import (
     amplitude_estimate,
     encode_sample,
+    estimate,
     fold_distribution,
     modal_outcome,
     swap_flag,
@@ -46,8 +47,8 @@ print("recovered similarity         =", round(s, 6))
 # takes a itself.  Here we estimate a = s with 6 readout bits.
 t = 6
 dist = amplitude_estimate(s, t)
-outcome = modal_outcome(dist, t)
-print(f"\n{t}-bit estimation: y = {outcome.y}, a_hat = {outcome.a_hat:.6f}")
+y = modal_outcome(dist)
+print(f"\n{t}-bit estimation: y = {y}, a_hat = {estimate(y, t):.6f}")
 
 # The two grid points nearest the true value always carry >= 8/pi^2 of the
 # probability mass; on-grid values concentrate almost fully.

@@ -53,13 +53,14 @@ print(f"\nselected at tau={tau}:")
 print("  classical:", [names[i] for i in classical.selected(tau)])
 print("  quantum:  ", [names[i] for i in quantum.selected(tau)])
 
-# The quantum trace also logs every similarity reading; here is the table for
-# the first picked sample (y is the 6-bit amplitude-estimation reading).
+# The quantum trace also keeps every similarity reading, in lists indexed by
+# sample; here is the table for the first picked sample (y is the 6-bit
+# amplitude-estimation reading).
 table = quantum.tables[0]
 print(f"\nsimilarity table for picked sample S{table.picked}:")
-for c, records in sorted(table.records.items()):
+for c, name in enumerate(class_names):
     row = ", ".join(
-        f"S{r.sample}: s={r.s_raw:.3f} y={r.s_quantized}" + (" (self)" if r.excluded else "")
-        for r in records
+        f"S{q}: s={table.s_raw[q]:.3f} y={table.y[q]}" + (" (self)" if q == table.picked else "")
+        for q in nd.class_members(c).tolist()
     )
-    print(f"  class {class_names[c]}: {row}")
+    print(f"  class {name}: {row}")

@@ -5,6 +5,7 @@ from .circuits import (
     amplitude_estimate,
     cmp_flag,
     encode_sample,
+    estimate,
     fold_distribution,
     grover_plan,
     grover_search_state,

@@ -223,8 +223,6 @@ class GroverPlan:
     """Iteration count and phase of one phase-matched Grover search."""
 
     n: int
-    space_size: int
-    marked_estimate: int
     J: int
     eta: float
     phi: float
@@ -245,7 +243,7 @@ def grover_plan(n: int, marked_estimate: int) -> GroverPlan:
     J = max(0, math.ceil((math.pi / eta - 2.0) / 4.0 - 1e-12))
     arg = math.sin(math.pi / (4 * J + 2)) / math.sin(eta)
     phi = 2.0 * math.asin(min(arg, 1.0))
-    return GroverPlan(n, space, marked_estimate, J, eta, phi)
+    return GroverPlan(n, J, eta, phi)
 
 
 def _grover_in_place(
@@ -289,18 +287,6 @@ def check_ae_width(t: int):
     charged four: one complex state of 3 + t qubits, at most the largest
     state the cap allows."""
     check_width(3 + t)
-
-
-@dataclass(frozen=True)
-class AEOutcome:
-    """One amplitude-estimation reading: y in [0, 2^t) with a = sin^2(pi y / 2^t)."""
-
-    y: int
-    t: int
-
-    @property
-    def a_hat(self) -> float:
-        return math.sin(math.pi * self.y / (1 << self.t)) ** 2
 
 
 def _grover_orbit_by_squaring(psi: np.ndarray, t: int) -> np.ndarray:
@@ -371,6 +357,12 @@ def ae_distribution_for_amplitude(a: float, t: int) -> np.ndarray:
     return dist
 
 
+def estimate(y: int, t: int) -> float:
+    """The probability that t-bit amplitude estimation's reading y stands
+    for: sin^2(pi y / 2^t)."""
+    return math.sin(math.pi * y / (1 << t)) ** 2
+
+
 def fold_distribution(dist: np.ndarray) -> np.ndarray:
     """Collapse y and 2^t - y (the same estimate) onto y <= 2^(t-1)."""
     half = len(dist) // 2
@@ -388,11 +380,11 @@ def fold_distribution(dist: np.ndarray) -> np.ndarray:
 MODAL_TIE_TOL = 1e-12
 
 
-def modal_outcome(dist: np.ndarray, t: int) -> AEOutcome:
-    """The most probable canonical reading min(y, 2^t - y); ties (within
-    :data:`MODAL_TIE_TOL`) go low."""
+def modal_outcome(dist: np.ndarray) -> int:
+    """The most probable canonical reading min(y, 2^t - y) of the 2^t-entry
+    distribution ``dist``; ties (within :data:`MODAL_TIE_TOL`) go low."""
     folded = fold_distribution(dist)
-    return AEOutcome(int(np.argmax(folded >= folded.max() - MODAL_TIE_TOL)), t)
+    return int(np.argmax(folded >= folded.max() - MODAL_TIE_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,28 @@
 """The quantum subroutines that plug into the shared ReliefF loop.
 
 For each pick, the similarity step swap-tests every encoded sample against
-the picked one and reads each result out through amplitude estimation
-(:func:`build_similarity_table`).  The neighbor step ranks each class by
-Grover extreme search over those readings (:func:`quantum_neighbors`).  The
-loop, the per-class neighbor walk, the weight update and the selection are
-:mod:`qrelieff.relieff`'s.
+the picked one and reads each result out through amplitude estimation, into
+lists indexed by sample (:func:`build_similarity_table`).  The neighbor step
+ranks each class by Grover extreme search over those readings
+(:func:`quantum_neighbors`).  The loop, the per-class neighbor walk, the
+weight update and the selection are :mod:`qrelieff.relieff`'s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import (
     _index_bits,
-    AEOutcome,
     EncodingLayout,
     ae_distribution_for_amplitude,
     amplitude_estimate,
     check_ae_width,
     encode_sample,
+    estimate,
     modal_outcome,
     quantum_extreme_search,
     swap_flag,
@@ -67,26 +67,15 @@ class PipelineConfig(RunConfig):
 
 
 @dataclass
-class SimilarityRecord:
-    """One swap-test + estimation reading for a (picked, candidate) pair."""
-
-    sample: int
-    s_raw: float
-    outcome: AEOutcome
-    excluded: bool = False
-    noise_clamped: bool = False
-
-    @property
-    def s_quantized(self) -> int:
-        return self.outcome.y
-
-
-@dataclass
 class SimilarityTable:
-    """Per-class similarity records for one picked sample."""
+    """The similarity readings of one picked sample against every sample q,
+    each list indexed by q: the similarity s clamped to [0, 1], its t-bit
+    reading y, and whether shot noise pushed s outside [0, 1]."""
 
     picked: int
-    records: dict[int, list[SimilarityRecord]] = field(default_factory=dict)
+    s_raw: list[float]
+    y: list[int]
+    noise_clamped: list[bool]
 
 
 def prepare_states(nd: NormalizedDataset) -> list[StateVector]:
@@ -137,7 +126,7 @@ def _full_readout_bits(layout: EncodingLayout, t: int) -> int:
 
 def _full_circuit_outcome(
     p1: float, layout: EncodingLayout, cfg: PipelineConfig, rng: RngStream | None
-) -> AEOutcome:
+) -> int:
     """The t-bit similarity reading from t_f-bit amplitude estimation
     (:func:`_full_readout_bits`) of the swap-test composite's P(1) ``p1``:
     its modal reading (exact mode) or one drawn (sampled), turned into
@@ -145,18 +134,18 @@ def _full_circuit_outcome(
     t_f = _full_readout_bits(layout, cfg.ae_bits)
     dist = amplitude_estimate(p1, t_f)
     if cfg.mode == "exact":
-        ae = modal_outcome(dist, t_f)
+        y = modal_outcome(dist)
     else:
         y = rng.choice_weighted(dist / dist.sum())
-        ae = AEOutcome(min(y, (1 << t_f) - y), t_f)
-    s = min(max((1.0 - 2.0 * ae.a_hat) * layout.n_features**2, 0.0), 1.0)
+        y = min(y, (1 << t_f) - y)
+    s = min(max((1.0 - 2.0 * estimate(y, t_f)) * layout.n_features**2, 0.0), 1.0)
     return _quantize_similarity(s, cfg.ae_bits)
 
 
-def _quantize_similarity(s: float, t: int) -> AEOutcome:
+def _quantize_similarity(s: float, t: int) -> int:
     """Nearest t-bit estimation grid point to a known similarity."""
     m = round((1 << t) * math.asin(math.sqrt(s)) / math.pi)
-    return AEOutcome(min(max(m, 0), 1 << (t - 1)), t)
+    return min(max(m, 0), 1 << (t - 1))
 
 
 def build_similarity_table(
@@ -166,9 +155,9 @@ def build_similarity_table(
     cfg: PipelineConfig,
     rng: RngStream | None,
 ) -> SimilarityTable:
-    """Swap-test every sample q against the picked one u, grouped by class:
+    """Swap-test every sample q against the picked one u, u itself included:
     similarity s = (1 - 2 P(1)) N^2 and its t-bit amplitude-estimation
-    reading.
+    reading, at index q of the table's lists.
 
     The default path runs the swap test (exact or shots-estimated ancilla),
     recovers s, and estimates the algebraically equivalent single-qubit
@@ -176,30 +165,25 @@ def build_similarity_table(
     swap-test ancilla's exact P(1) (:func:`_full_circuit_outcome`) and
     converts that reading back to an s grid point.  The raw estimate is
     clamped to [0, 1].  In sampled mode shot noise can push it outside, and
-    the record is flagged ``noise_clamped``; in exact mode only rounding can
-    (u against itself lands just above 1), and nothing is flagged.  The
-    picked sample keeps a record, marked excluded, so the trace stays
-    complete.  Each pair owns an rng substream keyed by its sample index.
+    the sample's ``noise_clamped`` entry is set; in exact mode only rounding
+    can (u against itself lands just above 1), and nothing is flagged.  Each
+    pair owns an rng substream keyed by its sample index.
     """
     layout = EncodingLayout(nd.n_features)
     flagged_u = swap_flag(states[u])
-    table = SimilarityTable(u)
-    for c in range(nd.n_classes):
-        records = table.records[c] = []
-        for q in nd.class_members(c).tolist():
-            q_rng = rng.substream(q) if rng is not None else None
-            p1, reading = _swap_test_p1(flagged_u, states[q], layout, cfg, q_rng)
-            s = (1.0 - 2.0 * reading) * layout.n_features**2
-            clamped = cfg.mode == "sampled" and not 0.0 <= s <= 1.0
-            s = min(max(s, 0.0), 1.0)
-            if cfg.ae_circuit == "full":
-                outcome = _full_circuit_outcome(p1, layout, cfg, q_rng)
-            else:
-                dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
-                outcome = modal_outcome(dist, cfg.ae_bits)
-            records.append(
-                SimilarityRecord(q, s, outcome, excluded=q == u, noise_clamped=clamped)
-            )
+    table = SimilarityTable(u, [], [], [])
+    for q, v_state in enumerate(states):
+        q_rng = rng.substream(q) if rng is not None else None
+        p1, reading = _swap_test_p1(flagged_u, v_state, layout, cfg, q_rng)
+        s = (1.0 - 2.0 * reading) * layout.n_features**2
+        table.noise_clamped.append(cfg.mode == "sampled" and not 0.0 <= s <= 1.0)
+        s = min(max(s, 0.0), 1.0)
+        table.s_raw.append(s)
+        if cfg.ae_circuit == "full":
+            table.y.append(_full_circuit_outcome(p1, layout, cfg, q_rng))
+        else:
+            dist = ae_distribution_for_amplitude(round(s, 15), cfg.ae_bits)
+            table.y.append(modal_outcome(dist))
     return table
 
 
@@ -219,8 +203,7 @@ def quantum_neighbors(
     """
 
     def top_k(c, candidates, k):
-        y = {r.sample: r.s_quantized for r in table.records[c]}
-        positions = quantum_extreme_search([y[q] for q in candidates], k, order, rng.substream(c))
+        positions = quantum_extreme_search([table.y[q] for q in candidates], k, order, rng.substream(c))
         return [candidates[p] for p in positions]
 
     return neighbor_set(labels, table.picked, k, top_k)

@@ -172,7 +172,6 @@ def similarity(u: np.ndarray, v: np.ndarray) -> float:
 class NeighborSet:
     """k nearest hits (same class) and per-class misses of a picked sample."""
 
-    u_index: int
     hits: list[int]
     misses: dict[int, list[int]]
 
@@ -199,7 +198,7 @@ def neighbor_set(labels: np.ndarray, u: int, k: int, top_k) -> NeighborSet:
             hits = chosen
         else:
             misses[c] = chosen
-    return NeighborSet(u, hits, misses)
+    return NeighborSet(hits, misses)
 
 
 def find_neighbors(

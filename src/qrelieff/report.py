@@ -24,25 +24,27 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _similarity_log(tables: list[SimilarityTable]) -> list[dict]:
-    """Per pick, each class's similarity records in the order the table holds
-    them: the raw similarity, its reading y (``s_quantized``) and the flags."""
+def _similarity_log(tables: list[SimilarityTable], dataset: Dataset) -> list[dict]:
+    """Per pick, each class's samples q in ascending order: the raw
+    similarity, its reading y (again as ``s_quantized``), whether q is the
+    pick (``excluded``) and the noise flag."""
+    classes = [dataset.class_members(c).tolist() for c in range(dataset.n_classes)]
     return [
         {
             "picked": table.picked,
             "classes": {
                 str(c): [
                     {
-                        "sample": r.sample,
-                        "s_raw": r.s_raw,
-                        "y": r.outcome.y,
-                        "s_quantized": r.s_quantized,
-                        "excluded": r.excluded,
-                        "noise_clamped": r.noise_clamped,
+                        "sample": q,
+                        "s_raw": table.s_raw[q],
+                        "y": table.y[q],
+                        "s_quantized": table.y[q],
+                        "excluded": q == table.picked,
+                        "noise_clamped": table.noise_clamped[q],
                     }
-                    for r in records
+                    for q in members
                 ]
-                for c, records in sorted(table.records.items())
+                for c, members in enumerate(classes)
             },
         }
         for table in tables
@@ -63,7 +65,7 @@ def _backend_section(result, report):
             {
                 "picked": rec.picked,
                 "neighbors": {
-                    "picked": rec.neighbors.u_index,
+                    "picked": rec.picked,
                     "hits": list(rec.neighbors.hits),
                     "misses": {str(c): list(v) for c, v in sorted(rec.neighbors.misses.items())},
                 },
@@ -112,7 +114,7 @@ def build_report(
     if quantum is not None:
         results["quantum"] = _backend_section(quantum, report)
         if report["config"]["emit_iterations"]:
-            results["quantum"]["similarity_log"] = _similarity_log(quantum.tables)
+            results["quantum"]["similarity_log"] = _similarity_log(quantum.tables, dataset)
     if classical is not None and quantum is not None:
         per_iter = neighbor_agreement(classical, quantum)
         c_section, q_section = results["classical"], results["quantum"]

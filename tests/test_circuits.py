@@ -29,7 +29,7 @@ from qrelieff import (
     zero_state,
 )
 from qrelieff import Dataset, circuits, normalize, statevector
-from qrelieff.circuits import AEOutcome, EncodingLayout, _cmp_gates, swap_test_state
+from qrelieff.circuits import EncodingLayout, _cmp_gates, estimate, swap_test_state
 from qrelieff.cli import load_csv
 from qrelieff.pipeline import PipelineConfig, _full_circuit_outcome, _swap_test_p1, prepare_states
 from qrelieff.statevector import ry, x
@@ -320,7 +320,7 @@ class TestGroverIterate:
         from qrelieff import GroverPlan
 
         # phi = pi exactly: one generalized iterate must equal textbook Grover
-        plan = GroverPlan(2, 4, 1, 1, math.asin(0.5), math.pi)
+        plan = GroverPlan(2, 1, math.asin(0.5), math.pi)
         mask = np.zeros(4, dtype=bool)
         mask[2] = True
         out = grover_search_state(plan, mask)
@@ -374,8 +374,8 @@ class TestAmplitudeEstimation:
     def test_half_amplitude_on_grid(self):
         dist = amplitude_estimate(0.5, 3)
         assert dist[2] + dist[6] == pytest.approx(1.0, abs=1e-10)
-        assert modal_outcome(dist, 3).y == 2
-        assert AEOutcome(2, 3).a_hat == pytest.approx(0.5, abs=1e-12)
+        assert modal_outcome(dist) == 2
+        assert estimate(2, 3) == pytest.approx(0.5, abs=1e-12)
 
     def test_quarter_amplitude_mass_bound(self):
         t = 4
@@ -476,14 +476,14 @@ class TestAmplitudeEstimation:
     def test_modal_tie_goes_low(self):
         dist = np.zeros(8)
         dist[1] = dist[3] = 0.5
-        assert modal_outcome(dist, 3).y == 1
+        assert modal_outcome(dist) == 1
 
     def test_modal_rounding_level_tie_goes_low(self):
         # P(1) = 1/2 at t = 1 is an exact tie, and each side may come out
         # ahead by rounding
-        assert modal_outcome(np.array([0.4999999999999992, 0.4999999999999993]), 1).y == 0
-        assert modal_outcome(np.array([0.5000000000000006, 0.4999999999999993]), 1).y == 0
-        assert modal_outcome(np.array([0.499, 0.501]), 1).y == 1
+        assert modal_outcome(np.array([0.4999999999999992, 0.4999999999999993])) == 0
+        assert modal_outcome(np.array([0.5000000000000006, 0.4999999999999993])) == 0
+        assert modal_outcome(np.array([0.499, 0.501])) == 1
 
 
 class TestQuantumExtremeSearch:

@@ -33,6 +33,8 @@ from qrelieff.report import canonical_body, neighbor_agreement, render_program3_
 
 jsonschema = pytest.importorskip("jsonschema")
 
+DATA = Path(__file__).parent / "data"
+
 
 def run(argv):
     out = io.StringIO()
@@ -534,6 +536,25 @@ def report(fixture_path):
     return json.loads(out)
 
 
+def assert_similarity_log_shape(doc, labels):
+    """Each pick's log lists every sample once, under its class: the classes
+    ascending, each class's samples ascending, ``excluded`` at the pick alone,
+    and ``s_quantized`` equal to ``y``."""
+    section = doc["results"]["quantum"]
+    log = section["similarity_log"]
+    assert [entry["picked"] for entry in log] == [it["picked"] for it in section["iterations"]]
+    n_classes = int(labels.max()) + 1
+    for entry in log:
+        classes = entry["classes"]
+        assert [int(c) for c in classes] == list(range(n_classes))
+        for c, recs in classes.items():
+            assert [r["sample"] for r in recs] == np.flatnonzero(labels == int(c)).tolist()
+        recs = [r for c in classes for r in classes[c]]
+        assert sorted(r["sample"] for r in recs) == list(range(len(labels)))
+        assert [r["sample"] for r in recs if r["excluded"]] == [entry["picked"]]
+        assert all(r["s_quantized"] == r["y"] for r in recs)
+
+
 class TestReport:
     def test_schema_validates(self, report):
         jsonschema.validate(report, schema())
@@ -551,11 +572,25 @@ class TestReport:
         assert '"timing"' not in body
         assert json.loads(body)["results"] == report["results"]
 
-    def test_similarity_log_present(self, report):
+    def test_similarity_log_present(self, report, fixture_path):
         log = report["results"]["quantum"]["similarity_log"]
         assert len(log) == report["config"]["T"]
-        first = log[0]["classes"]["0"]
-        assert any(rec["excluded"] for rec in first)
+        assert_similarity_log_shape(report, load_csv(fixture_path)[0].labels)
+
+    @pytest.mark.parametrize(
+        "csv_name, flags",
+        [
+            (None, []),
+            (None, ["--mode", "sampled"]),
+            ("four_by_two.csv", ["--ae-circuit", "full"]),
+        ],
+        ids=["example6-exact", "example6-sampled", "four_by_two-full"],
+    )
+    def test_similarity_log_lists_every_sample_once(self, fixture_path, csv_name, flags):
+        path = fixture_path if csv_name is None else str(DATA / csv_name)
+        code, out = run(["--input", path, "--T", "3", "--seed", "1", "--emit-iterations", *flags])
+        assert code == 0
+        assert_similarity_log_shape(json.loads(out), load_csv(path)[0].labels)
 
     def test_neighbor_agreement_helper(self, example_normalized):
         from qrelieff import PipelineConfig, RngStream, RunConfig, qrelieff_run, relieff_run
@@ -570,9 +605,9 @@ class TestReport:
             records = [IterationRecord(u, nb, np.zeros(2)) for u, nb in iterations]
             return ReliefFResult(np.zeros(2), records)
 
-        same = (0, NeighborSet(0, [1], {1: [2]}))
-        other_miss = (0, NeighborSet(0, [1], {1: [3]}))
-        other_pick = (3, NeighborSet(3, [1], {1: [2]}))
+        same = (0, NeighborSet([1], {1: [2]}))
+        other_miss = (0, NeighborSet([1], {1: [3]}))
+        other_pick = (3, NeighborSet([1], {1: [2]}))
         c = result(same, same, same)
         q = result(same, other_miss, other_pick)
         assert neighbor_agreement(c, q) == [True, False, False]

@@ -20,9 +20,9 @@ from qrelieff import (
     relieff_run,
 )
 from qrelieff.circuits import (
-    AEOutcome,
     EncodingLayout,
     amplitude_estimate,
+    estimate,
     swap_flag,
 )
 from qrelieff.cli import load_csv
@@ -87,44 +87,37 @@ class TestPrepareStates:
         np.testing.assert_allclose(p0, p1, atol=1e-12)
 
 
-def similarity_record(states, nd, u, q, cfg):
-    """Sample q's record in the similarity table of pick u (rng None)."""
+def similarity_reading(states, nd, u, q, cfg):
+    """Sample q's (s_raw, y) in the similarity table of pick u (rng None)."""
     table = build_similarity_table(states, nd, u, cfg, None)
-    return next(r for recs in table.records.values() for r in recs if r.sample == q)
+    return table.s_raw[q], table.y[q]
 
 
 class TestQuantumSimilarity:
     def test_self_similarity(self, example_normalized, example_states):
         nd, _ = example_normalized
-        cfg = PipelineConfig()
-        rec = similarity_record(example_states, nd, 0, 0, cfg)
-        assert rec.s_raw == pytest.approx(1.0, abs=1e-9)
-        assert rec.sample == 0 and rec.excluded
+        s, _ = similarity_reading(example_states, nd, 0, 0, PipelineConfig())
+        assert s == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_rows(self, example_normalized, example_states):
         nd, _ = example_normalized
-        cfg = PipelineConfig()
-        rec = similarity_record(example_states, nd, 0, 2, cfg)
-        assert rec.s_raw == pytest.approx(0.0, abs=1e-9)
-        assert rec.s_quantized == 0
-        assert rec.sample == 2 and not rec.excluded
+        s, y = similarity_reading(example_states, nd, 0, 2, PipelineConfig())
+        assert s == pytest.approx(0.0, abs=1e-9)
+        assert y == 0
 
     def test_quarter_similarity(self, example_normalized, example_states):
         nd, _ = example_normalized
-        cfg = PipelineConfig()
-        rec = similarity_record(example_states, nd, 0, 1, cfg)
-        assert rec.s_raw == pytest.approx(0.25, abs=1e-9)
+        s, _ = similarity_reading(example_states, nd, 0, 1, PipelineConfig())
+        assert s == pytest.approx(0.25, abs=1e-9)
 
     def test_quantization_monotone(self, example_normalized, example_states):
         nd, _ = example_normalized
-        cfg = PipelineConfig()
-        recs = []
-        for q in range(1, 6):
-            recs.append(similarity_record(example_states, nd, 0, q, cfg))
-        for a in recs:
-            for b in recs:
-                if a.s_quantized != b.s_quantized:
-                    assert (a.s_raw < b.s_raw) == (a.s_quantized < b.s_quantized)
+        table = build_similarity_table(example_states, nd, 0, PipelineConfig(), None)
+        readings = list(zip(table.s_raw, table.y))[1:]
+        for s_a, y_a in readings:
+            for s_b, y_b in readings:
+                if y_a != y_b:
+                    assert (s_a < s_b) == (y_a < y_b)
 
     def test_sampled_mode_needs_rng(self, example_normalized, example_states):
         nd, _ = example_normalized
@@ -166,11 +159,11 @@ class TestQuantumSimilarity:
         t_f = _full_readout_bits(layout, t)
         pushed = np.zeros((1 << (t - 1)) + 1)
         for y, prob in enumerate(amplitude_estimate(p1, t_f)):
-            a_hat = AEOutcome(min(y, (1 << t_f) - y), t_f).a_hat
+            a_hat = estimate(min(y, (1 << t_f) - y), t_f)
             s = min(max((1.0 - 2.0 * a_hat) * nd.n_features**2, 0.0), 1.0)
-            pushed[_quantize_similarity(s, t).y] += prob
+            pushed[_quantize_similarity(s, t)] += prob
         cfg, rng = PipelineConfig(mode="sampled", ae_circuit="full", ae_bits=t), RngStream(seed)
-        readings = [_full_circuit_outcome(p1, layout, cfg, rng.substream(r)).y for r in range(draws)]
+        readings = [_full_circuit_outcome(p1, layout, cfg, rng.substream(r)) for r in range(draws)]
         observed = np.bincount(readings, minlength=len(pushed))
         groups, want, got = [], 0.0, 0
         for e, o in zip(draws * pushed, observed):
@@ -186,7 +179,7 @@ class TestQuantumSimilarity:
 
     def test_full_agrees_with_reduced_on_eight_by_four(self):
         """Exact ``full`` and ``reduced`` read the same y on at least 90% of
-        the eight_by_four records at t = 6: 15 of the 16 records of the
+        the eight_by_four readings at t = 6: 15 of the 16 readings of the
         golden case's run (T = 2, seed 0) and 62 of all 64 pairs.  Estimating
         the swap-test ancilla at t bits, ``full`` matched on 2 of 16 and 8 of
         64."""
@@ -196,8 +189,7 @@ class TestQuantumSimilarity:
             for c in ("reduced", "full")
         ]
         keys = [
-            [(tab.picked, r.sample, r.s_quantized) for tab in run.tables
-             for recs in tab.records.values() for r in recs]
+            [(tab.picked, q, y) for tab in run.tables for q, y in enumerate(tab.y)]
             for run in runs
         ]
         assert len(keys[0]) == len(keys[1]) == 16
@@ -209,9 +201,8 @@ class TestQuantumSimilarity:
                 build_similarity_table(states, nd, u, PipelineConfig(ae_bits=6, ae_circuit=c), None)
                 for c in ("reduced", "full")
             )
-            for c, recs in reduced.records.items():
-                for a, b in zip(recs, full.records[c]):
-                    pairs, agree = pairs + 1, agree + (a.s_quantized == b.s_quantized)
+            for a, b in zip(reduced.y, full.y):
+                pairs, agree = pairs + 1, agree + (a == b)
         assert pairs == 64 and agree >= 0.9 * pairs, agree
 
     def test_full_circuit_small(self):
@@ -222,13 +213,13 @@ class TestQuantumSimilarity:
         )
         nd, _ = normalize(ds)
         states = prepare_states(nd)
-        reduced = similarity_record(states, nd, 0, 1, PipelineConfig(ae_bits=3))
-        full = similarity_record(
+        reduced = similarity_reading(states, nd, 0, 1, PipelineConfig(ae_bits=3))
+        full = similarity_reading(
             states, nd, 0, 1, PipelineConfig(ae_bits=3, ae_circuit="full")
         )
-        assert full.s_raw == pytest.approx(0.0, abs=1e-9)
-        assert reduced.s_raw == pytest.approx(0.0, abs=1e-9)
-        assert full.s_quantized == reduced.s_quantized == 0
+        assert full[0] == pytest.approx(0.0, abs=1e-9)
+        assert reduced[0] == pytest.approx(0.0, abs=1e-9)
+        assert full[1] == reduced[1] == 0
 
 
 class TestQuantumNeighbors:
@@ -239,13 +230,6 @@ class TestQuantumNeighbors:
         nb = quantum_neighbors(table, nd.labels, 1, "max", RngStream(0))
         assert nb.hits == [1]
         assert {c: list(v) for c, v in nb.misses.items()} == {1: [3], 2: [4]}
-
-    def test_excluded_record_present(self, example_normalized, example_states):
-        nd, _ = example_normalized
-        table = build_similarity_table(example_states, nd, 0, PipelineConfig(), None)
-        class_a = table.records[0]
-        assert [r.sample for r in class_a] == [0, 1]
-        assert class_a[0].excluded and not class_a[1].excluded
 
     def test_bad_order(self, example_normalized, example_states):
         nd, _ = example_normalized
@@ -297,13 +281,12 @@ class TestQReliefFRun:
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_noise_clamped_only_in_sampled_mode(self, example_normalized, mode):
         # in exact mode the picked sample's own s lands just above 1 by
-        # rounding: clamped, not flagged; shot noise flags some sampled records
+        # rounding: clamped, not flagged; shot noise flags some sampled readings
         nd, stats = example_normalized
         cfg = PipelineConfig(T=4, pick_policy="round-robin", mode=mode)
         tables = qrelieff_run(nd, cfg, RngStream(0), stats).tables
-        records = [r for table in tables for rs in table.records.values() for r in rs]
-        assert all(0.0 <= r.s_raw <= 1.0 for r in records)
-        assert any(r.noise_clamped for r in records) == (mode == "sampled")
+        assert all(0.0 <= s <= 1.0 for table in tables for s in table.s_raw)
+        assert any(f for table in tables for f in table.noise_clamped) == (mode == "sampled")
 
     def test_trace_rederives_average(self, example_normalized):
         nd, stats = example_normalized
@@ -355,10 +338,10 @@ class TestQReliefFRun:
         for table, qr, cr in zip(q.tables, q.iterations, c.iterations):
             assert qr.picked == cr.picked == table.picked
             u_class = int(nd.labels[table.picked])
-            for cls, records in table.records.items():
-                ranked = sorted((r for r in records if not r.excluded),
-                                key=lambda r: (sign * r.s_quantized, r.sample))
-                ys = [r.s_quantized for r in ranked]
+            for cls in range(nd.n_classes):
+                ranked = sorted((q for q in nd.class_members(cls).tolist() if q != table.picked),
+                                key=lambda q: (sign * table.y[q], q))
+                ys = [table.y[q] for q in ranked]
                 kk = min(k, len(ys))
                 got, want = (
                     r.neighbors.hits if cls == u_class else r.neighbors.misses[cls]

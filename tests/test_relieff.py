@@ -271,7 +271,7 @@ class TestNeighborSet:
 
         nb = neighbor_set(self.LABELS, 1, 2, top_k)
         assert calls == [(0, [0], 1), (1, [2, 3, 4], 2), (2, [5], 1)]
-        assert (nb.u_index, nb.hits, nb.misses) == (1, [0], {1: [4, 3], 2: [5]})
+        assert (nb.hits, nb.misses) == ([0], {1: [4, 3], 2: [5]})
 
     @pytest.mark.parametrize(
         "u, k, error, message",
