@@ -5,6 +5,10 @@ import pytest
 
 from qrelieff import Dataset, normalize
 
+# a failed check of the shared log-shape helper shows its operands, as a
+# failed assert in a test module does
+pytest.register_assert_rewrite("similarity_log")
+
 # Six binary samples over six features, two per class.  Classes: A = {S0, S1},
 # B = {S2, S3}, C = {S4, S5}.  Every feature is an indicator, so the rows have
 # equal norm and all pairwise similarities are multiples of 1/4.

@@ -44,6 +44,10 @@ as it ran on the whole circuit: the ancilla prepared by an H, the register
 swap, the readout H as a gate and a computational-basis readout, which the
 |+> composite and the X-basis readout replaced; it reads the ancilla
 through ``probability_one_unchunked``, not through the package's readouts.
+``swap_test_state_dense`` is the |+> composite as it was once built: r (A (x)
+B) written into every row of both halves, the rows where A is zero included,
+and the controlled register swap as one transposition of the whole view;
+the package writes only A's nonzero rows and leaves zero blocks in place.
 
 Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled
@@ -515,6 +519,22 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
     for g in swap_test_gates(a.n_qubits, swap_qubits):
         state = state.apply(g)
     return state
+
+
+def swap_test_state_dense(a: StateVector, b: StateVector, swap_qubits=None) -> StateVector:
+    """The swap-test composite before its readout H, every amplitude
+    written: the outer product A (x) B, then r, into the lower half, copied
+    into the upper half, and the register swap under the ancilla through
+    :func:`apply_unchunked`."""
+    m = a.n_qubits
+    amps = np.empty(2 << 2 * m, dtype=np.result_type(a.amplitudes, b.amplitudes))
+    lower = amps[: 1 << 2 * m]
+    np.multiply.outer(a.amplitudes, b.amplitudes, out=lower.reshape(a.dim, b.dim))
+    np.multiply(_H[0, 0], lower, out=lower)
+    amps[1 << 2 * m:] = lower
+    b_qubits = list(range(m) if swap_qubits is None else swap_qubits)
+    cswap = swap_registers([m + q for q in b_qubits], b_qubits, controls=[2 * m])
+    return apply_unchunked(StateVector(2 * m + 1, amps, _checked=True), cswap, in_place=True)
 
 
 def swap_test_p1(flagged_u: StateVector, v_state: StateVector, swap_qubits, shots=None, rng=None) -> float:

@@ -30,6 +30,7 @@ from qrelieff.pipeline import check_quantum_input
 from qrelieff.program3 import Program3Result
 from qrelieff.relieff import IterationRecord, NeighborSet, ReliefFResult
 from qrelieff.report import canonical_body, neighbor_agreement, render_program3_text, schema
+from similarity_log import assert_similarity_log_shape
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -536,25 +537,6 @@ def report(fixture_path):
     return json.loads(out)
 
 
-def assert_similarity_log_shape(doc, labels):
-    """Each pick's log lists every sample once, under its class: the classes
-    ascending, each class's samples ascending, ``excluded`` at the pick alone,
-    and ``s_quantized`` equal to ``y``."""
-    section = doc["results"]["quantum"]
-    log = section["similarity_log"]
-    assert [entry["picked"] for entry in log] == [it["picked"] for it in section["iterations"]]
-    n_classes = int(labels.max()) + 1
-    for entry in log:
-        classes = entry["classes"]
-        assert [int(c) for c in classes] == list(range(n_classes))
-        for c, recs in classes.items():
-            assert [r["sample"] for r in recs] == np.flatnonzero(labels == int(c)).tolist()
-        recs = [r for c in classes for r in classes[c]]
-        assert sorted(r["sample"] for r in recs) == list(range(len(labels)))
-        assert [r["sample"] for r in recs if r["excluded"]] == [entry["picked"]]
-        assert all(r["s_quantized"] == r["y"] for r in recs)
-
-
 class TestReport:
     def test_schema_validates(self, report):
         jsonschema.validate(report, schema())
@@ -583,8 +565,9 @@ class TestReport:
             (None, []),
             (None, ["--mode", "sampled"]),
             ("four_by_two.csv", ["--ae-circuit", "full"]),
+            ("eleven_classes.csv", []),
         ],
-        ids=["example6-exact", "example6-sampled", "four_by_two-full"],
+        ids=["example6-exact", "example6-sampled", "four_by_two-full", "eleven_classes"],
     )
     def test_similarity_log_lists_every_sample_once(self, fixture_path, csv_name, flags):
         path = fixture_path if csv_name is None else str(DATA / csv_name)

@@ -6,7 +6,9 @@ register swap against its pairs swapped one at a time and, block by block,
 against one transposition of the whole view, the readouts summed over blocks
 against whole-state numpy sums, the swap test's X-basis readout and
 ``_swap_test_p1`` bit for bit against the H, register swap, H circuit read
-in the computational basis, the in-place gate
+in the computational basis, the swap-test composite written only in A's
+nonzero rows, its zero blocks left in place and skipped, against every row
+written and one whole-view swap, the in-place gate
 lists (``_run``, the swap test) bit for bit against one new state per
 gate, ``run_circuit`` on the qubits its gates have named against ``_run``
 on all of them, the Grover search state and orbit, which reflect about
@@ -109,6 +111,27 @@ def states_with_zeros(draw, n_qubits: int):
 
 
 @st.composite
+def states_with_zero_blocks(draw, n_qubits: int):
+    """A random real or complex state cut into aligned runs of 2^j
+    amplitudes (j drawn), each run kept, set to +0.0, or set to zeros of
+    random sign: whole zero blocks for the chunked kernels, some all +0.0
+    and some holding a -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([1, 2]))  # floats per amplitude
+    runs = 1 << (n_qubits - draw(st.integers(0, n_qubits - 1)))
+    parts = rng.normal(size=(runs, (width << n_qubits) // runs))
+    fate = rng.integers(0, 3, size=runs)
+    parts[fate == 1] = 0.0
+    signed = fate == 2
+    parts[signed] = np.where(rng.random((signed.sum(), parts.shape[1])) < 0.5, 0.0, -0.0)
+    if not parts.any():
+        parts[rng.integers(runs), 0] = -1.0
+    parts /= math.sqrt(np.sum(parts**2))  # real division keeps each zero's sign
+    amps = parts.ravel()
+    return StateVector(n_qubits, amps.view(complex) if width == 2 else amps)
+
+
+@st.composite
 def circuits(draw, max_qubits=10, max_gates=12):
     n = draw(st.integers(1, max_qubits))
     return draw(states(n)), draw(st.lists(gates(n), min_size=1, max_size=max_gates))
@@ -167,7 +190,9 @@ def _assert_chunked_matches_unchunked(state: StateVector, gate: GateOp):
 def test_chunked_kernel_matches_unchunked(kind, data):
     """Blocks of 4 amplitudes, each the target axis and the lowest other
     qubit's: the loop over every other axis runs on states of up to 10
-    qubits, every target included."""
+    qubits, every target included.  States with whole zero blocks run the
+    register swap's skip of all-+0.0 blocks and, where a zero block holds a
+    -0.0, its move."""
     n = data.draw(st.integers(2 if kind == "swap" else 1, 10))
     order = data.draw(st.permutations(range(n)))
     n_targets = 2 if kind == "swap" else 1
@@ -177,7 +202,7 @@ def test_chunked_kernel_matches_unchunked(kind, data):
     )
     angle = data.draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind == "ry" else 0.0
     gate = GateOp(kind, tuple(order[:n_targets]), controls, angle)
-    state = data.draw(states_with_zeros(n))
+    state = data.draw(st.one_of(states_with_zeros(n), states_with_zero_blocks(n)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statevector, "CHUNK", 4)
         _assert_chunked_matches_unchunked(state, gate)
@@ -235,8 +260,9 @@ def test_chunked_kernel_matches_unchunked_on_wide_states(wide_states, n, kind):
 @given(st.data())
 def test_chunked_register_swap_matches_unchunked(data):
     """Blocks of 1 to 64 amplitudes, fixed ones transposed in place and the
-    others traded with their partners: bit for bit the whole-view
-    transposition, under 0 to 3 controls of either polarity."""
+    others traded with their partners, all-+0.0 ones left in place: bit for
+    bit the whole-view transposition, under 0 to 3 controls of either
+    polarity."""
     n = data.draw(st.integers(4, 12))
     order = data.draw(st.permutations(range(n)))
     n_controls = data.draw(st.integers(0, min(3, n - 4)))
@@ -245,7 +271,7 @@ def test_chunked_register_swap_matches_unchunked(data):
         (q, data.draw(st.integers(0, 1))) for q in order[2 * k:2 * k + n_controls]
     )
     gate = swap_registers(order[:k], order[k:2 * k], controls)
-    state = data.draw(states_with_zeros(n))
+    state = data.draw(st.one_of(states_with_zeros(n), states_with_zero_blocks(n)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statevector, "CHUNK", data.draw(st.sampled_from([1, 4, 16, 64])))
         _assert_chunked_matches_unchunked(state, gate)
@@ -567,6 +593,58 @@ def test_swap_test_state_is_bit_identical_to_kron(data):
     before = (a.amplitudes.copy(), b.amplitudes.copy())
     assert np.array_equal(swap_test_circuit(a, b).amplitudes, ref.swap_test_state(a, b).amplitudes)
     assert np.array_equal(a.amplitudes, before[0]) and np.array_equal(b.amplitudes, before[1])
+
+
+def _has_sign_bit(state: StateVector) -> bool:
+    return bool(np.signbit(state.amplitudes.view(np.float64)).any())
+
+
+@st.composite
+def swap_test_inputs(draw):
+    """Two registers of one width and the qubits of B the swap test swaps:
+    random states with zeros of either sign, or encodings under a one-hot
+    sample-index register, as ``prepare_states`` pads them (real, or cast to
+    complex), the first after ``swap_flag`` and only the encoding swapped."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 5))
+        swapped = draw(st.one_of(st.none(), st.permutations(range(m)).flatmap(
+            lambda order: st.integers(1, m).map(lambda k: sorted(order[:k])))))
+        return draw(states_with_zeros(m)), draw(states_with_zeros(m)), swapped
+    n_features = draw(st.integers(1, 8))
+    index_bits = draw(st.integers(1, 2))
+    a, b = (draw(encoded_samples(n_features, index_bits)) for _ in range(2))
+    if draw(st.booleans()):
+        a, b = (StateVector(s.n_qubits, s.amplitudes.real.copy()) for s in (a, b))
+    return swap_flag(a), b, range(EncodingLayout(n_features).n_qubits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(swap_test_inputs(), st.sampled_from([4, 128, statevector.CHUNK]))
+def test_swap_test_state_matches_the_dense_build(case, chunk):
+    """The composite written only where A is nonzero, its zero blocks left
+    in place by the swap and skipped by the readout, against every row
+    written and the swap as one whole-view transposition: equal amplitudes,
+    the same bits where no input amplitude has its sign bit set (a zero row
+    of the dense build is r (0 b_j), whose sign follows b_j's), and the
+    readouts bit for bit those of an H and ``marginal_probabilities`` on the
+    dense composite.  Blocks of 4 and 128 amplitudes give the small
+    composites zero blocks to skip."""
+    a, b, swapped = case
+    before = (a.amplitudes.copy(), b.amplitudes.copy())
+    want = ref.swap_test_state_dense(a, b, swapped)
+    top = want.n_qubits - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "CHUNK", chunk)
+        got = swap_test_state(a, b, swapped)
+        probs, p1 = got.x_basis_probabilities(), got.x_basis_probability_one()
+        readout = want.apply(h(top)).marginal_probabilities([top])
+    assert got.amplitudes.dtype == want.amplitudes.dtype
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    if not (_has_sign_bit(a) or _has_sign_bit(b)):
+        assert np.array_equal(_bits(got.amplitudes), _bits(want.amplitudes))
+    assert probs.tobytes() == readout.tobytes()
+    assert np.float64(p1).tobytes() == readout[1].tobytes()
+    assert all(np.array_equal(_bits(s.amplitudes), _bits(old)) for s, old in zip((a, b), before))
 
 
 @pytest.mark.parametrize("n", range(1, 22))

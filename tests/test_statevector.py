@@ -23,7 +23,7 @@ from qrelieff import (
     x,
     zero_state,
 )
-from qrelieff.circuits import cmp_flag
+from qrelieff.circuits import cmp_flag, swap_test_state
 from qrelieff.program3 import final_state, reproduce_program3
 from qrelieff.statevector import GateOp
 from reference_kernels import basis_state, gate_matrix
@@ -282,6 +282,22 @@ class TestKernelMemory:
         amps[: 1 << 19] = wide[19].amplitudes  # flag 19 clear
         state = StateVector(20, amps, _checked=True)
         result, peak = _traced(lambda: cmp_flag(state, range(19), bound, 19))
+        assert peak - result.amplitudes.nbytes < 1 << 20
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["dense", "one-hot"])
+    def test_swap_test_state_allocates_under_one_mib_beyond_itself(self, wide, padded):
+        """The 19-qubit composite of two 9-qubit registers, the pipeline's
+        five encoding pairs swapped: A's nonzero rows go through temporaries
+        of at most ``CHUNK`` amplitudes, where one temporary of every row
+        would take 2 MiB real and 4 MiB complex at a dense A.  The one-hot
+        register is an N = 8 encoding's width under a 4-bit sample index."""
+        if padded:
+            amps = np.kron(np.eye(16)[3], np.full(32, 32 ** -0.5))
+        else:
+            amps = np.full(1 << 9, 2.0 ** -4.5)
+        reg = StateVector(9, amps.astype(wide[19].amplitudes.dtype), _checked=True)
+        result, peak = _traced(lambda: swap_test_state(reg, reg, range(5)))
+        assert result.n_qubits == 19
         assert peak - result.amplitudes.nbytes < 1 << 20
 
     @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
