@@ -25,17 +25,16 @@ quant-ph/0102001): the ancilla starts in |+>, controls the register swap,
 and is read in the X basis.  :func:`swap_test_state` writes |+> (x) A (x) B
 directly, only in the rows where A is nonzero, and runs the controlled swap
 as a gate; the readout (:meth:`StateVector.x_basis_probabilities`) folds
-the final H into its sums without a pass that writes the state.  The swap
-leaves blocks of +0.0 amplitudes in place and the readout skips them, so a
-test costs what its nonzero blocks cost: under the pipeline's sample-index
-register, which holds a basis state, 15 of the 16 blocks of each half are
-zero at M = 16, N = 8.  A test and its readout take 0.71 ms instead of 1.57
-on that 19-qubit composite, 3.3 instead of 6.8 ms at M = 32 (21 qubits)
-and 7.7 instead of 41.9 ms at M = 64 (23 qubits; median of 50 in process,
-2 vCPU, numpy 2.4.6).  Each test reads the bits of the H, swap, H circuit
-read in the computational basis.  Amplitude
-estimation takes the probability it estimates, on which alone its
-distribution depends (:func:`amplitude_estimate`).
+the final H into its sums without a pass that writes the state.  Each
+qubit of A outside the swap that holds one bit on every nonzero row of A
+(each qubit of the pipeline's sample-index register, which holds a basis
+state) is one more control of the swap and is recorded on the composite,
+so the readout skips the blocks it rules out.  At M = 16, N = 8 the swap
+and the readout each touch one of the 16 blocks in each half of the
+19-qubit composite (times in the README).  Each test reads the bits of the
+H, swap, H circuit read in the computational basis.  Amplitude estimation
+takes the probability it estimates, on which alone its distribution
+depends (:func:`amplitude_estimate`).
 """
 
 from __future__ import annotations
@@ -194,16 +193,15 @@ def swap_flag(state: StateVector) -> StateVector:
 # swap test
 # ---------------------------------------------------------------------------
 
-def _plus_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _plus_outer(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|+> (x) A (x) B as a (2, len(a), len(b)) array: r (a_i B) in row i of
     both halves, the products first and r second, as the H kernel multiplies
-    the ancilla-|0> half.  Only the rows where a_i is nonzero are written, a
-    group of rows at a time through one buffer of at most ``CHUNK``
-    amplitudes (a row is at most 2^13 under the width cap); every other row
-    stays +0."""
+    the ancilla-|0> half.  Only the ``rows`` where a_i is nonzero are
+    written, a group of rows at a time through one buffer of at most
+    ``CHUNK`` amplitudes (a row is at most 2^13 under the width cap); every
+    other row stays +0."""
     dtype = np.result_type(a, b)
     halves = np.zeros((2, len(a), len(b)), dtype=dtype)
-    rows = np.flatnonzero(a)
     step = max(statevector.CHUNK // len(b), 1)
     buf = np.empty((min(step, len(rows)), len(b)), dtype=dtype)
     for start in range(0, len(rows), step):
@@ -224,17 +222,26 @@ def swap_test_state(a: StateVector, b: StateVector, swap_qubits=None) -> StateVe
     2m.  ``swap_qubits`` selects which qubit pairs are exchanged (default all);
     excluding a pair is only meaningful when the excluded registers factor out.
     :meth:`StateVector.x_basis_probabilities` reads the ancilla; an H on it
-    gives the state after the whole circuit (H, controlled swap, H).
+    gives the state after the whole circuit (H, controlled swap, H).  Each
+    qubit of A outside the swap that holds one bit on every nonzero row of A
+    controls the swap on that bit and is recorded (``_fixed``): the rows
+    with the other bit are +0.0 in both halves, which a swap of every row
+    would map onto themselves.
     """
     if a.n_qubits != b.n_qubits:
         raise QReliefFError("swap test requires equal register widths")
     m = a.n_qubits
     check_width(2 * m + 1)
-    halves = _plus_outer(a.amplitudes, b.amplitudes)
+    rows = np.flatnonzero(a.amplitudes)
+    halves = _plus_outer(a.amplitudes, b.amplitudes, rows)
     b_qubits = list(range(m) if swap_qubits is None else swap_qubits)
-    cswap = swap_registers([m + q for q in b_qubits], b_qubits, controls=[2 * m])
+    same = ~int(np.bitwise_or.reduce(rows ^ rows[0]))  # the bits every nonzero row shares
+    fixed = tuple((m + q, int(rows[0]) >> q & 1) for q in range(m) if q not in b_qubits and same >> q & 1)
+    cswap = swap_registers([m + q for q in b_qubits], b_qubits, controls=[2 * m, *fixed])
     # a product of unit vectors; skip the norm re-check
-    return StateVector(2 * m + 1, halves.reshape(-1), _checked=True).apply(cswap, _in_place=True)
+    state = StateVector(2 * m + 1, halves.reshape(-1), _checked=True).apply(cswap, _in_place=True)
+    state._fixed = fixed
+    return state
 
 
 # ---------------------------------------------------------------------------

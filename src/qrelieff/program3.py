@@ -16,8 +16,8 @@ top qubit, and each gate is controlled on |0> of the qubits no gate has
 named yet: the first 23 touch at most 2^14 amplitudes, the last two all
 2^15.  With the five others added at |0>, the amplitudes equal those of the
 gates run on all 20 qubits, up to the sign of an exact zero.  The ancilla's
-marginal is read and sampled on the 15-qubit state; its floats, and so the
-CLI document, are those of the 20-qubit readout
+marginal, read once on the 15-qubit state, gives P(1) and each run's draw;
+its floats, and so the CLI document, are those of the 20-qubit readout
 (``tests/data/program3_seed0.json`` pins them).
 
 The published measured average of 0.435125 for reading |1> on the ancilla is
@@ -88,8 +88,8 @@ def reproduce_program3(
         raise ConfigError(f"shots and runs must be >= 1, got {shots} and {runs}")
     state = final_state()
     top = state.n_qubits - 1  # RESULT_QUBIT
-    exact = float(state.marginal_probabilities([top])[1])
-    rng = RngStream(seed)
-    means = [int(state.sample([top], shots, rng.substream(r))[1]) / shots for r in range(runs)]
+    probs = state.marginal_probabilities([top])
+    draw, rng = probs / probs.sum(), RngStream(seed)  # StateVector.sample's draw
+    means = [int(rng.substream(r).multinomial(shots, draw)[1]) / shots for r in range(runs)]
     sampled_mean = sum(means) / len(means)
-    return Program3Result(exact, means, sampled_mean, shots, runs)
+    return Program3Result(float(probs[1]), means, sampled_mean, shots, runs)

@@ -53,11 +53,8 @@ Conventions used throughout the package:
   passes.  The transposition runs block by block, each block at most
   ``CHUNK`` amplitudes, through one block-sized temporary
   (:meth:`StateVector._swap_registers`).  Amplitudes only move, so the bytes
-  equal those of the pairs swapped one at a time, and a block whose
-  amplitudes are all +0.0 (with its partner, if the transposition moves it)
-  is left in place: moving it would not change a bit.  A swap-test
-  composite is mostly such blocks (15 of 16 per half on 19 qubits at M =
-  16), so its swap moves one.
+  equal those of the pairs swapped one at a time.  The controls alone
+  decide which amplitudes a swap reads.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
   through :meth:`StateVector.sample`, whose counts are indexed by register
   value as :meth:`StateVector.marginal_probabilities` is.  The readouts sum
@@ -69,9 +66,9 @@ Conventions used throughout the package:
   r lo - r hi block by block into its own buffers and sums them the same
   way, so its bits are those of an H followed by
   :meth:`StateVector.marginal_probabilities`, and the state is only read.
-  It skips a block index whose two blocks are all +0.0, whose squares add
-  up to +0.  With the swap and the build's zero rows, that takes a
-  19-qubit swap test and its readout from 1.57 to 0.71 ms (see the README).
+  It skips the blocks that the state's recorded fixed qubits rule out
+  (``StateVector._fixed``), whose squares add up to +0, and reads no
+  amplitude to decide what to skip.
   ``zero_state`` skips the norm check, and the check of any other input is
   one ``np.vdot``.
   :meth:`StateVector.postselect` sums the norm of its zeroed copy the same
@@ -228,18 +225,6 @@ def _blocks(view: np.ndarray, whole: int = 0):
         yield view[(*keep, *index)]
 
 
-def _all_plus_zero(*blocks: np.ndarray) -> bool:
-    """Whether every amplitude of ``blocks`` is +0.0, i.e. every bit of every
-    float is clear: one pass over the bits, as unsigned integers, with no
-    temporary.  Moving such blocks leaves every bit as it was; a block that
-    is zero by value may hold a -0.0, whose move changes the bits."""
-    for b in blocks:
-        for part in (b.real, b.imag) if b.dtype.kind == "c" else (b,):
-            if part.view(np.uint64).max():
-                return False
-    return True
-
-
 def _pairwise(parts: np.ndarray) -> np.ndarray:
     """Each row of ``parts`` (a power-of-two count of block sums) added
     pairwise in a balanced tree."""
@@ -267,7 +252,7 @@ def _sums_of_squares(view: np.ndarray, k: int) -> np.ndarray:
     return _pairwise(parts.reshape(1 << k, -1))
 
 
-def _x_basis_sums(amps: np.ndarray, outcomes) -> np.ndarray:
+def _x_basis_sums(amps: np.ndarray, outcomes, fixed=()) -> np.ndarray:
     """Sums of squares of the top qubit's two halves after an H on it, the
     sum for outcome 0 over r lo + r hi and for outcome 1 over r lo - r hi
     (lo and hi the halves with the top qubit clear and set, r = 1/sqrt 2);
@@ -278,16 +263,20 @@ def _x_basis_sums(amps: np.ndarray, outcomes) -> np.ndarray:
     that of the state after the H.  ``amps`` is only read: the products and
     sums of one block of each half go through three block-sized buffers,
     and a complex block's moduli through a fourth, of floats.  A block index
-    whose two blocks are all +0.0 is skipped, as its squares add up to +0.
+    that gives a qubit of ``fixed`` (``StateVector._fixed``) its other
+    value is skipped, as its squares add up to +0.
     """
     per = 1 << max(_loop_axes(amps.size.bit_length() - 1) - 1, 0)  # blocks per half
+    low = amps.size.bit_length() - per.bit_length() - 1  # the qubit of bit 0 of a block index
+    index = [(q - low, v) for q, v in fixed if low <= q < low + per.bit_length() - 1]
+    care, want = sum(1 << b for b, _ in index), sum(v << b for b, v in index)
     halves = amps.reshape(2, per, -1)
     t, u, s = (np.empty_like(halves[0, 0]) for _ in range(3))
     sq = np.empty(s.shape) if s.dtype.kind == "c" else s
     r = _H[0, 0]
     parts = np.zeros((2, per))
     for j in range(per):
-        if _all_plus_zero(halves[0, j], halves[1, j]):
+        if j & care != want:
             continue  # the squares add up to +0, which ``parts`` holds
         np.multiply(r, halves[0, j], out=t)
         np.multiply(r, halves[1, j], out=u)
@@ -316,9 +305,13 @@ class StateVector:
     Bool, integer or float amplitudes are held as float64, any others as
     complex128.  Every gate kind has a real matrix and keeps a real state
     real; only :meth:`apply_unitary` makes it complex.
+
+    ``_fixed`` lists ``(qubit, value)`` pairs where every amplitude with the
+    other value is +0.0: :func:`~qrelieff.circuits.swap_test_state` records
+    them, the X-basis readouts skip by them, and in-place gates clear them.
     """
 
-    __slots__ = ("n_qubits", "amplitudes")
+    __slots__ = ("n_qubits", "amplitudes", "_fixed")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray, _checked: bool = False):
         check_width(n_qubits)
@@ -336,6 +329,7 @@ class StateVector:
                 raise QReliefFError(f"state norm {norm} deviates from 1")
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
+        self._fixed: tuple[tuple[int, int], ...] = ()
 
     # -- basics --------------------------------------------------------------
 
@@ -369,8 +363,9 @@ class StateVector:
     def apply(self, gate: GateOp, _in_place: bool = False) -> "StateVector":
         """Return U|self> where U is the gate extended by identity.
 
-        ``_in_place`` overwrites this state's amplitudes and returns ``self``;
-        only for states whose C-contiguous buffer no caller holds.
+        ``_in_place`` overwrites this state's amplitudes, clears
+        :attr:`_fixed` and returns ``self``; only for states whose
+        C-contiguous buffer no caller holds.
         """
         amps = self.amplitudes if _in_place else self.amplitudes.copy()
         if gate.kind == "swap":
@@ -381,6 +376,7 @@ class StateVector:
             for block in _blocks(view, 1):
                 _kernel(block[0, ...], block[1, ...], gate.kind, u)
         if _in_place:
+            self._fixed = ()
             return self
         # unitary by construction; skip the norm re-check
         return StateVector(self.n_qubits, amps, _checked=True)
@@ -394,9 +390,8 @@ class StateVector:
         paired with, until a block of the other axes holds at most ``CHUNK``
         amplitudes.  The transposition maps every block onto one block: a
         block it fixes is transposed in place through one copy of it, and the
-        others trade places with their partners, transposed.  A fixed block,
-        or a block and its partner, whose amplitudes are all +0.0 stays where
-        it is (:func:`_all_plus_zero`).
+        others trade places with their partners, transposed, whatever they
+        hold: the controls alone limit what the swap reads.
         """
         ctrl = dict(gate.controls)
         for q in gate.targets:
@@ -420,12 +415,9 @@ class StateVector:
             t = tuple(s[outer.index(perm[a])] for a in outer)  # where block s goes
             if t == s:
                 block = blocks[(*s, ...)]
-                if not _all_plus_zero(block):
-                    block[...] = block.transpose(inner_perm).copy()
+                block[...] = block.transpose(inner_perm).copy()
             elif s < t:
                 b, c = blocks[(*s, ...)], blocks[(*t, ...)]
-                if _all_plus_zero(b, c):
-                    continue
                 moved = b.transpose(inner_perm).copy()
                 b[...] = c.transpose(inner_perm)
                 c[...] = moved
@@ -493,11 +485,11 @@ class StateVector:
         """Exact distribution of the top qubit read in the X basis: bit for
         bit ``apply(h(top)).marginal_probabilities([top])``, without the H
         pass or a copy of the state."""
-        return _x_basis_sums(self.amplitudes, (0, 1))
+        return _x_basis_sums(self.amplitudes, (0, 1), self._fixed)
 
     def x_basis_probability_one(self) -> float:
         """Entry 1 of :meth:`x_basis_probabilities`, summed alone."""
-        return float(_x_basis_sums(self.amplitudes, (1,))[1])
+        return float(_x_basis_sums(self.amplitudes, (1,), self._fixed)[1])
 
     def sample(self, qubits, shots: int, rng: RngStream) -> np.ndarray:
         """Counts of ``shots`` i.i.d. readings of the listed qubits, one

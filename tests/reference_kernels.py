@@ -47,7 +47,8 @@ through ``probability_one_unchunked``, not through the package's readouts.
 ``swap_test_state_dense`` is the |+> composite as it was once built: r (A (x)
 B) written into every row of both halves, the rows where A is zero included,
 and the controlled register swap as one transposition of the whole view;
-the package writes only A's nonzero rows and leaves zero blocks in place.
+the package writes only A's nonzero rows and swaps only the rows whose
+qubits outside the swap hold the bits that every nonzero row of A holds.
 
 Amplitude estimation here takes the circuit A as a ``Preparation``, a gate
 list with a designated flag qubit, and runs its gates inside every controlled

@@ -7,8 +7,9 @@ against one transposition of the whole view, the readouts summed over blocks
 against whole-state numpy sums, the swap test's X-basis readout and
 ``_swap_test_p1`` bit for bit against the H, register swap, H circuit read
 in the computational basis, the swap-test composite written only in A's
-nonzero rows, its zero blocks left in place and skipped, against every row
-written and one whole-view swap, the in-place gate
+nonzero rows, its swap controlled on the qubits that A holds fixed and
+its readout skipping the blocks they rule out, against every row written
+and one whole-view swap, the in-place gate
 lists (``_run``, the swap test) bit for bit against one new state per
 gate, ``run_circuit`` on the qubits its gates have named against ``_run``
 on all of them, the Grover search state and orbit, which reflect about
@@ -114,8 +115,8 @@ def states_with_zeros(draw, n_qubits: int):
 def states_with_zero_blocks(draw, n_qubits: int):
     """A random real or complex state cut into aligned runs of 2^j
     amplitudes (j drawn), each run kept, set to +0.0, or set to zeros of
-    random sign: whole zero blocks for the chunked kernels, some all +0.0
-    and some holding a -0.0."""
+    random sign: whole zero blocks for the chunked kernels, which move every
+    block whatever it holds, some all +0.0 and some holding a -0.0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     width = draw(st.sampled_from([1, 2]))  # floats per amplitude
     runs = 1 << (n_qubits - draw(st.integers(0, n_qubits - 1)))
@@ -190,9 +191,8 @@ def _assert_chunked_matches_unchunked(state: StateVector, gate: GateOp):
 def test_chunked_kernel_matches_unchunked(kind, data):
     """Blocks of 4 amplitudes, each the target axis and the lowest other
     qubit's: the loop over every other axis runs on states of up to 10
-    qubits, every target included.  States with whole zero blocks run the
-    register swap's skip of all-+0.0 blocks and, where a zero block holds a
-    -0.0, its move."""
+    qubits, every target included, on states with and without whole zero
+    blocks (all +0.0, or holding a -0.0)."""
     n = data.draw(st.integers(2 if kind == "swap" else 1, 10))
     order = data.draw(st.permutations(range(n)))
     n_targets = 2 if kind == "swap" else 1
@@ -260,8 +260,8 @@ def test_chunked_kernel_matches_unchunked_on_wide_states(wide_states, n, kind):
 @given(st.data())
 def test_chunked_register_swap_matches_unchunked(data):
     """Blocks of 1 to 64 amplitudes, fixed ones transposed in place and the
-    others traded with their partners, all-+0.0 ones left in place: bit for
-    bit the whole-view transposition, under 0 to 3 controls of either
+    others traded with their partners, zero blocks included: bit for bit
+    the whole-view transposition, under 0 to 3 controls of either
     polarity."""
     n = data.draw(st.integers(4, 12))
     order = data.draw(st.permutations(range(n)))
@@ -600,18 +600,19 @@ def _has_sign_bit(state: StateVector) -> bool:
 
 
 @st.composite
-def swap_test_inputs(draw):
+def swap_test_inputs(draw, max_index_bits=2):
     """Two registers of one width and the qubits of B the swap test swaps:
     random states with zeros of either sign, or encodings under a one-hot
-    sample-index register, as ``prepare_states`` pads them (real, or cast to
-    complex), the first after ``swap_flag`` and only the encoding swapped."""
+    sample-index register of 1 to ``max_index_bits`` qubits, as
+    ``prepare_states`` pads them (real, or cast to complex), the first after
+    ``swap_flag`` and only the encoding swapped."""
     if draw(st.booleans()):
         m = draw(st.integers(1, 5))
         swapped = draw(st.one_of(st.none(), st.permutations(range(m)).flatmap(
             lambda order: st.integers(1, m).map(lambda k: sorted(order[:k])))))
         return draw(states_with_zeros(m)), draw(states_with_zeros(m)), swapped
     n_features = draw(st.integers(1, 8))
-    index_bits = draw(st.integers(1, 2))
+    index_bits = draw(st.integers(1, max_index_bits))
     a, b = (draw(encoded_samples(n_features, index_bits)) for _ in range(2))
     if draw(st.booleans()):
         a, b = (StateVector(s.n_qubits, s.amplitudes.real.copy()) for s in (a, b))
@@ -645,6 +646,56 @@ def test_swap_test_state_matches_the_dense_build(case, chunk):
     assert probs.tobytes() == readout.tobytes()
     assert np.float64(p1).tobytes() == readout[1].tobytes()
     assert all(np.array_equal(_bits(s.amplitudes), _bits(old)) for s, old in zip((a, b), before))
+
+
+@settings(max_examples=150, deadline=None)
+@given(swap_test_inputs(max_index_bits=4), st.sampled_from([4, 128, statevector.CHUNK]))
+def test_swap_test_state_records_the_qubits_that_a_holds_fixed(case, chunk):
+    """``swap_test_state`` records, for each qubit of A outside the swap that
+    holds one bit on every nonzero row of A, that qubit and bit: every
+    nonzero amplitude of the composite agrees with them, and the readouts,
+    which skip the blocks they rule out, are bit for bit those of the same
+    amplitudes with nothing recorded.  Blocks of 4 and 128 amplitudes put
+    the sample-index register's qubits in the block index."""
+    a, b, swapped = case
+    m = a.n_qubits
+    rows = np.flatnonzero(a.amplitudes)
+    want = {
+        (m + q, int(bits[0]))
+        for q in range(m) if swapped is not None and q not in swapped
+        for bits in [rows >> q & 1] if (bits == bits[0]).all()
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "CHUNK", chunk)
+        got = swap_test_state(a, b, swapped)
+        bare = StateVector(got.n_qubits, got.amplitudes, _checked=True)
+        readouts = [(s.x_basis_probabilities(), s.x_basis_probability_one()) for s in (got, bare)]
+    assert set(got._fixed) == want and bare._fixed == ()
+    nonzero = np.flatnonzero(got.amplitudes)
+    for q, bit in got._fixed:
+        assert (nonzero >> q & 1 == bit).all(), (q, bit)
+    (probs, p1), (bare_probs, bare_p1) = readouts
+    assert probs.tobytes() == bare_probs.tobytes()
+    assert np.float64(p1).tobytes() == np.float64(bare_p1).tobytes()
+
+
+def test_a_gate_in_place_clears_the_recorded_qubits():
+    """A gate run in place may write where the recorded qubits ruled out, so
+    it clears them, and the readout then reads every block; a gate on a copy
+    records nothing and leaves the original's record."""
+    enc = encode_sample(np.array([0.6, 0.8]))  # 3 qubits
+    a, b = (StateVector(5, np.kron(np.eye(4)[i], enc.amplitudes)) for i in (1, 2))
+    state = swap_test_state(swap_flag(a), b, range(3))
+    assert state._fixed == ((8, 1), (9, 0))  # A's sample-index register holds 1
+    copy = state.apply(x(9))
+    assert copy._fixed == () and state._fixed == ((8, 1), (9, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "CHUNK", 4)
+        assert state.apply(x(9), _in_place=True) is state
+        assert state._fixed == ()
+        got = state.x_basis_probabilities()
+        want = StateVector(state.n_qubits, state.amplitudes.copy()).x_basis_probabilities()
+    assert got.tobytes() == want.tobytes() and got.sum() > 0.99
 
 
 @pytest.mark.parametrize("n", range(1, 22))
