@@ -107,14 +107,13 @@ def _swap_test_p1(
     Qubits above the encoding stay out of the controlled swaps; they factor
     out of the overlap.
     """
-    state = swap_test_state(flagged_u, v_state, range(layout.n_qubits))
+    p = swap_test_state(flagged_u, v_state, range(layout.n_qubits)).x_basis_probabilities()
+    p1 = float(p[1])
     if cfg.mode == "exact":
-        p1 = state.x_basis_probability_one()
         return p1, p1
     if rng is None:
         raise QReliefFError("sampled mode needs an rng stream")
-    p = state.x_basis_probabilities()
-    return float(p[1]), int(rng.multinomial(cfg.shots, p / p.sum())[1]) / cfg.shots
+    return p1, int(rng.multinomial(cfg.shots, p / p.sum())[1]) / cfg.shots
 
 
 def _full_readout_bits(layout: EncodingLayout, t: int) -> int:

@@ -138,13 +138,18 @@ class FeatureStats:
 def normalize(d: Dataset, feature_kind: str = "auto") -> tuple[NormalizedDataset, FeatureStats]:
     """Divide every row by its L2 norm and compute feature statistics.
 
-    Raises on any zero-norm row, naming it.
+    Each row is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), so its squares neither underflow nor overflow
+    at any scale; the scale is exact, so an ordinary row's bits do not
+    change.  Raises on any zero-norm row, naming it.
     """
-    norms = np.linalg.norm(d.samples, axis=1)
-    zero = np.flatnonzero(norms < 1e-300)
+    _, e = np.frexp(np.abs(d.samples).max(axis=1))
+    scaled = np.ldexp(d.samples, -e[:, None])
+    norms = np.linalg.norm(scaled, axis=1)
+    zero = np.flatnonzero(norms == 0)
     if zero.size:
         raise DegenerateSampleError(f"sample {zero[0]} (counting from 0) has zero norm")
-    rows = d.samples / norms[:, None]
+    rows = scaled / norms[:, None]
     nd = NormalizedDataset(rows, d.labels.copy(), list(d.feature_names))
     return nd, FeatureStats.from_matrix(rows, feature_kind)
 

@@ -10,18 +10,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import numpy as np
-
 from .pipeline import QReliefFResult, SimilarityTable
 from .relieff import Dataset, ReliefFResult
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _similarity_log(tables: list[SimilarityTable], dataset: Dataset) -> list[dict]:
@@ -132,7 +122,7 @@ def canonical_body(report: dict) -> str:
 
 
 def serialize(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def render_text(report: dict) -> str:

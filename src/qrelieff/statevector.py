@@ -61,14 +61,15 @@ Conventions used throughout the package:
   |amp|^2 over the same blocks of at most ``CHUNK`` amplitudes and add the
   block sums in numpy's own pairwise order (:func:`_sums_of_squares`); a
   real block is squared as ``x * x``, with no ``np.abs`` copy.
-  :meth:`StateVector.x_basis_probabilities` reads the top qubit in the X
-  basis, the swap test's readout: it forms the H kernel's r lo + r hi and
-  r lo - r hi block by block into its own buffers and sums them the same
-  way, so its bits are those of an H followed by
+  :meth:`StateVector.x_basis_probabilities` is the swap test's one readout:
+  both probabilities of the top qubit in the X basis, from the H kernel's
+  r lo + r hi and r lo - r hi formed block by block into its own buffers
+  and summed the same way, so its bits are those of an H followed by
   :meth:`StateVector.marginal_probabilities`, and the state is only read.
   It skips the blocks that the state's recorded fixed qubits rule out
   (``StateVector._fixed``), whose squares add up to +0, and reads no
   amplitude to decide what to skip.
+  :meth:`StateVector.x_basis_probability_one` is its entry 1.
   ``zero_state`` skips the norm check, and the check of any other input is
   one ``np.vdot``.
   :meth:`StateVector.postselect` sums the norm of its zeroed copy the same
@@ -252,41 +253,6 @@ def _sums_of_squares(view: np.ndarray, k: int) -> np.ndarray:
     return _pairwise(parts.reshape(1 << k, -1))
 
 
-def _x_basis_sums(amps: np.ndarray, outcomes, fixed=()) -> np.ndarray:
-    """Sums of squares of the top qubit's two halves after an H on it, the
-    sum for outcome 0 over r lo + r hi and for outcome 1 over r lo - r hi
-    (lo and hi the halves with the top qubit clear and set, r = 1/sqrt 2);
-    an outcome not in ``outcomes`` reads 0.
-
-    These are the H kernel's own products and sums, summed over
-    :func:`_sums_of_squares`'s blocks and tree, so each sum is bit for bit
-    that of the state after the H.  ``amps`` is only read: the products and
-    sums of one block of each half go through three block-sized buffers,
-    and a complex block's moduli through a fourth, of floats.  A block index
-    that gives a qubit of ``fixed`` (``StateVector._fixed``) its other
-    value is skipped, as its squares add up to +0.
-    """
-    per = 1 << max(_loop_axes(amps.size.bit_length() - 1) - 1, 0)  # blocks per half
-    low = amps.size.bit_length() - per.bit_length() - 1  # the qubit of bit 0 of a block index
-    index = [(q - low, v) for q, v in fixed if low <= q < low + per.bit_length() - 1]
-    care, want = sum(1 << b for b, _ in index), sum(v << b for b, v in index)
-    halves = amps.reshape(2, per, -1)
-    t, u, s = (np.empty_like(halves[0, 0]) for _ in range(3))
-    sq = np.empty(s.shape) if s.dtype.kind == "c" else s
-    r = _H[0, 0]
-    parts = np.zeros((2, per))
-    for j in range(per):
-        if j & care != want:
-            continue  # the squares add up to +0, which ``parts`` holds
-        np.multiply(r, halves[0, j], out=t)
-        np.multiply(r, halves[1, j], out=u)
-        if 0 in outcomes:
-            parts[0, j] = _squares(np.add(t, u, out=s), out=sq).sum()
-        if 1 in outcomes:
-            parts[1, j] = _squares(np.subtract(t, u, out=s), out=sq).sum()
-    return _pairwise(parts)
-
-
 def check_width(n_qubits: int):
     """Raise :class:`CapacityError` unless 1 <= n_qubits <= MAX_QUBITS.
 
@@ -308,7 +274,7 @@ class StateVector:
 
     ``_fixed`` lists ``(qubit, value)`` pairs where every amplitude with the
     other value is +0.0: :func:`~qrelieff.circuits.swap_test_state` records
-    them, the X-basis readouts skip by them, and in-place gates clear them.
+    them, the X-basis readout skips by them, and in-place gates clear them.
     """
 
     __slots__ = ("n_qubits", "amplitudes", "_fixed")
@@ -484,12 +450,38 @@ class StateVector:
     def x_basis_probabilities(self) -> np.ndarray:
         """Exact distribution of the top qubit read in the X basis: bit for
         bit ``apply(h(top)).marginal_probabilities([top])``, without the H
-        pass or a copy of the state."""
-        return _x_basis_sums(self.amplitudes, (0, 1), self._fixed)
+        pass or a copy of the state.
+
+        Entry 0 sums the squares of r lo + r hi and entry 1 those of
+        r lo - r hi (lo and hi the halves with the top qubit clear and set,
+        r = 1/sqrt 2): the H kernel's own products and sums, summed over
+        :func:`_sums_of_squares`'s blocks and tree.  The products and sums of
+        one block of each half go through three block-sized buffers, and a
+        complex block's moduli through a fourth, of floats.  A block index
+        that gives a qubit of :attr:`_fixed` its other value is skipped, as
+        its squares add up to +0.
+        """
+        per = 1 << max(_loop_axes(self.n_qubits) - 1, 0)  # blocks per half
+        low = self.n_qubits - per.bit_length()  # the qubit of bit 0 of a block index
+        index = [(q - low, v) for q, v in self._fixed if low <= q < low + per.bit_length() - 1]
+        care, want = sum(1 << b for b, _ in index), sum(v << b for b, v in index)
+        halves = self.amplitudes.reshape(2, per, -1)
+        t, u, s = (np.empty_like(halves[0, 0]) for _ in range(3))
+        sq = np.empty(s.shape) if s.dtype.kind == "c" else s
+        r = _H[0, 0]
+        parts = np.zeros((2, per))
+        for j in range(per):
+            if j & care != want:
+                continue  # the squares add up to +0, which ``parts`` holds
+            np.multiply(r, halves[0, j], out=t)
+            np.multiply(r, halves[1, j], out=u)
+            parts[0, j] = _squares(np.add(t, u, out=s), out=sq).sum()
+            parts[1, j] = _squares(np.subtract(t, u, out=s), out=sq).sum()
+        return _pairwise(parts)
 
     def x_basis_probability_one(self) -> float:
-        """Entry 1 of :meth:`x_basis_probabilities`, summed alone."""
-        return float(_x_basis_sums(self.amplitudes, (1,), self._fixed)[1])
+        """Entry 1 of :meth:`x_basis_probabilities`."""
+        return float(self.x_basis_probabilities()[1])
 
     def sample(self, qubits, shots: int, rng: RngStream) -> np.ndarray:
         """Counts of ``shots`` i.i.d. readings of the listed qubits, one

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qrelieff import Dataset, normalize
+
+# a longer fuzz than tier-1's default 100 examples:
+# pytest tests/test_cli_fuzz.py --hypothesis-profile=fuzz
+settings.register_profile("fuzz", max_examples=1000)
 
 # a failed check of the shared log-shape helper shows its operands, as a
 # failed assert in a test module does

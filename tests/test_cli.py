@@ -440,6 +440,22 @@ class TestZeroRow:
         assert self.MESSAGE in capsys.readouterr().err
 
 
+class TestRowScale:
+    """Rows far below or above 1 run as any other: the squares of their raw
+    values would underflow to a zero norm or overflow to inf, but the rows
+    are scaled by a power of two before their norms are taken."""
+
+    @pytest.mark.parametrize("row", ["1e-170,1e-170", "1e-160,3e-160", "1e200,1e200"])
+    def test_both_backends_agree(self, tmp_path, capsys, row):
+        p = tmp_path / "scale.csv"
+        p.write_text(f"a,b,class\n{row},A\n1,0.5,A\n0.4,0.1,B\n0.5,0.1,B\n")
+        code, out = run(["--input", str(p), "--backend", "both"])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads(out)
+        assert doc["agreement"]["neighbors_all_equal"] is True
+        assert doc["agreement"]["selected_equal"] is True
+
+
 class TestCapacityPreflight:
     """The quantum backend checks its widest registers before it encodes a
     sample: the swap-test composite, 2(2 + ceil(log2 N) + ceil(log2 M)) + 1

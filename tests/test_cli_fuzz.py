@@ -1,5 +1,6 @@
 """The command line on generated inputs: small CSV texts, clean or with
-negative, non-finite, empty and text cells, under generated flag sets.
+negative, non-finite, empty and text cells and values near the ends of the
+float range (1e200, 1e-200), under generated flag sets.
 
 Whatever the input, ``run_cli`` must return 0, 2, 3 or 4, never 5 (an
 internal error) and never raise; an error must be one stderr line with the
@@ -29,7 +30,9 @@ PREFIXES = {
 }
 
 CLEAN_CELLS = ("0.01", "0.5", "1", "2", "3", "7.25", "9.99")
-ODD_CELLS = ("0", "-1.5", "-0.25", "nan", "inf", "-inf", "", "  ", "abc", "1e400")
+ODD_CELLS = (
+    "0", "-1.5", "-0.25", "nan", "inf", "-inf", "", "  ", "abc", "1e400", "1e200", "1e-200",
+)
 
 
 def _rng(draw) -> random.Random:
@@ -94,7 +97,7 @@ def _run(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=csv_texts(), flags=flag_sets())
 def test_cli_exits_with_a_documented_code_on_any_input(tmp_path, text, flags):
     path = tmp_path / "input.csv"

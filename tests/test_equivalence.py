@@ -622,14 +622,15 @@ def swap_test_inputs(draw, max_index_bits=2):
 @settings(max_examples=150, deadline=None)
 @given(swap_test_inputs(), st.sampled_from([4, 128, statevector.CHUNK]))
 def test_swap_test_state_matches_the_dense_build(case, chunk):
-    """The composite written only where A is nonzero, its zero blocks left
-    in place by the swap and skipped by the readout, against every row
-    written and the swap as one whole-view transposition: equal amplitudes,
-    the same bits where no input amplitude has its sign bit set (a zero row
-    of the dense build is r (0 b_j), whose sign follows b_j's), and the
-    readouts bit for bit those of an H and ``marginal_probabilities`` on the
-    dense composite.  Blocks of 4 and 128 amplitudes give the small
-    composites zero blocks to skip."""
+    """The composite written only where A is nonzero, whose zero blocks the
+    swap's fixed-qubit controls and the recorded (qubit, bit) pairs keep the
+    swap and the readout off, against every row written and the swap as one
+    whole-view transposition: equal amplitudes, the same bits where no input
+    amplitude has its sign bit set (a zero row of the dense build is
+    r (0 b_j), whose sign follows b_j's), and the readout bit for bit that
+    of an H and ``marginal_probabilities`` on the dense composite.  Blocks of
+    4 and 128 amplitudes give the small composites zero blocks to pass
+    over."""
     a, b, swapped = case
     before = (a.amplitudes.copy(), b.amplitudes.copy())
     want = ref.swap_test_state_dense(a, b, swapped)

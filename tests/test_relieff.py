@@ -159,6 +159,19 @@ class TestNormalize:
         with pytest.raises(DegenerateSampleError, match=r"sample 0 \(counting from 0\) has zero norm"):
             normalize(ds)
 
+    def test_rows_at_any_scale_normalize_to_the_same_bits(self):
+        """Every row is scaled by a power of two before its norm is taken,
+        which is exact, so 2^e X gives the bits of X for e from -1010 to
+        1000.  From |e| = 900 on, the squares of the raw values underflow
+        to a zero norm or overflow to inf."""
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(0.5, 8.0, (5, 4)) * rng.choice([-1.0, 1.0], (5, 4))
+        labels, names = np.array([0, 0, 1, 1, 1]), ["a", "b", "c", "d"]
+        want = normalize(Dataset(rows, labels, names))[0].samples.tobytes()
+        for e in range(-1010, 1001):
+            got = normalize(Dataset(np.ldexp(rows, e), labels, names))[0].samples
+            assert got.tobytes() == want, e
+
     def test_idempotence(self, example_normalized):
         nd, _ = example_normalized
         nd2, _ = normalize(nd)
