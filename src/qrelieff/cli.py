@@ -1,9 +1,10 @@
 """Command-line harness: CSV ingestion, backend orchestration and report
 emission.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (and any other
-package error), 4 capacity error (including running out of memory), 5 internal
-error (a circuit invariant failed: a program fault, not bad input).
+Exit codes: 0 success, 2 configuration error, 3 data error (every input
+fault, a zero row or a picked sample alone in its class among them), 4
+capacity error (including running out of memory), 5 internal error (any other
+package error: a program fault, not bad input).
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_mod
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DataError,
-    NoSolutionError,
-    PostselectionError,
-    QReliefFError,
-    SearchFailedError,
-)
+from .errors import CapacityError, ConfigError, DataError, QReliefFError
 from .pipeline import PipelineConfig, check_quantum_input, qrelieff_run
 from .program3 import reproduce_program3
 from .relieff import Dataset, normalize, relieff_run
@@ -211,12 +204,9 @@ def run_cli(argv, out=None) -> int:
     except MemoryError as exc:
         sys.stderr.write(f"capacity error: out of memory: {str(exc) or 'allocation failed'}\n")
         return 4
-    except (PostselectionError, NoSolutionError, SearchFailedError) as exc:
+    except QReliefFError as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 5
-    except QReliefFError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
 
 
 def main():

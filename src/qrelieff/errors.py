@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The type alone picks the command line's exit code: 2 for a ConfigError, 3
+for a DataError, 4 for a CapacityError, and 5 for any other QReliefFError,
+which no input can raise there: a program fault.
+"""
 
 
 class QReliefFError(Exception):
@@ -21,13 +26,13 @@ class SearchFailedError(QReliefFError):
     """A repeated search kept reading unmarked elements."""
 
 
-class DegenerateSampleError(QReliefFError):
-    """A sample row cannot be normalized (zero norm)."""
-
-
 class ConfigError(QReliefFError):
     """Invalid run configuration."""
 
 
 class DataError(QReliefFError):
-    """Invalid or unreadable input data."""
+    """Invalid or unreadable input data, or data the run cannot use."""
+
+
+class DegenerateSampleError(DataError):
+    """A sample row cannot be normalized (zero norm)."""

@@ -113,7 +113,7 @@ def _swap_test_p1(
         return p1, p1
     if rng is None:
         raise QReliefFError("sampled mode needs an rng stream")
-    return p1, int(rng.multinomial(cfg.shots, p / p.sum())[1]) / cfg.shots
+    return p1, int(rng.multinomial(cfg.shots, p)[1]) / cfg.shots
 
 
 def _full_readout_bits(layout: EncodingLayout, t: int) -> int:
@@ -135,7 +135,7 @@ def _full_circuit_outcome(
     if cfg.mode == "exact":
         y = modal_outcome(dist)
     else:
-        y = rng.choice_weighted(dist / dist.sum())
+        y = rng.choice_weighted(dist)
         y = min(y, (1 << t_f) - y)
     s = min(max((1.0 - 2.0 * estimate(y, t_f)) * layout.n_features**2, 0.0), 1.0)
     return _quantize_similarity(s, cfg.ae_bits)

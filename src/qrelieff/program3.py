@@ -89,7 +89,7 @@ def reproduce_program3(
     state = final_state()
     top = state.n_qubits - 1  # RESULT_QUBIT
     probs = state.marginal_probabilities([top])
-    draw, rng = probs / probs.sum(), RngStream(seed)  # StateVector.sample's draw
-    means = [int(rng.substream(r).multinomial(shots, draw)[1]) / shots for r in range(runs)]
+    rng = RngStream(seed)
+    means = [int(rng.substream(r).multinomial(shots, probs)[1]) / shots for r in range(runs)]
     sampled_mean = sum(means) / len(means)
     return Program3Result(float(probs[1]), means, sampled_mean, shots, runs)

@@ -187,13 +187,13 @@ def neighbor_set(labels: np.ndarray, u: int, k: int, top_k) -> NeighborSet:
     In every class c, ``top_k(c, candidates, k)`` returns the chosen nearest
     of ``candidates``: the class's members other than ``u``, in ascending
     index order.  k is clamped to their count.  A picked sample that is the
-    only member of its class has no hit, which is an error.
+    only member of its class has no hit, which is a :class:`DataError`.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     u_class = int(labels[u])
     if np.count_nonzero(labels == u_class) < 2:
-        raise QReliefFError(f"class {u_class} has no sample other than the picked one")
+        raise DataError(f"class {u_class} has no sample other than the picked one")
     hits: list[int] = []
     misses: dict[int, list[int]] = {}
     for c in range(int(labels.max()) + 1):

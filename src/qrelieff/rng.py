@@ -37,12 +37,13 @@ class RngStream:
         """Uniform integer in [0, high)."""
         return int(self._gen.integers(high))
 
-    def multinomial(self, shots: int, probabilities) -> np.ndarray:
-        return self._gen.multinomial(shots, probabilities)
+    def multinomial(self, shots: int, probabilities: np.ndarray) -> np.ndarray:
+        """Counts of ``shots`` draws with ``probabilities`` divided by their sum."""
+        return self._gen.multinomial(shots, probabilities / probabilities.sum())
 
-    def choice_weighted(self, probabilities) -> int:
-        """One index drawn with the given probabilities."""
-        return int(self._gen.choice(len(probabilities), p=probabilities))
+    def choice_weighted(self, probabilities: np.ndarray) -> int:
+        """One index drawn with ``probabilities`` divided by their sum."""
+        return int(self._gen.choice(len(probabilities), p=probabilities / probabilities.sum()))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self.key})"

@@ -57,7 +57,9 @@ Conventions used throughout the package:
   decide which amplitudes a swap reads.
 * Probabilities are exact (computed from amplitudes); sampling is opt-in
   through :meth:`StateVector.sample`, whose counts are indexed by register
-  value as :meth:`StateVector.marginal_probabilities` is.  The readouts sum
+  value as :meth:`StateVector.marginal_probabilities` is.  Every draw is
+  :class:`RngStream`'s, which divides the probabilities by their sum, so a
+  caller passes a readout as it is.  The readouts sum
   |amp|^2 over the same blocks of at most ``CHUNK`` amplitudes and add the
   block sums in numpy's own pairwise order (:func:`_sums_of_squares`); a
   real block is squared as ``x * x``, with no ``np.abs`` copy.
@@ -490,8 +492,7 @@ class StateVector:
         under a fixed rng."""
         if shots < 1:
             raise QReliefFError("shots must be >= 1")
-        probs = self.marginal_probabilities(qubits)
-        return rng.multinomial(shots, probs / probs.sum())
+        return rng.multinomial(shots, self.marginal_probabilities(qubits))
 
 
 def zero_state(n_qubits: int) -> StateVector:

@@ -186,7 +186,9 @@ class TestRunCli:
             (ConfigError("bad flag"), 2, "configuration error"),
             (DataError("bad cell"), 3, "data error"),
             (DegenerateSampleError("zero-norm row"), 3, "zero-norm row"),
-            (QReliefFError("class has only the picked sample"), 3, "error: class has only"),
+            pytest.param(QReliefFError("class has only the picked sample"), 5,
+                         "internal error: QReliefFError: class has only",
+                         id="QReliefFError-5-internal error"),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None,
     )
@@ -439,6 +441,13 @@ class TestZeroRow:
         assert run(["--input", str(p), "--backend", backend]) == (3, "")
         assert self.MESSAGE in capsys.readouterr().err
 
+    def test_cli_prints_a_data_error(self, tmp_path, capsys):
+        """A zero row is an input fault, and its one stderr line says so."""
+        p = tmp_path / "zero.csv"
+        p.write_text("a,b,class\n1,2,a\n0,0,a\n1,1,b\n2,2,b\n")
+        assert run(["--input", str(p)]) == (3, "")
+        assert capsys.readouterr().err == "data error: sample 1 (counting from 0) has zero norm\n"
+
 
 class TestRowScale:
     """Rows far below or above 1 run as any other: the squares of their raw
@@ -509,7 +518,7 @@ class TestCapacityPreflight:
 
 class TestSingletonPickedClass:
     """A picked sample alone in its class has no hit: every path raises the
-    same error (round-robin picks sample 0, the only member of class A)."""
+    same data error (round-robin picks sample 0, the only member of class A)."""
 
     MESSAGE = "class 0 has no sample other than the picked one"
 
@@ -533,14 +542,14 @@ class TestSingletonPickedClass:
         nd, stats = normalize(load_csv(csv_path)[0])
         with pytest.raises(QReliefFError) as info:
             run_fn(nd, cfg, RngStream(0), stats)
-        assert type(info.value) is QReliefFError
+        assert type(info.value) is DataError
         assert str(info.value) == self.MESSAGE
 
     @pytest.mark.parametrize("backend", ["classical", "quantum", "both"])
     def test_cli_exit_code(self, csv_path, capsys, backend):
         flags = ["--input", csv_path, "--backend", backend, "--pick", "round-robin"]
         assert run(flags) == (3, "")
-        assert f"error: {self.MESSAGE}" in capsys.readouterr().err
+        assert f"data error: {self.MESSAGE}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,10 @@ negative, non-finite, empty and text cells and values near the ends of the
 float range (1e200, 1e-200), under generated flag sets.
 
 Whatever the input, ``run_cli`` must return 0, 2, 3 or 4, never 5 (an
-internal error) and never raise; an error must be one stderr line with the
-prefix its exit code documents; a report must validate against the schema,
-and a second run must give the same canonical body.
+internal error) and never raise: every input fault is a configuration, data
+or capacity error.  An error must be one stderr line with the one prefix its
+exit code documents; a report must validate against the schema, and a second
+run must give the same canonical body.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ jsonschema = pytest.importorskip("jsonschema")
 # the stderr prefixes of each error exit code (cli.py's docstring)
 PREFIXES = {
     2: ("configuration error: ",),
-    3: ("data error: ", "error: "),
+    3: ("data error: ",),
     4: ("capacity error: ",),
 }
 

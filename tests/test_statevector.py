@@ -469,8 +469,23 @@ class TestSample:
         shots, seed = data.draw(st.integers(1, 4096)), data.draw(st.integers(0, 2**32 - 1))
         p = state.marginal_probabilities(qubits)
         counts = state.sample(qubits, shots, RngStream(seed))
-        assert np.array_equal(counts, RngStream(seed).multinomial(shots, p / p.sum()))
+        assert np.array_equal(counts, RngStream(seed).multinomial(shots, p))
         assert counts.sum() == shots
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_draws_ignore_an_exact_scale(self, data):
+        """The stream divides the probabilities by their sum, so scaling
+        them by 2^k, which is exact, changes no count and no drawn index."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        p = rng.random(data.draw(st.integers(1, 64)))
+        p[0] += 1e-3  # a nonzero sum
+        scaled = np.ldexp(p, data.draw(st.integers(-60, 60)))
+        shots, seed = data.draw(st.integers(1, 4096)), data.draw(st.integers(0, 2**32 - 1))
+        assert np.array_equal(
+            RngStream(seed).multinomial(shots, scaled), RngStream(seed).multinomial(shots, p)
+        )
+        assert RngStream(seed).choice_weighted(scaled) == RngStream(seed).choice_weighted(p)
 
 
 class TestStateVectorInvariants:
