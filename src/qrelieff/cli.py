@@ -2,9 +2,9 @@
 emission.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (every input
-fault, a zero row or a picked sample alone in its class among them), 4
-capacity error (including running out of memory), 5 internal error (any other
-package error: a program fault, not bad input).
+fault: the CSV text, a value ``Dataset`` refuses, a zero row, a picked sample
+alone in its class), 4 capacity error (including running out of memory), 5
+internal error (any other package error: a program fault, not bad input).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 import time
 from importlib import resources
@@ -34,12 +33,12 @@ def example_csv_path() -> Path:
 
 
 def load_csv(path, label_column: str = "class") -> tuple[Dataset, list[str]]:
-    """Parse a CSV with a header row into a Dataset.
+    """Parse a CSV with a header row into a Dataset and its class names.
 
-    The file must be UTF-8 text; a leading byte-order mark is dropped.  The label column holds string class names,
-    mapped to dense ids in first-appearance order; all other cells must be
-    numeric.  Returns the dataset and the class names in id order.  A path
-    that cannot be read as such a file is a :class:`DataError`.
+    UTF-8 text, a leading byte-order mark dropped; the label column's names
+    get dense ids in first-appearance order.  A fault in the text names its
+    CSV row, a cell that is not a number among them; :class:`Dataset` judges
+    the numbers.  Either is a :class:`DataError`.
     """
     path = Path(path)
     if not path.exists():
@@ -76,16 +75,11 @@ def load_csv(path, label_column: str = "class") -> tuple[Dataset, list[str]]:
                     continue
                 cell = cell.strip()
                 try:
-                    value = float(cell)
+                    values.append(float(cell))
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric cell at row {r}, column {header[i]!r}: {cell!r}"
                     )
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: non-finite cell at row {r}, column {header[i]!r}: {cell!r}"
-                    )
-                values.append(value)
             name = row[label_pos].strip()
             if not name:
                 raise DataError(f"{path}: empty label at row {r}")
@@ -94,13 +88,11 @@ def load_csv(path, label_column: str = "class") -> tuple[Dataset, list[str]]:
                 class_names.append(name)
             rows.append(values)
             labels.append(class_ids[name])
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 samples, got {len(rows)}")
+    samples = np.array(rows, dtype=float).reshape(len(rows), len(feature_names))
     try:
-        dataset = Dataset(np.array(rows), np.array(labels), feature_names)
-    except QReliefFError as exc:
-        raise DataError(f"{path}: {exc}")
-    return dataset, class_names
+        return Dataset(samples, np.array(labels), feature_names), class_names
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The type alone picks the command line's exit code: 2 for a ConfigError, 3
-for a DataError, 4 for a CapacityError, and 5 for any other QReliefFError,
-which no input can raise there: a program fault.
+for a DataError (``relieff.Dataset`` judges every input value, ``load_csv``
+only the CSV text), 4 for a CapacityError, and 5 for any other
+QReliefFError, which no input can raise there: a program fault.
 """
 
 

@@ -39,7 +39,7 @@ from .relieff import (
     neighbor_set,
     run_iterations,
 )
-from .rng import RngStream
+from .rng import MAX_SHOTS, RngStream
 from .statevector import StateVector, check_width
 
 
@@ -58,6 +58,8 @@ class PipelineConfig(RunConfig):
             raise ConfigError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.shots < 1:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
+        if self.shots > MAX_SHOTS:
+            raise ConfigError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
         if not 1 <= self.ae_bits <= 10:
             raise ConfigError(f"ae_bits must lie in [1, 10], got {self.ae_bits}")
         if self.ae_circuit not in ("reduced", "full"):

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from math import pi
 
 from .errors import ConfigError
-from .rng import RngStream
+from .rng import MAX_SHOTS, RngStream
 from .statevector import GateOp, StateVector, h, ry, run_circuit, swap, swap_registers, x
 
 PUBLISHED_P1 = 0.435125
@@ -86,6 +86,8 @@ def reproduce_program3(
     """Exact ancilla P(1) plus ``runs`` sampled means of ``shots`` each."""
     if shots < 1 or runs < 1:
         raise ConfigError(f"shots and runs must be >= 1, got {shots} and {runs}")
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"shots must be <= {MAX_SHOTS}, got {shots}")
     state = final_state()
     top = state.n_qubits - 1  # RESULT_QUBIT
     probs = state.marginal_probabilities([top])

@@ -24,7 +24,7 @@ from .rng import RngStream
 
 @dataclass
 class Dataset:
-    """M samples by N features with dense integer class labels."""
+    """M samples by N features with dense integer class labels; any fault is a DataError."""
 
     samples: np.ndarray
     labels: np.ndarray
@@ -33,35 +33,35 @@ class Dataset:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2:
-            raise QReliefFError(
+            raise DataError(
                 f"samples must be a 2-D array (samples by features), got shape {self.samples.shape}"
             )
         labels = np.asarray(self.labels)
         if labels.ndim != 1:
-            raise QReliefFError(f"labels must be a 1-D array, got shape {labels.shape}")
+            raise DataError(f"labels must be a 1-D array, got shape {labels.shape}")
         if labels.dtype.kind == "f":
             bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.floor(labels))))
             if bad.size:
-                raise QReliefFError(
+                raise DataError(
                     f"label of sample {bad[0]} (counting from 0) is not an integer "
                     f"class id: {labels[bad[0]]}"
                 )
         elif labels.dtype.kind not in "biu":
-            raise QReliefFError(f"labels must be integer class ids, got dtype {labels.dtype}")
+            raise DataError(f"labels must be integer class ids, got dtype {labels.dtype}")
         self.labels = labels.astype(int)
         m, n = self.samples.shape
         if m < 2:
-            raise QReliefFError(f"need at least 2 samples, got {m}")
+            raise DataError(f"need at least 2 samples, got {m}")
         if n < 1:
-            raise QReliefFError("need at least 1 feature")
+            raise DataError("need at least 1 feature")
         if len(self.labels) != m:
-            raise QReliefFError("label count does not match sample count")
+            raise DataError("label count does not match sample count")
         if len(self.feature_names) != n:
-            raise QReliefFError("feature name count does not match feature count")
+            raise DataError("feature name count does not match feature count")
         bad = np.argwhere(~np.isfinite(self.samples))
         if bad.size:
             row, col = bad[0]
-            raise QReliefFError(
+            raise DataError(
                 f"sample {row} (counting from 0), feature {self.feature_names[col]!r} "
                 f"is not finite: {self.samples[row, col]}"
             )
@@ -69,7 +69,7 @@ class Dataset:
         # would import numpy.ma on its first call)
         ordered = np.sort(self.labels)
         if ordered[0] != 0 or np.any(np.diff(ordered) > 1):
-            raise QReliefFError("labels must be dense class ids 0..P-1")
+            raise DataError("labels must be dense class ids 0..P-1")
 
     @property
     def n_samples(self) -> int:
@@ -97,7 +97,7 @@ class NormalizedDataset(Dataset):
         super().__post_init__()
         norms = np.linalg.norm(self.samples, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
-            raise QReliefFError("rows of a NormalizedDataset must have unit norm")
+            raise DataError("rows of a NormalizedDataset must have unit norm")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+MAX_SHOTS = 2**63 - 1  # the most shots one multinomial draw takes: numpy counts in int64
+
 
 class RngStream:
     """A seeded random stream.

@@ -69,10 +69,14 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_named(self, tmp_path, cell):
+        # a number the run cannot use names its sample, as Dataset counts them
         p = tmp_path / "bad.csv"
         p.write_text(f"a,b,class\n1,2,A\n3,{cell},B\n")
-        with pytest.raises(DataError, match=r"non-finite cell at row 3.*'b'"):
+        with pytest.raises(DataError) as info:
             load_csv(p)
+        assert str(info.value) == (
+            f"{p}: sample 1 (counting from 0), feature 'b' is not finite: {cell}"
+        )
 
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -200,6 +204,31 @@ class TestRunCli:
         monkeypatch.setattr("qrelieff.cli.qrelieff_run", boom)
         assert run(["--input", fixture_path, "--backend", "quantum"]) == (code, "")
         assert message in capsys.readouterr().err
+
+    def test_program_fault_in_dataset_is_internal_error(self, fixture_path, monkeypatch, capsys):
+        # load_csv adds its path to a DataError only; anything else is not bad input
+        def boom(*args, **kwargs):
+            raise QReliefFError("broken check")
+
+        monkeypatch.setattr("qrelieff.cli.Dataset", boom)
+        assert run(["--input", fixture_path, "--backend", "classical"]) == (5, "")
+        assert capsys.readouterr().err == "internal error: QReliefFError: broken check\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "sampled"],
+        ["--backend", "classical"],
+        ["--reproduce-program3"],
+    ])
+    def test_shots_beyond_int64_is_config_error(self, fixture_path, capsys, flags):
+        # numpy draws shot counts as int64, so 2**63 would overflow the draw
+        code, out = run(["--input", fixture_path, "--shots", str(2**63), *flags])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"configuration error: shots must be <= {2**63 - 1}, got {2**63}\n"
+        )
+
+    def test_largest_shot_count_runs(self):
+        assert run(["--reproduce-program3", "--shots", str(2**63 - 1)])[0] == 0
 
     def test_capacity_error_from_register_width(self, fixture_path, monkeypatch):
         # the example's swap-test composite has 17 qubits

@@ -67,7 +67,8 @@ def csv_texts(draw):
 @st.composite
 def flag_sets(draw):
     """Flags of every option that shapes a run; one value in ten of
-    ``--k``, ``--T`` and ``--shots`` is out of range.  The ``full`` circuit
+    ``--k``, ``--T`` and ``--shots`` is out of range: 0, or for ``--shots``
+    0 or 2**63, one past the largest count numpy draws.  The ``full`` circuit
     reads at most 4 bits: at 10 bits on 8 features it estimates with 20
     readout qubits, seconds per run."""
     rng = _rng(draw)
@@ -86,7 +87,7 @@ def flag_sets(draw):
     }
     for name in ("--k", "--T", "--shots"):
         if rng.random() < 0.1:
-            flags[name] = 0
+            flags[name] = rng.choice([0, 2**63]) if name == "--shots" else 0
     emit = ["--emit-iterations"] if rng.random() < 0.5 else []
     return [*(str(v) for item in flags.items() for v in item), *emit]
 

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from qrelieff import (
     ConfigError,
+    DataError,
     Dataset,
     DegenerateSampleError,
     FeatureStats,
+    NormalizedDataset,
     QReliefFError,
     RngStream,
     RunConfig,
@@ -50,11 +52,29 @@ GOLDEN_NEIGHBORS = {
 
 
 class TestDataset:
+    """Every input fault is a DataError, so a caller can tell it from a
+    program fault by its type."""
+
     def test_shape_validation(self):
-        with pytest.raises(QReliefFError):
+        with pytest.raises(DataError, match="need at least 2 samples, got 1"):
             Dataset(np.ones((1, 3)), np.array([0]), ["a", "b", "c"])
-        with pytest.raises(QReliefFError):
+        with pytest.raises(DataError, match=r"labels must be dense class ids 0\.\.P-1"):
             Dataset(np.ones((2, 2)), np.array([0, 2]), ["a", "b"])
+
+    @pytest.mark.parametrize("samples, labels, names, match", [
+        (np.ones((0, 2)), [], ["a", "b"], "need at least 2 samples, got 0"),
+        (np.ones((2, 0)), [0, 1], [], "need at least 1 feature"),
+        (np.ones((2, 1)), [0, 1, 1], ["a"], "label count does not match sample count"),
+        (np.ones((2, 1)), [0, 1], ["a", "b"], "feature name count does not match"),
+    ], ids=["no samples", "no features", "label count", "feature name count"])
+    def test_counts_checked(self, samples, labels, names, match):
+        with pytest.raises(DataError, match=match):
+            Dataset(samples, np.array(labels), names)
+
+    def test_normalized_rows_must_have_unit_norm(self):
+        with pytest.raises(DataError, match="rows of a NormalizedDataset must have unit norm"):
+            NormalizedDataset(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0, 1]), ["a", "b"])
+        NormalizedDataset(np.eye(2), np.array([0, 1]), ["a", "b"])
 
     @pytest.mark.parametrize("samples, labels, match", [
         (np.ones(2), [0, 1], "samples must be a 2-D array"),
@@ -72,7 +92,7 @@ class TestDataset:
     ], ids=["1-D samples", "3-D samples", "2-D labels", "fractional label", "nan label",
             "inf label", "string labels", "infinite sample value"])
     def test_malformed_input_named(self, samples, labels, match):
-        with pytest.raises(QReliefFError, match=match):
+        with pytest.raises(DataError, match=match):
             Dataset(samples, labels, ["a"])
 
     def test_integral_float_labels_accepted(self):
