@@ -19,11 +19,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DataError,
-    DegenerateSampleError,
-    NoSolutionError,
-    PostselectionError,
     QReliefFError,
-    SearchFailedError,
 )
 from .pipeline import (
     PipelineConfig,

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import statevector
-from .errors import ConfigError, NoSolutionError, QReliefFError, SearchFailedError
+from .errors import ConfigError, QReliefFError
 from .rng import RngStream
 from .statevector import (
     _H,
@@ -266,7 +266,7 @@ def grover_plan(n: int, marked_estimate: int) -> GroverPlan:
     """
     space = 1 << n
     if marked_estimate == 0:
-        raise NoSolutionError("no marked elements to search for")
+        raise QReliefFError("no marked elements to search for")
     if not 1 <= marked_estimate <= space:
         raise QReliefFError(f"marked count {marked_estimate} outside [1, {space}]")
     eta = math.asin(math.sqrt(marked_estimate / space))
@@ -468,7 +468,7 @@ def quantum_extreme_search(values, k: int, direction: str, rng: RngStream) -> li
             # a failed reading (vanishing probability) repeats the search
             failed += 1
             if failed >= MAX_FAILED_READINGS:
-                raise SearchFailedError(
+                raise QReliefFError(
                     f"{failed} searches in a row read an unmarked element "
                     f"({len(marked)} of {len(values)} marked)"
                 )

@@ -4,7 +4,8 @@ emission.
 Exit codes: 0 success, 2 configuration error, 3 data error (every input
 fault: the CSV text, a value ``Dataset`` refuses, a zero row, a picked sample
 alone in its class), 4 capacity error (including running out of memory), 5
-internal error (any other package error: a program fault, not bad input).
+internal error (a bare QReliefFError: a program fault, not bad input).  The
+error's type alone picks the code; ``errors`` defines one type per code.
 """
 
 from __future__ import annotations

@@ -1,30 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per exit code.
 
 The type alone picks the command line's exit code: 2 for a ConfigError, 3
-for a DataError (``relieff.Dataset`` judges every input value, ``load_csv``
-only the CSV text), 4 for a CapacityError, and 5 for any other
-QReliefFError, which no input can raise there: a program fault.
+for a DataError (every input fault: ``relieff.Dataset`` judges every input
+value, ``load_csv`` only the CSV text, ``normalize`` a zero row), 4 for a
+CapacityError, and 5 for a bare QReliefFError, which no input can raise: a
+program fault, such as a postselection on a zero branch or a Grover search
+that keeps reading unmarked elements.
 """
 
 
 class QReliefFError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raised bare, a program fault."""
 
 
 class CapacityError(QReliefFError):
     """Register size exceeds the simulator's memory guard."""
-
-
-class PostselectionError(QReliefFError):
-    """Postselection on a (near-)zero-probability branch."""
-
-
-class NoSolutionError(QReliefFError):
-    """A search was requested with no marked elements."""
-
-
-class SearchFailedError(QReliefFError):
-    """A repeated search kept reading unmarked elements."""
 
 
 class ConfigError(QReliefFError):
@@ -33,7 +23,3 @@ class ConfigError(QReliefFError):
 
 class DataError(QReliefFError):
     """Invalid or unreadable input data, or data the run cannot use."""
-
-
-class DegenerateSampleError(DataError):
-    """A sample row cannot be normalized (zero norm)."""

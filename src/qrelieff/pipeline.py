@@ -39,7 +39,7 @@ from .relieff import (
     neighbor_set,
     run_iterations,
 )
-from .rng import MAX_SHOTS, RngStream
+from .rng import RngStream, check_shots
 from .statevector import StateVector, check_width
 
 
@@ -56,10 +56,7 @@ class PipelineConfig(RunConfig):
         super().__post_init__()
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        if self.shots > MAX_SHOTS:
-            raise ConfigError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
+        check_shots(self.shots)
         if not 1 <= self.ae_bits <= 10:
             raise ConfigError(f"ae_bits must lie in [1, 10], got {self.ae_bits}")
         if self.ae_circuit not in ("reduced", "full"):

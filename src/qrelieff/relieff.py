@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateSampleError, QReliefFError
+from .errors import ConfigError, DataError, QReliefFError
 from .rng import RngStream
 
 
@@ -148,7 +148,7 @@ def normalize(d: Dataset, feature_kind: str = "auto") -> tuple[NormalizedDataset
     norms = np.linalg.norm(scaled, axis=1)
     zero = np.flatnonzero(norms == 0)
     if zero.size:
-        raise DegenerateSampleError(f"sample {zero[0]} (counting from 0) has zero norm")
+        raise DataError(f"sample {zero[0]} (counting from 0) has zero norm")
     rows = scaled / norms[:, None]
     nd = NormalizedDataset(rows, d.labels.copy(), list(d.feature_names))
     return nd, FeatureStats.from_matrix(rows, feature_kind)

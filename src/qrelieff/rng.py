@@ -15,6 +15,14 @@ from .errors import ConfigError
 MAX_SHOTS = 2**63 - 1  # the most shots one multinomial draw takes: numpy counts in int64
 
 
+def check_shots(shots: int) -> None:
+    """Raise a ConfigError unless ``shots`` lies in [1, MAX_SHOTS]."""
+    if shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+
+
 class RngStream:
     """A seeded random stream.
 
@@ -41,6 +49,7 @@ class RngStream:
 
     def multinomial(self, shots: int, probabilities: np.ndarray) -> np.ndarray:
         """Counts of ``shots`` draws with ``probabilities`` divided by their sum."""
+        check_shots(shots)
         return self._gen.multinomial(shots, probabilities / probabilities.sum())
 
     def choice_weighted(self, probabilities: np.ndarray) -> int:

@@ -91,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, PostselectionError, QReliefFError
+from .errors import CapacityError, QReliefFError
 from .rng import RngStream
 
 MAX_QUBITS = 28  # 2**28 amplitudes = 2 GiB of float64, 4 GiB of complex128
@@ -430,9 +430,7 @@ class StateVector:
         self._qubit_axes(amps, fixed=[(qubit, 1 - outcome)])[...] = 0.0
         p = _sums_of_squares(self._qubit_axes(amps), 0)[0]
         if p <= 1e-12:
-            raise PostselectionError(
-                f"branch qubit {qubit} = {outcome} has probability {p}"
-            )
+            raise QReliefFError(f"branch qubit {qubit} = {outcome} has probability {p}")
         # numpy divides a complex by a real through this reciprocal; a
         # float64 division would round a real state's amplitudes differently
         amps *= 1.0 / math.sqrt(p)
@@ -489,9 +487,7 @@ class StateVector:
         """Counts of ``shots`` i.i.d. readings of the listed qubits, one
         multinomial draw over :meth:`marginal_probabilities`: entry ``v`` counts
         register value ``v``, ``qubits[0]`` least significant.  Deterministic
-        under a fixed rng."""
-        if shots < 1:
-            raise QReliefFError("shots must be >= 1")
+        under a fixed rng; :func:`rng.check_shots` judges ``shots``."""
         return rng.multinomial(shots, self.marginal_probabilities(qubits))
 
 

@@ -10,10 +10,8 @@ import pytest
 from qrelieff import (
     CapacityError,
     ConfigError,
-    NoSolutionError,
     QReliefFError,
     RngStream,
-    SearchFailedError,
     StateVector,
     amplitude_estimate,
     cmp_flag,
@@ -281,8 +279,9 @@ class TestGroverPlan:
         assert plan.phi == pytest.approx(math.pi, abs=1e-12)
 
     def test_no_solution(self):
-        with pytest.raises(NoSolutionError):
+        with pytest.raises(QReliefFError, match="^no marked elements to search for$") as info:
             grover_plan(2, 0)
+        assert info.type is QReliefFError
 
     def test_invariants(self):
         for n in range(1, 5):
@@ -514,8 +513,9 @@ class TestQuantumExtremeSearch:
             return {"0" * len(list(qubits)): shots}
 
         monkeypatch.setattr(StateVector, "sample", sample)
-        with pytest.raises(SearchFailedError):
+        with pytest.raises(QReliefFError, match="^16 searches in a row") as info:
             quantum_extreme_search([3, 1, 2], 1, "min", RngStream(0))
+        assert info.type is QReliefFError
         assert len(calls) == circuits.MAX_FAILED_READINGS
 
     def test_matches_classical_sort(self):

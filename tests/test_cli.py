@@ -12,19 +12,16 @@ from qrelieff import (
     CapacityError,
     ConfigError,
     DataError,
-    DegenerateSampleError,
-    NoSolutionError,
     PipelineConfig,
-    PostselectionError,
     QReliefFError,
     RngStream,
     RunConfig,
-    SearchFailedError,
     normalize,
     qrelieff_run,
     relieff_run,
     select_features,
 )
+from qrelieff import errors
 from qrelieff.cli import build_parser, example_csv_path, load_csv, run_cli
 from qrelieff.pipeline import check_quantum_input
 from qrelieff.program3 import Program3Result
@@ -76,6 +73,15 @@ class TestLoadCsv:
             load_csv(p)
         assert str(info.value) == (
             f"{p}: sample 1 (counting from 0), feature 'b' is not finite: {cell}"
+        )
+
+    def test_blank_lines_do_not_count_as_samples(self, tmp_path, capsys):
+        # sample 1 is the second data row, CSV row 4 once the blank line is skipped
+        p = tmp_path / "blank.csv"
+        p.write_text("a,b,class\n1,2,A\n\n3,inf,B\n")
+        assert run(["--input", str(p)]) == (3, "")
+        assert capsys.readouterr().err == (
+            f"data error: {p}: sample 1 (counting from 0), feature 'b' is not finite: inf\n"
         )
 
     def test_missing_label_column(self, tmp_path):
@@ -184,12 +190,8 @@ class TestRunCli:
         [
             (MemoryError(), 4, "capacity error: out of memory"),
             (MemoryError("Unable to allocate 8.00 GiB"), 4, "8.00 GiB"),
-            (PostselectionError("branch has probability 0"), 5, "internal error"),
-            (NoSolutionError("no marked elements"), 5, "internal error"),
-            (SearchFailedError("16 searches in a row"), 5, "internal error"),
             (ConfigError("bad flag"), 2, "configuration error"),
             (DataError("bad cell"), 3, "data error"),
-            (DegenerateSampleError("zero-norm row"), 3, "zero-norm row"),
             pytest.param(QReliefFError("class has only the picked sample"), 5,
                          "internal error: QReliefFError: class has only",
                          id="QReliefFError-5-internal error"),
@@ -204,6 +206,12 @@ class TestRunCli:
         monkeypatch.setattr("qrelieff.cli.qrelieff_run", boom)
         assert run(["--input", fixture_path, "--backend", "quantum"]) == (code, "")
         assert message in capsys.readouterr().err
+
+    def test_one_error_type_per_exit_code(self):
+        # ConfigError 2, DataError 3, CapacityError 4, bare QReliefFError 5
+        defined = {name for name, value in vars(errors).items()
+                   if isinstance(value, type) and issubclass(value, BaseException)}
+        assert defined == {"QReliefFError", "ConfigError", "DataError", "CapacityError"}
 
     def test_program_fault_in_dataset_is_internal_error(self, fixture_path, monkeypatch, capsys):
         # load_csv adds its path to a DataError only; anything else is not bad input

@@ -26,7 +26,7 @@ from qrelieff.circuits import (
     swap_test_state,
 )
 from qrelieff.cli import example_csv_path, load_csv
-from qrelieff.errors import PostselectionError
+from qrelieff.errors import QReliefFError
 from qrelieff.pipeline import PipelineConfig, prepare_states, qrelieff_run
 from qrelieff.program3 import final_state
 from qrelieff.relieff import normalize
@@ -99,9 +99,11 @@ def test_real_postselect_matches_the_complex_twin(data):
     qubit, outcome = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 1))
     try:
         real = state.postselect(qubit, outcome)
-    except PostselectionError:
-        with pytest.raises(PostselectionError):
+    except QReliefFError as exc:
+        assert type(exc) is QReliefFError and "has probability" in str(exc)
+        with pytest.raises(QReliefFError, match="has probability") as info:
             _twin(state).postselect(qubit, outcome)
+        assert info.type is QReliefFError
         return
     assert_real_twin(real, _twin(state).postselect(qubit, outcome))
 
@@ -117,7 +119,8 @@ def test_postselect_renormalizes_complex_states_as_the_division_did(data):
     qubit, outcome = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 1))
     try:
         got = state.postselect(qubit, outcome).amplitudes
-    except PostselectionError:
+    except QReliefFError as exc:
+        assert type(exc) is QReliefFError and "has probability" in str(exc)
         return
     amps = state.amplitudes.copy()
     amps[((np.arange(state.dim) >> qubit) & 1) != outcome] = 0.0

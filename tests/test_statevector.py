@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qrelieff import (
     CapacityError,
-    PostselectionError,
+    ConfigError,
     QReliefFError,
     RngStream,
     StateVector,
@@ -385,8 +385,9 @@ class TestMeasurement:
         np.testing.assert_allclose(collapsed.amplitudes, [0, 0, 0, 1], atol=1e-12)
 
     def test_postselect_degenerate(self):
-        with pytest.raises(PostselectionError):
+        with pytest.raises(QReliefFError, match=r"^branch qubit 0 = 1 has probability 0\.0$") as info:
             zero_state(1).postselect(0, 1)
+        assert info.type is QReliefFError
 
     def test_postselect_renormalizes(self):
         uniform = zero_state(2).apply(h(0)).apply(h(1))
@@ -436,6 +437,19 @@ class TestSample:
     def test_empty_qubit_list(self):
         with pytest.raises(QReliefFError):
             zero_state(1).sample([], 10, RngStream(0))
+
+    @pytest.mark.parametrize("shots, message", [
+        (0, "shots must be >= 1, got 0"),
+        (2**63, f"shots must be <= {2**63 - 1}, got {2**63}"),
+    ])
+    def test_shots_outside_int64_draws_are_config_errors(self, shots, message):
+        # numpy counts a multinomial draw in int64; 2**63 would overflow it
+        with pytest.raises(ConfigError) as info:
+            zero_state(1).sample([0], shots, RngStream(0))
+        assert str(info.value) == message
+        with pytest.raises(ConfigError) as info:
+            RngStream(0).multinomial(shots, np.array([0.5, 0.5]))
+        assert str(info.value) == message
 
     def test_seed_determinism(self):
         state = zero_state(3).apply(h(0)).apply(h(2))
