@@ -141,9 +141,9 @@ def _full_circuit_outcome(
 
 
 def _quantize_similarity(s: float, t: int) -> int:
-    """Nearest t-bit estimation grid point to a known similarity."""
-    m = round((1 << t) * math.asin(math.sqrt(s)) / math.pi)
-    return min(max(m, 0), 1 << (t - 1))
+    """Nearest t-bit estimation grid point to a known similarity s in [0, 1]:
+    a reading in [0, 2^(t-1)], as asin(1.0) is exactly pi/2."""
+    return round((1 << t) * math.asin(math.sqrt(s)) / math.pi)
 
 
 def build_similarity_table(

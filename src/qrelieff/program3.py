@@ -84,9 +84,9 @@ def reproduce_program3(
     shots: int = 1024, runs: int = 8, seed: int = 0
 ) -> Program3Result:
     """Exact ancilla P(1) plus ``runs`` sampled means of ``shots`` each."""
-    if shots < 1 or runs < 1:
-        raise ConfigError(f"shots and runs must be >= 1, got {shots} and {runs}")
     check_shots(shots)
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
     state = final_state()
     top = state.n_qubits - 1  # RESULT_QUBIT
     probs = state.marginal_probabilities([top])

@@ -266,6 +266,11 @@ class TestRunCli:
         code, _ = run(["--reproduce-program3", "--shots", "0"])
         assert code == 2
 
+    def test_zero_shots_gives_one_message_on_both_paths(self, fixture_path, capsys):
+        for flags in (["--reproduce-program3"], ["--input", fixture_path, "--mode", "sampled"]):
+            assert run([*flags, "--shots", "0"]) == (2, "")
+            assert capsys.readouterr().err == "configuration error: shots must be >= 1, got 0\n"
+
     def test_output_file(self, fixture_path, tmp_path):
         target = tmp_path / "report.json"
         code, rendered = run(

@@ -180,9 +180,9 @@ class TestQuantumSimilarity:
     def test_full_agrees_with_reduced_on_eight_by_four(self):
         """Exact ``full`` and ``reduced`` read the same y on at least 90% of
         the eight_by_four readings at t = 6: 15 of the 16 readings of the
-        golden case's run (T = 2, seed 0) and 62 of all 64 pairs.  Estimating
-        the swap-test ancilla at t bits, ``full`` matched on 2 of 16 and 8 of
-        64."""
+        canonical case eight_by_four-full-exact (T = 2, seed 0) and 62 of
+        all 64 pairs.  Estimating the swap-test ancilla at t bits, ``full``
+        matched on 2 of 16 and 8 of 64."""
         nd, stats = normalize(load_csv(DATA / "eight_by_four.csv")[0])
         runs = [
             qrelieff_run(nd, PipelineConfig(T=2, ae_bits=6, ae_circuit=c), RngStream(0), stats)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qrelieff.cli import run_cli
+from qrelieff.errors import ConfigError
 from qrelieff.program3 import (
     N_QUBITS,
     PUBLISHED_P1,
@@ -86,6 +87,10 @@ class TestReproduction:
         a = reproduce_program3(shots=64, runs=3, seed=9)
         b = reproduce_program3(shots=64, runs=3, seed=9)
         assert a.run_means == b.run_means
+
+    def test_zero_runs_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^runs must be >= 1, got 0$"):
+            reproduce_program3(runs=0)
 
     def test_cli_document_matches_recorded(self):
         # recorded with the stride-view kernels on the whole view
