@@ -1,17 +1,11 @@
 """The canonical-digest check (``canonical_digests.py``) on a subset of its
-cases, and the check itself: each case of the subset must give the digest
+grid, and the check itself: each case of the subset must give the digest
 recorded in ``data/canonical_digests.json``, and ``--compare`` must name
 the leaf where a body differs.  CI runs the whole case list with
-``python tests/canonical_digests.py --compare``.
+``python tests/canonical_digests.py --compare``; ``test_golden.py`` runs
+the listed cases."""
 
-Under numpy 1.x, whose FFT and summation may round differently, no case is
-held to its bytes.  The listed cases (``canonical_digests.LISTED_CASES``)
-are held to their recorded bodies as trees instead: floats within 1e-12,
-every other value exactly."""
-
-import copy
 import json
-from functools import cache
 
 import numpy as np
 import pytest
@@ -19,67 +13,27 @@ import pytest
 import canonical_digests as cd
 
 RECORDED = json.loads(cd.RECORDED.read_text())
-NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
-FLOAT_TOL = 1e-12
-# every listed case; of the grid, every input but the 32-sample one at t = 3,
-# both circuits and modes, and the default circuit at t = 10: a few seconds
+# every input but the 32-sample one at t = 3, both circuits and modes, and
+# the default circuit at t = 10: well under a second in all
 SUBSET = [
     name for name in sorted(cd.cases())
-    if name in cd.LISTED_CASES
-    or not name.startswith("continuous_32x8")
+    if name not in cd.LISTED_CASES
+    and not name.startswith("continuous_32x8")
     and (name.endswith("-seed0-t3") or "-reduced-" in name and name.endswith("-seed1-t10"))
 ]
 
 
-@cache
-def recorded_bodies() -> dict:
-    return cd.load_bodies(cd.RECORDED)
-
-
-def assert_same_tree(got, want, path="$"):
-    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), f"{path}: keys {sorted(got)} != {sorted(want)}"
-        for key in want:
-            assert_same_tree(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), f"{path}: length {len(got)} != {len(want)}"
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_same_tree(g, w, f"{path}[{i}]")
-    elif isinstance(want, float):
-        assert abs(got - want) <= FLOAT_TOL, f"{path}: {got!r} != {want!r}"
-    else:
-        assert got == want, f"{path}: {got!r} != {want!r}"
-
-
 def test_every_case_is_recorded():
     assert sorted(RECORDED) == sorted(cd.cases())
-    assert sorted(recorded_bodies()) == sorted(cd.cases())
+    assert sorted(cd.load_bodies(cd.RECORDED)) == sorted(cd.cases())
 
 
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="digests recorded under numpy 2"
+)
 @pytest.mark.parametrize("name", SUBSET)
 def test_case_gives_its_recorded_digest(name):
-    if NUMPY_2:
-        assert cd.compare(cd.RECORDED, [name]) == []
-    elif name in cd.LISTED_CASES:
-        assert_same_tree(cd.run_case(name)[1], recorded_bodies()[name])
-    else:
-        pytest.skip("digests recorded under numpy 2")
-
-
-def test_tree_walk_tolerates_only_float_rounding():
-    """A recorded float of a listed case moved by 1e-13 passes the numpy 1.x
-    tree check, and moved by 1e-11 fails it; so does any other change."""
-    want = recorded_bodies()["four_by_two-full-exact-t1"]
-    got = copy.deepcopy(want)
-    got["results"]["quantum"]["average_weights"][0] += 1e-13
-    assert_same_tree(got, want)
-    got["results"]["quantum"]["average_weights"][0] += 1e-11
-    with pytest.raises(AssertionError, match=r"^\$\.results\.quantum\.average_weights\[0\]: "):
-        assert_same_tree(got, want)
-    for got in ({"w": [0.5, 1.0]}, {"w": [0.5]}, {"v": [0.5, 1]}):
-        with pytest.raises(AssertionError):
-            assert_same_tree(got, {"w": [0.5, 1]})
+    assert cd.compare(cd.RECORDED, [name]) == []
 
 
 @pytest.mark.parametrize("m, n", [(16, 8), (32, 8), (8, 4)], ids=lambda v: str(v))
